@@ -38,7 +38,6 @@ from .first_order import (
 )
 from .second_order import (
     CanonicalSandwichError,
-    NotWellOrderedError,
     SecondOrderResult,
     SolveResult,
     canonical_solution,
@@ -48,8 +47,8 @@ from .second_order import (
     solve_s,
 )
 from .well_ordered import (
+    NotWellOrderedError,
     WellOrderReport,
-    capacity_spectrum,
     check_well_ordered,
     more_capable,
 )

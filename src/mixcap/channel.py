@@ -84,12 +84,6 @@ class InputDist:
     def uniform(k: int) -> "InputDist":
         return InputDist(np.full(k, 1.0 / k))
 
-    @staticmethod
-    def point_mass(k: int, x: int) -> "InputDist":
-        v = np.zeros(k)
-        v[x] = 1.0
-        return InputDist(v)
-
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -212,11 +206,10 @@ class InfoStats:
 
 @dataclass(frozen=True)
 class SlackParams:
-    """Slack knobs of the non-asymptotic bounds: eta, gamma and a threshold."""
+    """Slack knobs of the non-asymptotic bounds: eta and gamma."""
 
     eta: float
     gamma_slack: float = 1.0
-    threshold: float = 0.0
 
     def __post_init__(self):
         if not self.eta > 0:

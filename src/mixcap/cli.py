@@ -34,14 +34,13 @@ from .channel import (
 )
 from .first_order import SearchConfig, eps_capacity, eps_capacity_well_ordered
 from .optimizer import ConvergenceError, constrained_capacity
-from .second_order import NotWellOrderedError, second_order_lb, second_order_well_ordered
+from .second_order import second_order_lb, second_order_well_ordered
 from .spectrum import (
     CodeParams,
     DominationError,
     exact_tail_bound,
     feinstein_bound,
     hayashi_nagaoka_bound,
-    mc_tail,
     mixed_converse_bound,
 )
 from .types_toolkit import (
@@ -50,7 +49,7 @@ from .types_toolkit import (
     expurgated_space,
     quantized_type,
 )
-from .well_ordered import check_well_ordered
+from .well_ordered import NotWellOrderedError, check_well_ordered, require_well_ordered
 
 log = logging.getLogger("mixcap")
 
@@ -128,6 +127,8 @@ def load_spec(path: str):
     if costs is None:
         cost = CostSpec.free(mixed.num_inputs)
     else:
+        if not isinstance(costs, list):
+            raise ValueError(f"cost must be a list of {mixed.num_inputs} letter costs")
         if len(costs) != mixed.num_inputs:
             raise ValueError(f"cost has {len(costs)} entries, need {mixed.num_inputs}")
         if gamma == "unconstrained" or gamma is None:
@@ -261,9 +262,15 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run_command(argv) -> tuple[int, str, dict]:
-    """Execute one CLI invocation; returns (exit code, primary output, manifest)."""
-    args = _parser().parse_args(argv)
+def run_command(argv, args: argparse.Namespace | None = None) -> tuple[int, str, dict]:
+    """Execute one CLI invocation; returns (exit code, primary output, manifest).
+
+    ``args`` is argv already parsed, when the caller needed it parsed first.
+    """
+    if args is None:
+        args = _parser().parse_args(argv)
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     level = os.environ.get("MIXCAP_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr)
@@ -305,11 +312,7 @@ def _cmd_capacity(args, mixed, cost, em: Emitter):
 def _cmd_eps_capacity(args, mixed, cost, em: Emitter):
     search = SearchConfig(grid=args.grid)
     if args.well_ordered:
-        report = check_well_ordered(mixed, cost)
-        if not report.is_well_ordered:
-            raise NotWellOrderedError(
-                "channel failed the ordering check: "
-                + "; ".join(str(v) for v in report.violations[:3]))
+        require_well_ordered(mixed, cost)
         res = eps_capacity_well_ordered(mixed, cost, args.eps)
         method = "exact-formula"
     else:
@@ -355,6 +358,8 @@ def _cmd_check_well_ordered(args, mixed, cost, em: Emitter):
 
 
 def _cmd_fbl(args, mixed, cost, em: Emitter):
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     eta = args.eta if args.eta is not None else 1.0 / math.sqrt(args.n)
     slack = SlackParams(eta=eta)
     code = CodeParams.from_rate(args.n, args.rate)
@@ -362,21 +367,16 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
     outs = [output_distribution(p, comp) for comp in mixed.components]
     if args.mc and args.trials is None:
         raise ValueError("--mc requires --trials")
+    if args.mc and args.bound == "exact":
+        raise ValueError("--mc does not apply to --bound exact")
+    mc = dict(mc_trials=args.trials, seed=args.seed, threads=args.threads, force_mc=args.mc)
     if args.bound == "feinstein":
-        if args.mc:
-            est = _mc_feinstein(mixed, p, code, slack, args)
-        else:
-            est = feinstein_bound(mixed, p, code, slack, mc_trials=args.trials,
-                                  seed=args.seed, threads=args.threads)
+        est = feinstein_bound(mixed, p, code, slack, **mc)
     elif args.bound == "hn":
         q_mix = sum(w * q for (w, _), q in zip(mixed.atoms, outs))
-        est = hayashi_nagaoka_bound(mixed, code, q_mix, slack, input_spec=p,
-                                    mc_trials=args.trials, seed=args.seed,
-                                    threads=args.threads)
+        est = hayashi_nagaoka_bound(mixed, code, q_mix, slack, input_spec=p, **mc)
     elif args.bound == "mixed-converse":
-        est = mixed_converse_bound(mixed, code, outs, slack, input_spec=p,
-                                   mc_trials=args.trials, seed=args.seed,
-                                   threads=args.threads)
+        est = mixed_converse_bound(mixed, code, outs, slack, input_spec=p, **mc)
     else:
         est = exact_tail_bound(mixed, code, outs, input_spec=p)
     method = "mc" if est.trials else "exact"
@@ -385,19 +385,9 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
            trials=est.trials, seed=est.seed, note=est.note)
 
 
-def _mc_feinstein(mixed, p, code, slack, args):
-    if mixed.num_atoms != 1:
-        return feinstein_bound(mixed, p, code, slack, mc_trials=args.trials,
-                               seed=args.seed, threads=args.threads)
-    w = mixed.components[0]
-    q = output_distribution(p, w)
-    est = mc_tail(w, p, q, code.n, code.rate + slack.eta, args.trials, args.seed,
-                  threads=args.threads)
-    value = min(est.value + math.exp(-code.n * slack.eta), 1.0)
-    return type(est)(value, "feinstein", est.stderr, est.trials, est.seed)
-
-
 def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
+    if min(args.n) < 1:
+        raise ValueError("--n must be at least 1")
     p = _input_dist(args, mixed.num_inputs)
     slack = SlackParams(eta=1.0, gamma_slack=args.gamma_slack)
     for n in args.n:
@@ -418,15 +408,15 @@ def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(argv)
     try:
-        code, out, manifest = run_command(argv)
+        code, out, manifest = run_command(argv, args)
     except (ValueError, InfeasibleCostError, DominationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, EnumerationCapError, NotWellOrderedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    args = _parser().parse_args(argv)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)

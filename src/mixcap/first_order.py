@@ -9,6 +9,7 @@ quantile over component capacities.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -42,33 +43,29 @@ class QuantileCurve:
                 masses and not 0.0 <= masses[0]):
             raise ValueError("strictly-below masses must be nondecreasing from 0")
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.breakpoints])
+    def masses(self, r: float) -> tuple:
+        """(w{value < r}, w{value <= r}), values within the merge rounding equal.
 
-    def mass_below(self, r: float) -> float:
-        """w{value < r}, treating values within the merge rounding as equal."""
-        total = 0.0
-        for v, below in self.breakpoints:
-            if v < r:
-                total = below + self._jump_at(v)
-        return total
+        The mass at a breakpoint is the jump to the next one (to 1 after the
+        last); the mass below r is taken through the last breakpoint under r.
+        """
+        vals = [v for v, _ in self.breakpoints]
+        i = bisect.bisect_left(vals, r)
+        below = 0.0 if i == 0 else self.breakpoints[i - 1][1] + self._jump(i - 1)
+        r_round = round(r, VALUE_DECIMALS)
+        j = bisect.bisect_left(vals, r_round)
+        if j < len(vals) and vals[j] == r_round:
+            return below, below + self._jump(j)
+        return below, below
 
-    def _jump_at(self, v: float) -> float:
-        pts = [b for b in self.breakpoints]
-        for i, (val, below) in enumerate(pts):
-            if val == v:
-                nxt = pts[i + 1][1] if i + 1 < len(pts) else 1.0
-                return nxt - below
-        return 0.0
+    def _jump(self, i: int) -> float:
+        nxt = self.breakpoints[i + 1][1] if i + 1 < len(self.breakpoints) else 1.0
+        return nxt - self.breakpoints[i][1]
 
     def quantile(self, eps: float):
         """Largest breakpoint value whose strictly-below mass is <= eps."""
-        best = None
-        for v, below in self.breakpoints:
-            if below <= eps:
-                best = v
-        return best
+        i = bisect.bisect_right([m for _, m in self.breakpoints], eps)
+        return self.breakpoints[i - 1][0] if i else None
 
 
 def build_quantile_curve(values, weights, source: str) -> QuantileCurve:
@@ -217,18 +214,13 @@ def eps_capacity(
     p_best = InputDist(best_p)
     curve = build_quantile_curve(component_informations(mixed, p_best),
                                  mixed.weights, "per-input I-values")
-    below = curve.mass_below(best_val)
-    at = below + curve._jump_at(round(best_val, VALUE_DECIMALS))
+    below, at = curve.masses(best_val)
     return EpsCapacityResult(best_val, p_best, None, below, at)
 
 
-def capacity_quantile_curve(mixed: MixedChannel, cost: CostSpec | None = None,
-                            optima: list[CapacityResult] | None = None) -> QuantileCurve:
+def capacity_quantile_curve(mixed: MixedChannel,
+                            optima: list[CapacityResult]) -> QuantileCurve:
     """Quantile curve over component capacities (the capacity spectrum)."""
-    if cost is None:
-        cost = CostSpec.free(mixed.num_inputs)
-    if optima is None:
-        optima = [constrained_capacity(comp, cost) for comp in mixed.components]
     return build_quantile_curve([res.capacity for res in optima],
                                 mixed.weights, "component capacities")
 
@@ -251,13 +243,12 @@ def eps_capacity_well_ordered(
     cost.check_feasible()
     if optima is None:
         optima = [constrained_capacity(comp, cost) for comp in mixed.components]
-    curve = capacity_quantile_curve(mixed, cost, optima)
+    curve = capacity_quantile_curve(mixed, optima)
     value = curve.quantile(eps)
     achieving = None
     for idx, res in enumerate(optima):
         if round(res.capacity, VALUE_DECIMALS) == round(value, VALUE_DECIMALS):
             achieving = idx
             break
-    below = curve.mass_below(value)
-    at = below + curve._jump_at(round(value, VALUE_DECIMALS))
+    below, at = curve.masses(value)
     return EpsCapacityResult(value, optima[achieving].optimal_input, achieving, below, at)

@@ -17,11 +17,11 @@ from .channel import (
     CostSpec,
     Dmc,
     InputDist,
-    channel_dispersion,
     mutual_information,
     output_distribution,
     row_divergences,
 )
+from .types_toolkit import compositions
 
 DEFAULT_TOL = 1e-9
 DEFAULT_KT_TOL = 1e-6
@@ -166,19 +166,7 @@ def constrained_capacity(
     k = w.num_inputs
     costs = cost.costs
 
-    if cost.is_unconstrained:
-        if k == 2:
-            p0 = _binary_polish(w, 0.0, 1.0)
-            p = np.array([p0, 1.0 - p0])
-            value, iters = mutual_information(InputDist(p), w), 200
-        else:
-            p, value, iters = _ba_tilted(w, 0.0, costs, tol, max_iter=max_iter)
-        result = CapacityResult(max(value, 0.0), InputDist(p), 0.0,
-                                _kt_worst_slack(w, p, cost, 0.0), iters)
-        return result
-
-    gamma = float(cost.gamma)
-    if gamma <= cost.gamma_zero + 1e-12:
+    if not cost.is_unconstrained and cost.gamma <= cost.gamma_zero + 1e-12:
         # budget pinned at the cheapest letters: optimize inside that face
         idx, sub = _restrict_to_budget_letters(w, cost)
         sub_res = constrained_capacity(sub, CostSpec.free(len(idx)), tol, kt_tol, max_iter)
@@ -187,17 +175,18 @@ def constrained_capacity(
         return CapacityResult(sub_res.capacity, InputDist(p), lam,
                               _kt_worst_slack(w, p, cost, lam), sub_res.iterations)
 
-    # try the unconstrained optimum first
+    # the unconstrained optimum answers unless the budget excludes it
     if k == 2:
         p0 = _binary_polish(w, 0.0, 1.0)
         p_u = np.array([p0, 1.0 - p0])
         value_u, iters = mutual_information(InputDist(p_u), w), 200
     else:
         p_u, value_u, iters = _ba_tilted(w, 0.0, costs, tol, max_iter=max_iter)
-    if float(p_u @ costs) <= gamma + 1e-12:
+    if cost.is_unconstrained or float(p_u @ costs) <= cost.gamma + 1e-12:
         return CapacityResult(max(value_u, 0.0), InputDist(p_u), 0.0,
                               _kt_worst_slack(w, p_u, cost, 0.0), iters)
 
+    gamma = cost.gamma
     if k == 2:
         return _binary_constrained(w, cost, iters)
 
@@ -238,18 +227,9 @@ def constrained_capacity(
 
 def _binary_constrained(w: Dmc, cost: CostSpec, iters: int) -> CapacityResult:
     """Active budget with |X| = 2: the feasible segment is one-dimensional."""
-    c0, c1 = cost.costs
-    gamma = float(cost.gamma)
-    # feasible p in [0,1] with p c0 + (1-p) c1 <= gamma
-    if c0 == c1:  # budget cannot be active
+    if cost.costs[0] == cost.costs[1]:  # budget cannot be active
         raise ConvergenceError("active budget with equal letter costs")
-    if c0 > c1:
-        hi = (gamma - c1) / (c0 - c1)
-        lo, hi = 0.0, min(max(hi, 0.0), 1.0)
-    else:
-        lo = (gamma - c1) / (c0 - c1)
-        lo, hi = max(min(lo, 1.0), 0.0), 1.0
-    p0 = _binary_polish(w, lo, hi)
+    p0 = _binary_polish(w, *_binary_feasible_interval(cost))
     p = np.array([p0, 1.0 - p0])
     value = mutual_information(InputDist(p), w)
     lam = _budget_multiplier(w, p, cost)
@@ -323,18 +303,7 @@ def _kt_worst_slack(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
 
 def _simplex_grid(k: int, denom: int):
     """All probability vectors with denominator ``denom`` on the k-simplex."""
-    if k == 1:
-        yield np.array([1.0])
-        return
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + [c], remaining - c, slots - 1)
-
-    for counts in rec([], denom, k):
+    for counts in compositions(denom, k):
         yield np.array(counts, dtype=float) / denom
 
 
@@ -426,9 +395,3 @@ def _binary_feasible_interval(cost: CostSpec):
     if c0 > c1:
         return 0.0, min(max((gamma - c1) / (c0 - c1), 0.0), 1.0)
     return max(min((gamma - c1) / (c0 - c1), 1.0), 0.0), 1.0
-
-
-def dispersion_range(reps: CapacityAchievingSet, w: Dmc):
-    """(min, max) channel dispersion over the representatives."""
-    vals = [channel_dispersion(p, w) for p in reps.representatives]
-    return min(vals), max(vals)

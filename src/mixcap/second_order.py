@@ -32,6 +32,7 @@ from .first_order import (
     eps_capacity_well_ordered,
 )
 from .optimizer import capacity_achieving_set, constrained_capacity
+from .well_ordered import require_well_ordered
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -41,10 +42,6 @@ METHOD_EXACT = "exact-formula"
 
 class CanonicalSandwichError(ValueError):
     """The input is not admissible for the canonical equation at this rate."""
-
-
-class NotWellOrderedError(RuntimeError):
-    """Raised when the exact path is requested but the ordering check failed."""
 
 
 class SolveResult(NamedTuple):
@@ -65,6 +62,8 @@ class SecondOrderResult:
 
 def _classify(values, weights, r: float, tie_tol: float):
     """Split atom mass into strictly-below / at-rate buckets."""
+    if tie_tol < 0:
+        raise ValueError("tie_tol must be nonnegative")
     base = 0.0
     at = []  # (weight, index)
     for idx, (v, w) in enumerate(zip(values, weights)):
@@ -78,15 +77,36 @@ def _classify(values, weights, r: float, tie_tol: float):
 def gw(mixed: MixedChannel, p: InputDist, r: float, s: float,
        tie_tol: float = DEFAULT_TIE_TOL) -> float:
     """G_w(R, S | P): strictly-below mass plus Gaussian mass of at-rate atoms."""
-    if tie_tol < 0:
-        raise ValueError("tie_tol must be nonnegative")
-    values = component_informations(mixed, p)
+    return _gw_and_mass(mixed, p, component_informations(mixed, p), r, s, tie_tol)[0]
+
+
+def _gw_and_mass(mixed: MixedChannel, p: InputDist, values, r: float, s: float,
+                 tie_tol: float):
+    """(G_w(R, S | P), at-rate mass), atoms classified by ``values`` against r.
+
+    S may be +-inf, where G_w takes its limits: the strictly-below mass, or
+    that plus the at-rate mass.
+    """
     base, at = _classify(values, mixed.weights, r, tie_tol)
+    mass_at = sum(w for w, _ in at)
+    if not math.isfinite(s):
+        return (base if s < 0 else base + mass_at), mass_at
     total = base
     for w_k, idx in at:
+        total += w_k * psi_from_variance(channel_dispersion(p, mixed.components[idx]), s)
+    return total, mass_at
+
+
+def _split_at_rate(mixed: MixedChannel, p: InputDist, at):
+    """At-rate atoms as Gaussian (weight, variance) terms plus zero-variance step mass."""
+    gauss, step_mass = [], 0.0
+    for w_k, idx in at:
         v = channel_dispersion(p, mixed.components[idx])
-        total += w_k * psi_from_variance(v, s)
-    return total
+        if v > 0.0:
+            gauss.append((w_k, v))
+        else:
+            step_mass += w_k
+    return gauss, step_mass
 
 
 def _sup_feasible(base: float, gauss: list, step_mass: float, eps: float) -> SolveResult:
@@ -159,14 +179,7 @@ def solve_s(mixed: MixedChannel, p: InputDist, r: float, eps: float,
         raise ValueError("eps must lie in [0, 1)")
     values = component_informations(mixed, p)
     base, at = _classify(values, mixed.weights, r, tie_tol)
-    gauss, step_mass = [], 0.0
-    for w_k, idx in at:
-        v = channel_dispersion(p, mixed.components[idx])
-        if v > 0.0:
-            gauss.append((w_k, v))
-        else:
-            step_mass += w_k
-    return _sup_feasible(base, gauss, step_mass, eps)
+    return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
 
 
 def canonical_solution(mixed: MixedChannel, p: InputDist, eps: float,
@@ -186,14 +199,7 @@ def canonical_solution(mixed: MixedChannel, p: InputDist, eps: float,
         )
     if mass_at == 0.0:
         return SolveResult(math.inf, False)
-    gauss, step_mass = [], 0.0
-    for w_k, idx in at:
-        v = channel_dispersion(p, mixed.components[idx])
-        if v > 0.0:
-            gauss.append((w_k, v))
-        else:
-            step_mass += w_k
-    return _sup_feasible(base, gauss, step_mass, eps)
+    return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
 
 
 def _extended_key(res: SolveResult):
@@ -264,7 +270,10 @@ def second_order_lb(
 
     best_p = InputDist(best_arr)
     best_res = solve_s(mixed, best_p, r, eps, tie_tol)
-    return _package(mixed, best_p, r, best_res, tie_tol, METHOD_LOWER_BOUND)
+    g_at, mass_at = _gw_and_mass(mixed, best_p, component_informations(mixed, best_p), r,
+                                 best_res.s_value, tie_tol)
+    return SecondOrderResult(best_res.s_value, r, best_p, g_at, mass_at, METHOD_LOWER_BOUND,
+                             best_res.open_boundary)
 
 
 def second_order_well_ordered(
@@ -281,22 +290,14 @@ def second_order_well_ordered(
 
     Atoms are classified against R by their component capacities; the sup runs
     over the representatives of the best component's capacity-achieving set.
-    Refuses (pointing to ``second_order_lb``) when the ordering check fails
+    Refuses (pointing to the lower-bound path) when the ordering check fails
     and has not been asserted by the caller.
     """
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
     if not assume_well_ordered:
-        from .well_ordered import check_well_ordered
-
-        report = check_well_ordered(mixed, cost, tol=check_tol)
-        if not report.is_well_ordered:
-            raise NotWellOrderedError(
-                "component family failed the capacity-ordering check; "
-                "use second_order_lb for a lower bound. Violations: "
-                + "; ".join(str(v) for v in report.violations[:3])
-            )
+        require_well_ordered(mixed, cost, tol=check_tol)
     optima = [constrained_capacity(comp, cost) for comp in mixed.components]
     cap_res = eps_capacity_well_ordered(mixed, cost, eps, optima)
     r = cap_res.capacity
@@ -307,41 +308,10 @@ def second_order_well_ordered(
                                   cost, opt_tol=rep_opt_tol, grid=rep_grid)
     best_p, best_res = None, None
     for p in reps.representatives:
-        gauss, step_mass = [], 0.0
-        for w_k, idx in at:
-            v = channel_dispersion(p, mixed.components[idx])
-            if v > 0.0:
-                gauss.append((w_k, v))
-            else:
-                step_mass += w_k
-        res = _sup_feasible(base, gauss, step_mass, eps)
+        res = _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
         if best_res is None or (_extended_key(res), tuple(p.probs)) > (
                 _extended_key(best_res), tuple(best_p.probs)):
             best_p, best_res = p, res
-    mass_at = sum(w for w, _ in at)
-    g_at = _gw_from_caps(mixed, best_p, caps, r, best_res.s_value, tie_tol)
+    g_at, mass_at = _gw_and_mass(mixed, best_p, caps, r, best_res.s_value, tie_tol)
     return SecondOrderResult(best_res.s_value, r, best_p, g_at, mass_at,
                              METHOD_EXACT, best_res.open_boundary)
-
-
-def _gw_from_caps(mixed, p, caps, r, s, tie_tol):
-    base, at = _classify(caps, mixed.weights, r, tie_tol)
-    if not math.isfinite(s):
-        return base if s < 0 else base + sum(w for w, _ in at)
-    total = base
-    for w_k, idx in at:
-        v = channel_dispersion(p, mixed.components[idx])
-        total += w_k * psi_from_variance(v, s)
-    return total
-
-
-def _package(mixed, p, r, res: SolveResult, tie_tol, method) -> SecondOrderResult:
-    values = component_informations(mixed, p)
-    base, at = _classify(values, mixed.weights, r, tie_tol)
-    mass_at = sum(w for w, _ in at)
-    if math.isfinite(res.s_value):
-        g_at = gw(mixed, p, r, res.s_value, tie_tol)
-    else:
-        g_at = base if res.s_value < 0 else base + mass_at
-    return SecondOrderResult(res.s_value, r, p, g_at, mass_at, method,
-                             res.open_boundary)

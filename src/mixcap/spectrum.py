@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import Dmc, InputDist, MixedChannel, SlackParams, output_distribution
 from .optimizer import ConvergenceError
-from .types_toolkit import TypeClass
+from .types_toolkit import TypeClass, count_types
 
 BOUNDARY_TOL = 1e-9
 ATOM_CAP = 10**6
@@ -33,6 +33,7 @@ KIND_FEINSTEIN = "feinstein"
 KIND_HN = "hayashi_nagaoka"
 KIND_MIXED_CONVERSE = "mixed_converse"
 KIND_EXACT_TAIL = "exact_tail"
+KIND_MC = "mc"
 
 
 class DominationError(ValueError):
@@ -74,12 +75,10 @@ class AtomDist:
 
 @dataclass(frozen=True)
 class SpectrumCdf:
-    """Per-letter information-density atoms plus their exact n-fold sum."""
+    """Exact law of the n-letter information density (sum of per-letter atoms)."""
 
-    per_letter: AtomDist
     n: int
     aggregate: AtomDist
-    mass_error: float
 
     def __post_init__(self):
         if abs(self.aggregate.total_mass - 1.0) > 1e-9:
@@ -164,14 +163,17 @@ def merge_atoms(values: np.ndarray, probs: np.ndarray, merge_tol: float) -> Atom
     return AtomDist(merged_v[keep], mass[keep])
 
 
-def per_letter_spectrum(x_source, w: Dmc, q) -> AtomDist:
+def per_letter_spectrum(x_source, w: Dmc, q, numer: np.ndarray | None = None) -> AtomDist:
     """Atoms of log(W(y|x)/q(y)) with their probabilities.
 
     ``x_source`` is either an input distribution (letters drawn i.i.d.) or a
     fixed input letter.  The reference q must dominate every reachable output;
-    a violation is reported with the offending (x, y) pair.
+    a violation is reported with the offending (x, y) pair.  ``numer``
+    replaces W inside the log while the probabilities still follow W (used by
+    the mixture surrogates).
     """
     q = np.asarray(q, dtype=float)
+    numer = w.rows if numer is None else numer
     if isinstance(x_source, InputDist):
         px = x_source.probs
     else:
@@ -188,7 +190,7 @@ def per_letter_spectrum(x_source, w: Dmc, q) -> AtomDist:
             if q[y] <= 0.0:
                 raise DominationError(
                     f"reference output has zero mass at y={y}, reachable from x={x}")
-            values.append(math.log(w.rows[x, y]) - math.log(q[y]))
+            values.append(math.log(numer[x, y]) - math.log(q[y]))
             probs.append(pr)
     return merge_atoms(np.array(values), np.array(probs), 0.0)
 
@@ -233,34 +235,33 @@ def convolve_n(atoms: AtomDist, n: int, merge_tol: float | None = None,
     return result
 
 
-def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
-                       merge_tol: float | None = None,
-                       atom_cap: int = ATOM_CAP) -> SpectrumCdf:
-    """Exact n-letter spectrum for an i.i.d. input or a fixed composition."""
+def _letter_parts(w: Dmc, input_spec, q, n: int, numer: np.ndarray | None = None):
+    """(per-letter atoms, letter count) pairs whose summed draws make the n-letter density."""
     if isinstance(input_spec, TypeClass):
         if input_spec.n != n:
             raise ValueError("composition blocklength does not match n")
-        agg = None
-        parts = []
-        for x, cnt in enumerate(input_spec.counts):
-            if cnt == 0:
-                continue
-            atoms_x = per_letter_spectrum(x, w, q)
-            parts.append((atoms_x, int(cnt)))
-        tol = merge_tol
-        if tol is None:
-            scale = max(1.0, max(float(np.max(np.abs(a.values))) for a, _ in parts))
-            tol = 1e-12 * n * scale
-        for atoms_x, cnt in parts:
-            powered = convolve_n(atoms_x, cnt, tol, atom_cap)
-            agg = powered if agg is None else _convolve_pair(agg, powered, tol, atom_cap)
-        per_letter = merge_atoms(
-            np.concatenate([a.values for a, _ in parts]),
-            np.concatenate([a.probs * (c / n) for a, c in parts]), 0.0)
-    else:
-        per_letter = per_letter_spectrum(input_spec, w, q)
-        agg = convolve_n(per_letter, n, merge_tol, atom_cap)
-    return SpectrumCdf(per_letter, n, agg, abs(agg.total_mass - 1.0))
+        return [(per_letter_spectrum(x, w, q, numer), int(cnt))
+                for x, cnt in enumerate(input_spec.counts) if cnt > 0]
+    return [(per_letter_spectrum(input_spec, w, q, numer), n)]
+
+
+def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
+                       merge_tol: float | None = None,
+                       atom_cap: int = ATOM_CAP,
+                       numer: np.ndarray | None = None) -> SpectrumCdf:
+    """Exact n-letter spectrum for an i.i.d. input or a fixed composition.
+
+    ``numer`` is passed on to ``per_letter_spectrum``.
+    """
+    parts = _letter_parts(w, input_spec, q, n, numer)
+    tol = merge_tol
+    if tol is None:
+        tol = max(default_merge_tol(a, n) for a, _ in parts)
+    agg = None
+    for atoms_x, cnt in parts:
+        powered = convolve_n(atoms_x, cnt, tol, atom_cap)
+        agg = powered if agg is None else _convolve_pair(agg, powered, tol, atom_cap)
+    return SpectrumCdf(n, agg)
 
 
 def normal_approx(n: int, c_first: float, d_second: float) -> float:
@@ -292,6 +293,7 @@ def feinstein_bound(
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
+    force_mc: bool = False,
 ) -> BoundEstimate:
     """Achievability: P{density <= rate + eta} + exp(-n eta).
 
@@ -299,33 +301,21 @@ def feinstein_bound(
     the product (PW)^n.  For true mixtures the mixed output law is not a
     product; each component is evaluated against the pointwise maximum of the
     component output laws, with log(K)/n and log(1/w_k)/n threshold penalties.
-    That surrogate upper-bounds the original expression and is flagged.
+    That surrogate upper-bounds the original expression and is flagged.  With
+    one component the penalties vanish and the envelope is the output law.
     """
     mixed = _as_mixed(channel)
     n, eta = code.n, slack.eta
     z = code.rate + eta
-    leak = math.exp(-n * eta)
-    if mixed.num_atoms == 1:
-        w = mixed.components[0]
-        q = output_distribution(p, w)
-        tail, stderr, trials = _tail_or_mc(w, p, q, n, z, merge_tol, mc_trials, seed, threads)
-        return BoundEstimate(_clip01(tail + leak), KIND_FEINSTEIN, stderr, trials, seed)
-
-    outs = np.array([output_distribution(p, comp) for comp in mixed.components])
-    q_max = outs.max(axis=0)
+    q_max = np.array([output_distribution(p, comp) for comp in mixed.components]).max(axis=0)
     big_k = math.log(mixed.num_atoms) / n
-    total, var = 0.0, 0.0
-    trials_total = 0
-    for w_k, comp in mixed.atoms:
-        pen = big_k + math.log(1.0 / w_k) / n
-        tail, stderr, trials = _tail_or_mc(comp, p, q_max, n, z + pen,
-                                           merge_tol, mc_trials, seed, threads)
-        total += w_k * tail
-        var += (w_k * stderr) ** 2
-        trials_total += trials
-    return BoundEstimate(
-        _clip01(total + leak), KIND_FEINSTEIN, math.sqrt(var), trials_total, seed,
-        note="mixed-output surrogate: per-component max-envelope reference with log penalties")
+    zs = [z + (big_k + math.log(1.0 / w_k) / n) for w_k, _ in mixed.atoms]
+    total, stderr, trials = _weighted_tail(mixed, p, [q_max] * mixed.num_atoms, zs, n,
+                                           merge_tol, mc_trials, seed, threads, force_mc)
+    note = ("mixed-output surrogate: per-component max-envelope reference with log penalties"
+            if mixed.num_atoms > 1 else "")
+    return BoundEstimate(_clip01(total + math.exp(-n * eta)), KIND_FEINSTEIN, stderr,
+                         trials, seed, note)
 
 
 def hayashi_nagaoka_bound(
@@ -339,6 +329,7 @@ def hayashi_nagaoka_bound(
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
+    force_mc: bool = False,
 ) -> BoundEstimate:
     """Converse: P{density <= rate - eta} - exp(-n eta), clipped to [0, 1].
 
@@ -347,44 +338,29 @@ def hayashi_nagaoka_bound(
     keeps q as the extra reference term, a valid single-reference evaluation
     of the mixture-of-types family).  For true mixtures the component laws
     are replaced by their pointwise maximum (flagged), which keeps the
-    converse direction.
+    converse direction; with one component the maximum is the channel itself.
     """
     mixed = _as_mixed(channel)
     n, eta = code.n, slack.eta
-    input_spec = input_spec if input_spec is not None else code.composition
-    if input_spec is None:
-        raise ValueError("need an input spec: pass input_spec or set code.composition")
+    input_spec = _input_spec(code, input_spec)
     z = code.rate - eta
-    note = ""
+    notes = []
     if q_family == "type-mixture":
-        from .types_toolkit import count_types
-
         z -= math.log(count_types(mixed.num_inputs, n) + 1) / n
-        note = "type-mixture family via single-reference evaluation"
+        notes.append("type-mixture family via single-reference evaluation")
     elif q_family != "product":
         raise ValueError(f"unknown q family {q_family!r}")
-    leak = math.exp(-n * eta)
-
-    if mixed.num_atoms == 1:
-        w = mixed.components[0]
-        tail, stderr, trials = _tail_or_mc(w, input_spec, q, n, z, merge_tol,
-                                           mc_trials, seed, threads)
-        return BoundEstimate(_clip01(tail - leak), KIND_HN, stderr, trials, seed, note)
-
+    if mixed.num_atoms > 1:
+        notes.append("mixed-law surrogate: max-envelope numerator")
     # pointwise maximum of the component laws: not stochastic, used only as
     # the numerator inside the statistic, which keeps the converse direction
     env = np.stack([comp.rows for comp in mixed.components]).max(axis=0)
-    total, var, trials_total = 0.0, 0.0, 0
-    for w_k, comp in mixed.atoms:
-        tail, stderr, trials = _tail_or_mc(
-            comp, input_spec, q, n, z - math.log(mixed.num_atoms) / n,
-            merge_tol, mc_trials, seed, threads, numer=env)
-        total += w_k * tail
-        var += (w_k * stderr) ** 2
-        trials_total += trials
-    joined = ("; " if note else "") + "mixed-law surrogate: max-envelope numerator"
-    return BoundEstimate(_clip01(total - leak), KIND_HN, math.sqrt(var),
-                         trials_total, seed, note + joined)
+    k = mixed.num_atoms
+    total, stderr, trials = _weighted_tail(mixed, input_spec, [q] * k,
+                                           [z - math.log(k) / n] * k, n, merge_tol,
+                                           mc_trials, seed, threads, force_mc, numer=env)
+    return BoundEstimate(_clip01(total - math.exp(-n * eta)), KIND_HN, stderr, trials,
+                         seed, "; ".join(notes))
 
 
 def mixed_converse_bound(
@@ -397,6 +373,7 @@ def mixed_converse_bound(
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
+    force_mc: bool = False,
 ) -> BoundEstimate:
     """Mixture converse: weighted per-component tails minus exp(-n eta).
 
@@ -406,119 +383,73 @@ def mixed_converse_bound(
     """
     mixed = _as_mixed(mixed)
     n, eta = code.n, slack.eta
-    input_spec = input_spec if input_spec is not None else code.composition
-    if input_spec is None:
-        raise ValueError("need an input spec: pass input_spec or set code.composition")
+    input_spec = _input_spec(code, input_spec)
     if len(q_list) != mixed.num_atoms:
         raise ValueError("need one reference output per component")
-    z = code.rate - eta
-    leak = math.exp(-n * eta)
-    total, var, trials_total = 0.0, 0.0, 0
-    for (w_k, comp), q in zip(mixed.atoms, q_list):
-        tail, stderr, trials = _tail_or_mc(comp, input_spec, q, n, z, merge_tol,
-                                           mc_trials, seed, threads)
-        total += w_k * tail
-        var += (w_k * stderr) ** 2
-        trials_total += trials
-    return BoundEstimate(_clip01(total - leak), KIND_MIXED_CONVERSE,
-                         math.sqrt(var), trials_total, seed)
+    total, stderr, trials = _weighted_tail(mixed, input_spec, q_list,
+                                           [code.rate - eta] * mixed.num_atoms, n,
+                                           merge_tol, mc_trials, seed, threads, force_mc)
+    return BoundEstimate(_clip01(total - math.exp(-n * eta)), KIND_MIXED_CONVERSE,
+                         stderr, trials, seed)
 
 
 def exact_tail_bound(mixed, code: CodeParams, q_list, input_spec=None,
                      merge_tol: float | None = None) -> BoundEstimate:
     """Weighted exact spectrum tail at the code rate (no slack terms)."""
     mixed = _as_mixed(mixed)
-    input_spec = input_spec if input_spec is not None else code.composition
-    if input_spec is None:
-        raise ValueError("need an input spec: pass input_spec or set code.composition")
-    total = 0.0
-    for (w_k, comp), q in zip(mixed.atoms, q_list):
-        spec = aggregate_spectrum(comp, input_spec, q, code.n, merge_tol)
-        total += w_k * spec.tail_leq(code.rate)
+    input_spec = _input_spec(code, input_spec)
+    total, _, _ = _weighted_tail(mixed, input_spec, q_list, [code.rate] * mixed.num_atoms,
+                                 code.n, merge_tol, None, 0, 1, False)
     return BoundEstimate(_clip01(total), KIND_EXACT_TAIL)
 
 
+def _input_spec(code: CodeParams, input_spec):
+    """The explicit input spec, else the code's composition."""
+    input_spec = input_spec if input_spec is not None else code.composition
+    if input_spec is None:
+        raise ValueError("need an input spec: pass input_spec or set code.composition")
+    return input_spec
+
+
+def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n, merge_tol,
+                   mc_trials, seed, threads, force_mc, numer: np.ndarray | None = None):
+    """(sum_k w_k P_k{density <= z_k}, its MC standard error, total MC trials).
+
+    Component k samples under Philox key ``seed + (k << 64)``: the components'
+    MC errors are independent, so they add in quadrature, and component 0 (so
+    every singleton) keeps the plain seed's stream.
+    """
+    total, var, trials_total = 0.0, 0.0, 0
+    for k, ((w_k, comp), q, z) in enumerate(zip(mixed.atoms, refs, thresholds)):
+        tail, stderr, trials = _tail_or_mc(comp, input_spec, q, n, z, merge_tol, mc_trials,
+                                           seed + (k << 64), threads, numer, force_mc)
+        total += w_k * tail
+        var += (w_k * stderr) ** 2
+        trials_total += trials
+    return total, math.sqrt(var), trials_total
+
+
 def _tail_or_mc(w: Dmc, input_spec, q, n, z, merge_tol, mc_trials, seed, threads,
-                numer: np.ndarray | None = None):
+                numer: np.ndarray | None = None, force_mc: bool = False):
     """Exact tail via convolution, falling back to MC when atoms blow up.
 
-    ``numer`` substitutes the matrix inside the log while sampling still
-    follows ``w`` (used by the mixture surrogates).
+    ``force_mc`` skips the convolution; ``numer`` substitutes the matrix
+    inside the log while sampling still follows ``w``.
     """
-    try:
-        if numer is None:
-            spec = aggregate_spectrum(w, input_spec, q, n, merge_tol)
+    if not force_mc:
+        try:
+            spec = aggregate_spectrum(w, input_spec, q, n, merge_tol, numer=numer)
             return spec.tail_leq(z), 0.0, 0
-        agg = _aggregate_with_numerator(w, numer, input_spec, q, n, merge_tol)
-        return agg.cdf_at(z * n), 0.0, 0
-    except ConvergenceError:
-        if mc_trials is None:
-            raise
+        except ConvergenceError:
+            if mc_trials is None:
+                raise
     est = mc_tail(w, input_spec, q, n, z, mc_trials, seed, threads=threads, numer=numer)
     return est.value, est.stderr, est.trials
-
-
-def _numer_atoms(x: int, w: Dmc, numer: np.ndarray, q) -> AtomDist:
-    q = np.asarray(q, dtype=float)
-    values, probs = [], []
-    for y in range(w.num_outputs):
-        pr = w.rows[x, y]
-        if pr <= 0.0:
-            continue
-        if q[y] <= 0.0:
-            raise DominationError(
-                f"reference output has zero mass at y={y}, reachable from x={x}")
-        values.append(math.log(numer[x, y]) - math.log(q[y]))
-        probs.append(pr)
-    return merge_atoms(np.array(values), np.array(probs), 0.0)
-
-
-def _aggregate_with_numerator(w: Dmc, numer: np.ndarray, input_spec, q, n, merge_tol):
-    if isinstance(input_spec, TypeClass):
-        parts = [( _numer_atoms(x, w, numer, q), int(c))
-                 for x, c in enumerate(input_spec.counts) if c > 0]
-    else:
-        px = input_spec.probs
-        vals, prs = [], []
-        for x in range(w.num_inputs):
-            if px[x] <= 0.0:
-                continue
-            a = _numer_atoms(x, w, numer, q)
-            vals.append(a.values)
-            prs.append(a.probs * px[x])
-        parts = [(merge_atoms(np.concatenate(vals), np.concatenate(prs), 0.0), n)]
-    tol = merge_tol
-    if tol is None:
-        scale = max(1.0, max(float(np.max(np.abs(a.values))) for a, _ in parts))
-        tol = 1e-12 * n * scale
-    agg = None
-    for atoms_x, cnt in parts:
-        powered = convolve_n(atoms_x, cnt, tol)
-        agg = powered if agg is None else _convolve_pair(agg, powered, tol)
-    return agg
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
-
-
-def _sampling_blocks(w: Dmc, input_spec, q, n, numer: np.ndarray | None):
-    """Per-letter sampling tables: list of (count, cum_probs, values)."""
-    blocks = []
-    if isinstance(input_spec, TypeClass):
-        for x, cnt in enumerate(input_spec.counts):
-            if cnt == 0:
-                continue
-            a = per_letter_spectrum(x, w, q) if numer is None else _numer_atoms(x, w, numer, q)
-            blocks.append((int(cnt), np.cumsum(a.probs), a.values))
-    else:
-        if numer is None:
-            a = per_letter_spectrum(input_spec, w, q)
-        else:
-            a = _aggregate_with_numerator(w, numer, input_spec, q, 1, 0.0)
-        blocks.append((n, np.cumsum(a.probs), a.values))
-    return blocks
 
 
 def mc_tail(
@@ -541,10 +472,11 @@ def mc_tail(
     if trials < 1:
         raise ValueError("need at least one trial")
     if threshold == math.inf:
-        return BoundEstimate(1.0, KIND_EXACT_TAIL, 0.0, 0, seed)
+        return BoundEstimate(1.0, KIND_MC, 0.0, 0, seed)
     if threshold == -math.inf:
-        return BoundEstimate(0.0, KIND_EXACT_TAIL, 0.0, 0, seed)
-    blocks = _sampling_blocks(w, input_spec, q, n, numer)
+        return BoundEstimate(0.0, KIND_MC, 0.0, 0, seed)
+    blocks = [(cnt, np.cumsum(a.probs), a.values)
+              for a, cnt in _letter_parts(w, input_spec, q, n, numer)]
     cut = threshold * n + BOUNDARY_TOL
 
     def run_chunk(c: int) -> int:
@@ -567,4 +499,4 @@ def mc_tail(
         hits = sum(run_chunk(c) for c in range(n_chunks))
     p_hat = hits / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-    return BoundEstimate(p_hat, KIND_EXACT_TAIL, stderr, trials, seed)
+    return BoundEstimate(p_hat, KIND_MC, stderr, trials, seed)

@@ -86,21 +86,27 @@ def count_types(num_symbols: int, n: int) -> int:
     return math.comb(n + num_symbols - 1, num_symbols - 1)
 
 
+def compositions(total: int, parts: int):
+    """All tuples of ``parts`` nonnegative integers summing to ``total``.
+
+    Lexicographic order, first part slowest; tie-breaking in the searches and
+    the dedup of representatives depend on this order.
+    """
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
 def enumerate_types(num_symbols: int, n: int, cap: int = ENUM_CAP):
     """All compositions of n into num_symbols parts, as TypeClass objects."""
     total = count_types(num_symbols, n)
     if total > cap:
         raise EnumerationCapError(f"{total} types exceed the cap {cap}")
     assert total <= (n + 1) ** num_symbols
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + [c], remaining - c, slots - 1)
-
-    out = [TypeClass(np.array(c, dtype=int), n) for c in rec([], n, num_symbols)]
+    out = [TypeClass(np.array(c, dtype=int), n) for c in compositions(n, num_symbols)]
     assert len(out) == total
     return out
 
@@ -170,15 +176,7 @@ def _joint_count_matrices_total(kx: int, ky: int, n: int, cap: int = ENUM_CAP):
     total = count_types(kx * ky, n)
     if total > cap:
         raise EnumerationCapError(f"{total} joint types exceed the cap {cap}")
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + [c], remaining - c, slots - 1)
-
-    for flat in rec([], n, kx * ky):
+    for flat in compositions(n, kx * ky):
         yield np.array(flat, dtype=int).reshape(kx, ky)
 
 
@@ -187,18 +185,9 @@ def _joint_matrices_with_rows(row_sums, ky: int):
     per_row = []
     for m in row_sums:
         per_row.append([np.array(c, dtype=int)
-                        for c in _compositions(int(m), ky)])
+                        for c in compositions(int(m), ky)])
     for rows in itertools.product(*per_row):
         yield np.stack(rows)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield [total]
-        return
-    for c in range(total + 1):
-        for rest in _compositions(total - c, parts - 1):
-            yield [c] + rest
 
 
 def _log_multinomial(total: int, parts) -> float:

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import CostSpec, Dmc, InputDist, MixedChannel, mutual_information
-from .first_order import VALUE_DECIMALS
+from .first_order import capacity_quantile_curve
 from .optimizer import capacity_achieving_set, constrained_capacity, _simplex_grid
 
 DEFAULT_ORDER_TOL = 1e-7
+
+
+class NotWellOrderedError(RuntimeError):
+    """Raised when the exact path is requested but the ordering check failed."""
 
 
 @dataclass(frozen=True)
@@ -46,28 +48,6 @@ class WellOrderReport:
     def __post_init__(self):
         if self.is_well_ordered != (len(self.violations) == 0):
             raise ValueError("report inconsistent: violations must be empty iff well-ordered")
-
-
-def capacity_spectrum(mixed: MixedChannel, cost: CostSpec | None = None,
-                      optima=None) -> tuple:
-    """All component capacities with their atom weights, ascending.
-
-    Values equal after rounding at 1e-12 merge, accumulating weight.
-    """
-    if cost is None:
-        cost = CostSpec.free(mixed.num_inputs)
-    cost.check_feasible()
-    if optima is None:
-        optima = [constrained_capacity(comp, cost) for comp in mixed.components]
-    pairs = sorted((round(res.capacity, VALUE_DECIMALS), w)
-                   for res, w in zip(optima, mixed.weights))
-    merged = []
-    for value, weight in pairs:
-        if merged and merged[-1][0] == value:
-            merged[-1][1] += weight
-        else:
-            merged.append([value, weight])
-    return tuple((v, w) for v, w in merged)
 
 
 def more_capable(w1: Dmc, w2: Dmc, grid: int = 64) -> bool:
@@ -127,17 +107,28 @@ def check_well_ordered(
                         violations.append(OrderViolation(
                             i, j, p, infos[j],
                             f"I > {caps[i]:.9g} + {tol:g} (larger capacity)"))
-    spectrum = capacity_spectrum(mixed, cost, optima)
-    cum = []
-    acc = 0.0
-    for v, w in spectrum:
-        acc += w
-        cum.append((v, acc))
+    curve = capacity_quantile_curve(mixed, optima)
+    cum = tuple((v, curve.masses(v)[1]) for v, _ in curve.breakpoints)
     n_reps = sum(len(r.representatives) for r in rep_sets)
     coverage = (
         f"checked {n_reps} sampled representatives (grid 1/{rep_grid}, "
         f"opt tol {rep_opt_tol:g}); a pass refutes nothing beyond this resolution; "
         "closedness is vacuous for a finite atom list"
     )
-    return WellOrderReport(len(violations) == 0, tuple(violations), tuple(cum),
-                           tol, coverage)
+    return WellOrderReport(len(violations) == 0, tuple(violations), cum, tol, coverage)
+
+
+def require_well_ordered(mixed: MixedChannel, cost: CostSpec | None = None,
+                         tol: float = DEFAULT_ORDER_TOL) -> WellOrderReport:
+    """``check_well_ordered``, raising NotWellOrderedError when it fails.
+
+    The exact (well-ordered) paths refuse rather than return a value whose
+    formula does not apply; the message points to the lower-bound path.
+    """
+    report = check_well_ordered(mixed, cost, tol=tol)
+    if not report.is_well_ordered:
+        raise NotWellOrderedError(
+            "component family failed the capacity-ordering check; use the lower-bound "
+            "path (without --well-ordered). Violations: "
+            + "; ".join(str(v) for v in report.violations[:3]))
+    return report

@@ -141,8 +141,8 @@ def test_slack_params_validation():
         SlackParams(eta=0.0)
     with pytest.raises(ValueError):
         SlackParams(eta=0.1, gamma_slack=-1.0)
-    sp = SlackParams(eta=0.1, gamma_slack=2.0, threshold=0.3)
-    assert sp.threshold == 0.3
+    sp = SlackParams(eta=0.1, gamma_slack=2.0)
+    assert sp.gamma_slack == 2.0
 
 
 def test_psi_examples():

@@ -126,6 +126,7 @@ def test_fbl_threads_do_not_change_results(pair_spec, capsys):
     one = capsys.readouterr().out
     assert main(base + ["--threads", "4"]) == 0
     four = capsys.readouterr().out
+    assert ",mc," in one
     assert one == four
 
 
@@ -180,3 +181,39 @@ def test_validate_lemmas_command(pair_spec, capsys):
     out = capsys.readouterr().out
     assert "expurgated_mass" in out
     assert "decomposition_pass,1" in out
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["capacity", "{cost}"], "cost"),
+    (["fbl", "{pair}", "--n", "0", "--rate", "0.1", "--bound", "feinstein"], "--n"),
+    (["fbl", "{pair}", "--n", "-3", "--rate", "0.1", "--bound", "feinstein"], "--n"),
+    (["validate-lemmas", "{pair}", "--n", "0"], "--n"),
+    (["second-order", "{pair}", "--eps", "0.3", "--tie-tol", "-1"], "tie_tol"),
+    (["capacity", "{pair}", "--threads", "0"], "--threads"),
+    (["fbl", "{pair}", "--n", "20", "--rate", "0.1", "--bound", "exact", "--mc",
+      "--trials", "100"], "--mc"),
+])
+def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
+    cost = write_spec(tmp_path, {
+        "cost": 1.0,
+        "atoms": [{"weight": 1.0, "rows": [[0.9, 0.1], [0.2, 0.8]]}],
+    }, name="cost.json")
+    argv = [a.format(cost=cost, pair=pair_spec) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert names in lines[0]
+
+
+@pytest.mark.parametrize("bound", ["feinstein", "hn", "mixed-converse"])
+def test_fbl_mc_flag_forces_monte_carlo(bound, pair_spec, capsys):
+    argv = ["fbl", pair_spec, "--n", "40", "--rate", "0.2", "--bound", bound,
+            "--mc", "--trials", "2000", "--seed", "3"]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["method"] == "mc"
+    assert int(fields["trials"]) == 2 * 2000
+    assert float(fields["stderr"]) > 0.0

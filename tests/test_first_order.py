@@ -13,6 +13,7 @@ from mixcap import (
     mutual_information,
     rate_quantile,
 )
+from mixcap.first_order import build_quantile_curve
 from conftest import bsc, bsc_capacity, random_mixture
 
 
@@ -132,3 +133,21 @@ def test_quantile_reports_both_masses(bsc_pair, uniform2):
     res = eps_capacity(bsc_pair, eps=0.5)
     assert res.mass_below == pytest.approx(0.5, abs=1e-12)
     assert res.mass_at_or_below == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quantile_curve_masses_match_brute_sums():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        k = int(rng.integers(1, 8))
+        values = rng.integers(0, 4, size=k) / 8.0  # few distinct values: ties
+        weights = rng.dirichlet(np.ones(k))
+        curve = build_quantile_curve(values, weights, "test")
+        distinct = np.unique(values)
+        probes = np.concatenate([distinct, distinct + 0.0625, [values.min() - 1.0]])
+        for r in probes:
+            below, at = curve.masses(float(r))
+            assert below == pytest.approx(weights[values < r].sum(), abs=1e-12)
+            assert at == pytest.approx(weights[values <= r].sum(), abs=1e-12)
+        for eps in (0.0, 0.2, 0.5, 0.9):
+            feasible = [v for v in distinct if weights[values < v].sum() <= eps + 1e-12]
+            assert curve.quantile(eps) == pytest.approx(max(feasible), abs=1e-12)

@@ -26,6 +26,7 @@ from mixcap import (
     output_distribution,
     per_letter_spectrum,
 )
+from mixcap.types_toolkit import TypeClass
 from conftest import bsc, random_dmc
 
 
@@ -282,3 +283,60 @@ def test_bound_values_stay_in_unit_interval(uniform2):
                                   mc_trials=20_000, seed=4)
         assert 0.0 <= f.value <= 1.0
         assert 0.0 <= h.value <= 1.0
+
+
+def _brute_hn_mixture(mixed, x_words, x_probs, q, n, rate, eta):
+    """HN mixture bound summed over every (x, y) word pair: max-envelope numerator."""
+    env = np.stack([c.rows for c in mixed.components]).max(axis=0)
+    y_words = np.array(list(itertools.product(range(mixed.num_outputs), repeat=n)))
+    log_q = np.log(np.asarray(q))
+    cut = (rate - eta - math.log(mixed.num_atoms) / n) * n + 1e-9
+    total = 0.0
+    for w_k, comp in mixed.atoms:
+        for x, px in zip(x_words, x_probs):
+            probs = px * np.prod(comp.rows[x[None, :], y_words], axis=1)
+            stat = np.sum(np.log(env[x[None, :], y_words]) - log_q[y_words], axis=1)
+            total += w_k * probs[stat <= cut].sum()
+    return min(max(total - math.exp(-n * eta), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("rate", [0.6, 0.7, 0.8, 1.2])
+def test_hn_mixture_matches_output_word_enumeration(rate):
+    mixed = MixedChannel(((0.4, Dmc([[0.9, 0.1], [0.25, 0.75]])),
+                          (0.6, Dmc([[0.7, 0.3], [0.05, 0.95]]))))
+    p = InputDist([0.3, 0.7])
+    q = sum(w * output_distribution(p, c) for w, c in mixed.atoms)
+    slack = SlackParams(eta=0.1)
+    # i.i.d. input: sum over input words too
+    n = 6
+    x_words = np.array(list(itertools.product(range(2), repeat=n)))
+    x_probs = np.prod(p.probs[x_words], axis=1)
+    est = hayashi_nagaoka_bound(mixed, CodeParams.from_rate(n, rate), q, slack, input_spec=p)
+    assert est.value == pytest.approx(
+        _brute_hn_mixture(mixed, x_words, x_probs, q, n, rate, 0.1), abs=1e-12)
+    # fixed composition: one input word of that type
+    comp = TypeClass(np.array([3, 5]), 8)
+    est = hayashi_nagaoka_bound(mixed, CodeParams.from_rate(8, rate, comp), q, slack)
+    assert est.value == pytest.approx(
+        _brute_hn_mixture(mixed, [comp.canonical_word()], [1.0], q, 8, rate, 0.1), abs=1e-12)
+
+
+def test_mixture_mc_stderr_is_honest():
+    # two identical components: shared uniforms would make the two estimates
+    # equal, so their spread would be sqrt(2) times the reported stderr
+    mixed = MixedChannel(((0.5, bsc(0.11)), (0.5, bsc(0.11))))
+    p = InputDist([0.5, 0.5])
+    outs = [output_distribution(p, c) for c in mixed.components]
+    code, slack = CodeParams.from_rate(20, 0.85), SlackParams(eta=0.5)
+    ests = [mixed_converse_bound(mixed, code, outs, slack, input_spec=p, mc_trials=400,
+                                 seed=s, force_mc=True) for s in range(200)]
+    assert all(e.kind == "mixed_converse" and e.trials == 800 for e in ests)
+    spread = np.std([e.value for e in ests], ddof=1)
+    reported = math.sqrt(np.mean([e.stderr ** 2 for e in ests]))
+    assert 0.8 <= spread / reported <= 1.25
+
+
+def test_mc_tail_kind():
+    w = bsc(0.11)
+    est = mc_tail(w, InputDist([0.5, 0.5]), [0.5, 0.5], 10, 0.3, 1000, 0)
+    assert est.kind == "mc" and est.trials == 1000

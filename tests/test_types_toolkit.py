@@ -21,7 +21,7 @@ from mixcap import (
     output_distribution,
     quantized_type,
 )
-from mixcap.types_toolkit import TypeClass, count_types
+from mixcap.types_toolkit import TypeClass, compositions, count_types
 from conftest import bsc, random_dmc
 
 
@@ -152,3 +152,13 @@ def test_expurgation_general_reference(uniform2):
         q_list = [rng.dirichlet(np.ones(2)) for _ in range(2)]
         rep = expurgated_space(mix, q_list, 8)
         assert rep.mass >= rep.bound - 1e-12
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("total", [0, 1, 2, 5])
+def test_compositions_match_filtered_product(total, parts):
+    got = list(compositions(total, parts))
+    expected = [c for c in itertools.product(range(total + 1), repeat=parts)
+                if sum(c) == total]
+    assert got == expected
+    assert len(got) == count_types(parts, total)

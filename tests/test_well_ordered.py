@@ -6,7 +6,6 @@ from mixcap import (
     Dmc,
     InputDist,
     MixedChannel,
-    capacity_spectrum,
     check_well_ordered,
     constrained_capacity,
     eps_capacity_well_ordered,
@@ -59,7 +58,7 @@ def test_more_capable_transitive_on_grid():
 
 def test_capacity_spectrum_pair():
     mix = MixedChannel(((0.5, bsc(0.05)), (0.5, bsc(0.2))))
-    spec = capacity_spectrum(mix)
+    spec = check_well_ordered(mix).capacity_spectrum
     assert len(spec) == 2
     assert spec[0][0] == pytest.approx(bsc_capacity(0.2), abs=1e-9)
     assert spec[1][0] == pytest.approx(bsc_capacity(0.05), abs=1e-9)
@@ -67,10 +66,10 @@ def test_capacity_spectrum_pair():
 
 
 def test_capacity_spectrum_singleton_and_merge():
-    single = capacity_spectrum(MixedChannel.singleton(bsc(0.11)))
+    single = check_well_ordered(MixedChannel.singleton(bsc(0.11))).capacity_spectrum
     assert len(single) == 1 and single[0][1] == pytest.approx(1.0)
     dup = MixedChannel(((0.3, bsc(0.11)), (0.7, bsc(0.11))))
-    merged = capacity_spectrum(dup)
+    merged = check_well_ordered(dup).capacity_spectrum
     assert len(merged) == 1
     assert merged[0][1] == pytest.approx(1.0)
 
@@ -78,7 +77,7 @@ def test_capacity_spectrum_singleton_and_merge():
 def test_infeasible_gamma_rejected():
     mix = MixedChannel.singleton(bsc(0.11))
     with pytest.raises(ValueError):
-        capacity_spectrum(mix, CostSpec([1.0, 0.5], gamma=0.2))
+        check_well_ordered(mix, CostSpec([1.0, 0.5], gamma=0.2))
 
 
 def test_capacity_quantile_dominates_information_quantile():
