@@ -31,7 +31,6 @@ from .optimizer import (
 from .first_order import (
     EpsCapacityResult,
     QuantileCurve,
-    SearchConfig,
     eps_capacity,
     eps_capacity_well_ordered,
     rate_quantile,

@@ -32,7 +32,7 @@ from .channel import (
     SlackParams,
     output_distribution,
 )
-from .first_order import SearchConfig, eps_capacity, eps_capacity_well_ordered
+from .first_order import eps_capacity, eps_capacity_well_ordered
 from .optimizer import ConvergenceError, constrained_capacity
 from .second_order import second_order_lb, second_order_well_ordered
 from .spectrum import (
@@ -74,6 +74,38 @@ def _bsc(p: float) -> Dmc:
     return Dmc([[1.0 - p, p], [p, 1.0 - p]])
 
 
+_KINDS = {list: "a list", dict: "an object", int: "an integer", float: "a finite number"}
+
+
+def _typed(value, kind, field: str):
+    """``value`` if it is a JSON list, object, integer or finite number (never a boolean)."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted) or (
+            kind is float and not math.isfinite(value)):
+        raise ValueError(f"{field} must be {_KINDS[kind]}")
+    return float(value) if kind is float else value
+
+
+def _numbers(value, field: str) -> list:
+    return [_typed(v, float, f"{field}[{i}]") for i, v in enumerate(_typed(value, list, field))]
+
+
+def _atom(entry, field: str, channel):
+    """(weight, channel(entry)) from one spec entry, errors prefixed by ``field``."""
+    try:
+        entry = _typed(entry, dict, "entry")
+        return _typed(entry["weight"], float, "weight"), channel(entry)
+    except KeyError as exc:
+        raise ValueError(f"{field} is missing field {exc}")
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}")
+
+
+def _matrix(entry) -> Dmc:
+    rows = _typed(entry["rows"], list, "rows")
+    return Dmc([_numbers(r, f"rows[{x}]") for x, r in enumerate(rows)])
+
+
 def load_spec(path: str):
     """Parse and validate a channel spec file; returns (MixedChannel, CostSpec).
 
@@ -90,26 +122,16 @@ def load_spec(path: str):
     if not isinstance(doc, dict):
         raise ValueError("spec file top level must be an object")
 
-    atoms = []
-    for i, atom in enumerate(doc.get("atoms", [])):
-        try:
-            weight = float(atom["weight"])
-            comp = Dmc(atom["rows"])
-        except KeyError as exc:
-            raise ValueError(f"atoms[{i}] is missing field {exc}")
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"atoms[{i}]: {exc}")
-        atoms.append((weight, comp))
-    gen = doc.get("generator")
-    if gen is not None:
+    atoms = [_atom(a, f"atoms[{i}]", _matrix)
+             for i, a in enumerate(_typed(doc.get("atoms", []), list, "atoms"))]
+    if "generator" in doc:
+        gen = _typed(doc["generator"], dict, "generator")
         family = gen.get("family")
         if family != "bsc":
             raise ValueError(f"generator.family {family!r} is not supported (only 'bsc')")
-        for i, entry in enumerate(gen.get("params", [])):
-            try:
-                atoms.append((float(entry["weight"]), _bsc(float(entry["p"]))))
-            except KeyError as exc:
-                raise ValueError(f"generator.params[{i}] is missing field {exc}")
+        params = _typed(gen.get("params", []), list, "generator.params")
+        atoms += [_atom(e, f"generator.params[{i}]", lambda e: _bsc(_typed(e["p"], float, "p")))
+                  for i, e in enumerate(params)]
     if not atoms:
         raise ValueError("spec file defines no atoms (need 'atoms' or 'generator')")
     try:
@@ -118,24 +140,22 @@ def load_spec(path: str):
         raise ValueError(f"atoms: {exc}")
 
     for key in ("num_inputs", "num_outputs"):
-        if key in doc and int(doc[key]) != getattr(mixed, key):
+        if key in doc and _typed(doc[key], int, key) != getattr(mixed, key):
             raise ValueError(f"{key} = {doc[key]} does not match the atom matrices "
                              f"({getattr(mixed, key)})")
 
-    costs = doc.get("cost")
+    # a key is given or absent: null is never a value; a budget needs letter costs
     gamma = doc.get("gamma", "unconstrained")
-    if costs is None:
-        cost = CostSpec.free(mixed.num_inputs)
-    else:
-        if not isinstance(costs, list):
-            raise ValueError(f"cost must be a list of {mixed.num_inputs} letter costs")
-        if len(costs) != mixed.num_inputs:
-            raise ValueError(f"cost has {len(costs)} entries, need {mixed.num_inputs}")
-        if gamma == "unconstrained" or gamma is None:
-            cost = CostSpec(np.asarray(costs, dtype=float), None)
-        else:
-            cost = CostSpec(np.asarray(costs, dtype=float), float(gamma))
-    return mixed, cost
+    if gamma != "unconstrained":
+        gamma = _typed(gamma, float, "gamma")
+        if "cost" not in doc:
+            raise ValueError("gamma needs a cost vector ('cost')")
+    if "cost" not in doc:
+        return mixed, CostSpec.free(mixed.num_inputs)
+    costs = _numbers(doc["cost"], "cost")
+    if len(costs) != mixed.num_inputs:
+        raise ValueError(f"cost has {len(costs)} entries, need {mixed.num_inputs}")
+    return mixed, CostSpec(np.asarray(costs), None if gamma == "unconstrained" else gamma)
 
 
 def _apply_gamma_flags(cost: CostSpec, args) -> CostSpec:
@@ -310,13 +330,13 @@ def _cmd_capacity(args, mixed, cost, em: Emitter):
 
 
 def _cmd_eps_capacity(args, mixed, cost, em: Emitter):
-    search = SearchConfig(grid=args.grid)
     if args.well_ordered:
-        require_well_ordered(mixed, cost)
-        res = eps_capacity_well_ordered(mixed, cost, args.eps)
+        report = require_well_ordered(mixed, cost)
+        res = eps_capacity_well_ordered(mixed, cost, args.eps,
+                                        [rs.solve for rs in report.rep_sets])
         method = "exact-formula"
     else:
-        res = eps_capacity(mixed, cost, args.eps, search)
+        res = eps_capacity(mixed, cost, args.eps, args.grid)
         method = "lower-bound"
     em.row(quantity="eps_capacity", value=res.capacity, units="nats", method=method,
            eps=args.eps, mass_below=res.mass_below, mass_at_or_below=res.mass_at_or_below,
@@ -326,7 +346,6 @@ def _cmd_eps_capacity(args, mixed, cost, em: Emitter):
 
 
 def _cmd_second_order(args, mixed, cost, em: Emitter):
-    search = SearchConfig(grid=args.grid)
     if args.well_ordered:
         if args.rate is not None:
             raise ValueError(
@@ -336,7 +355,7 @@ def _cmd_second_order(args, mixed, cost, em: Emitter):
         res = second_order_well_ordered(mixed, cost, args.eps, tie_tol=tie)
     else:
         tie = args.tie_tol if args.tie_tol is not None else 1e-9
-        res = second_order_lb(mixed, cost, args.rate, args.eps, search, tie_tol=tie)
+        res = second_order_lb(mixed, cost, args.rate, args.eps, args.grid, tie_tol=tie)
     em.row(quantity="second_order", value=res.s_value, units="nats", method=res.method,
            eps=args.eps, rate=res.rate, theta2_mass=res.theta2_mass,
            gw_at_solution=res.gw_at_solution, open_boundary=res.open_boundary,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,15 @@ from .channel import CostSpec, InputDist, MixedChannel, mutual_information
 from .optimizer import CapacityResult, constrained_capacity, _simplex_grid
 
 VALUE_DECIMALS = 12  # atoms with values closer than 1e-12 merge in quantiles
+
+# sup-over-inputs search: the simplex grid serves alphabets up to
+# MAX_GRID_INPUTS letters, larger ones take N_STARTS seeded random starts; the
+# REFINE_TOP best candidates get up to REFINE_STEPS rounds of pair moves
+MAX_GRID_INPUTS = 4
+N_STARTS = 16
+SEARCH_SEED = 0
+REFINE_STEPS = 60
+REFINE_TOP = 4
 
 
 @dataclass(frozen=True)
@@ -97,23 +107,6 @@ class EpsCapacityResult:
     mass_at_or_below: float = 1.0
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the sup-over-inputs search.
-
-    The simplex grid is used for small alphabets; larger alphabets fall back
-    to seeded multi-start.  ``refine_steps`` controls the projected
-    coordinate-pair descent applied to the best candidates.
-    """
-
-    grid: int = 32
-    max_grid_inputs: int = 4
-    n_starts: int = 16
-    seed: int = 0
-    refine_steps: int = 60
-    refine_top: int = 4
-
-
 def component_informations(mixed: MixedChannel, p: InputDist) -> np.ndarray:
     return np.array([mutual_information(p, comp) for comp in mixed.components])
 
@@ -127,17 +120,16 @@ def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
     return curve.quantile(eps)
 
 
-def _candidate_inputs(mixed: MixedChannel, cost: CostSpec, search: SearchConfig,
-                      component_optima: list[CapacityResult]):
+def _candidate_inputs(mixed: MixedChannel, cost: CostSpec, grid: int):
+    """Feasible search seeds: every component's optimum, then the grid or random starts."""
     k = mixed.num_inputs
-    cands = [res.optimal_input.probs for res in component_optima]
-    if k <= search.max_grid_inputs:
-        for g in _simplex_grid(k, search.grid):
-            cands.append(g)
+    cands = [constrained_capacity(comp, cost).optimal_input.probs
+             for comp in mixed.components]
+    if k <= MAX_GRID_INPUTS:
+        cands.extend(_simplex_grid(k, grid))
     else:
-        rng = np.random.default_rng(search.seed)
-        for _ in range(search.n_starts):
-            cands.append(rng.dirichlet(np.ones(k)))
+        rng = np.random.default_rng(SEARCH_SEED)
+        cands.extend(rng.dirichlet(np.ones(k)) for _ in range(N_STARTS))
     out = []
     for c in cands:
         pd = InputDist(np.clip(c, 0.0, None) / np.clip(c, 0.0, None).sum())
@@ -146,13 +138,15 @@ def _candidate_inputs(mixed: MixedChannel, cost: CostSpec, search: SearchConfig,
     return out
 
 
-def _refine(objective, p: np.ndarray, cost: CostSpec, steps: int) -> np.ndarray:
-    """Projected coordinate-pair ascent with a shrinking step size."""
+def _refine(objective, p: np.ndarray, cost: CostSpec) -> np.ndarray:
+    """Projected coordinate-pair ascent with a shrinking step; a -inf start stays as is."""
     k = len(p)
     best = p.copy()
     best_val = objective(best)
+    if best_val == -math.inf:
+        return best
     delta = 0.25
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         improved = False
         for i, j in itertools.permutations(range(k), 2):
             if best[i] < delta:
@@ -174,14 +168,17 @@ def _refine(objective, p: np.ndarray, cost: CostSpec, steps: int) -> np.ndarray:
     return best
 
 
-def _argmax_candidates(objective, candidates, cost: CostSpec, search: SearchConfig):
-    """Deterministic argmax: score, then refine the leaders, break ties lexicographically."""
+def _argmax_candidates(objective, candidates, cost: CostSpec, refine_objective=None):
+    """Deterministic argmax: score, then refine the leaders, break ties lexicographically.
+
+    The leaders climb ``refine_objective`` (default ``objective``) when refined.
+    """
     scored = [(objective(c.probs), tuple(c.probs), c.probs) for c in candidates]
     scored.sort(key=lambda t: (t[0], t[1]), reverse=True)
-    leaders = scored[: search.refine_top]
+    leaders = scored[:REFINE_TOP]
     best_val, _, best_p = leaders[0]
     for val, _, p in leaders:
-        refined = _refine(objective, p, cost, search.refine_steps)
+        refined = _refine(refine_objective or objective, p, cost)
         rval = objective(refined)
         if (rval, tuple(refined)) > (best_val, tuple(best_p)):
             best_val, best_p = rval, refined
@@ -192,25 +189,29 @@ def eps_capacity(
     mixed: MixedChannel,
     cost: CostSpec | None = None,
     eps: float = 0.0,
-    search: SearchConfig = SearchConfig(),
+    grid: int = 32,
 ) -> EpsCapacityResult:
     """First-order capacity: sup over feasible P of the rate quantile.
 
     The search is seeded with every component's constrained-capacity optimum
-    plus a simplex grid (or multi-start for larger alphabets), then locally
-    refined.  The reported value is the best found at the configured
-    resolution; it never exceeds the true sup.
+    plus a simplex grid at resolution 1/grid (or multi-start for larger
+    alphabets), then locally refined.  The reported value is the best found
+    at that resolution; it never exceeds the true sup.
     """
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
-    optima = [constrained_capacity(comp, cost) for comp in mixed.components]
+    return _eps_search(mixed, cost, eps, _candidate_inputs(mixed, cost, grid))
+
+
+def _eps_search(mixed: MixedChannel, cost: CostSpec, eps: float,
+                candidates) -> EpsCapacityResult:
+    """``eps_capacity`` over the given candidate inputs."""
 
     def objective(p_arr: np.ndarray) -> float:
         return rate_quantile(mixed, InputDist(p_arr), eps)
 
-    candidates = _candidate_inputs(mixed, cost, search, optima)
-    best_val, best_p = _argmax_candidates(objective, candidates, cost, search)
+    best_val, best_p = _argmax_candidates(objective, candidates, cost)
     p_best = InputDist(best_p)
     curve = build_quantile_curve(component_informations(mixed, p_best),
                                  mixed.weights, "per-input I-values")
@@ -245,10 +246,8 @@ def eps_capacity_well_ordered(
         optima = [constrained_capacity(comp, cost) for comp in mixed.components]
     curve = capacity_quantile_curve(mixed, optima)
     value = curve.quantile(eps)
-    achieving = None
-    for idx, res in enumerate(optima):
-        if round(res.capacity, VALUE_DECIMALS) == round(value, VALUE_DECIMALS):
-            achieving = idx
-            break
+    # the first component whose capacity the curve rounded to the quantile
+    achieving = next(i for i, res in enumerate(optima)
+                     if np.round(res.capacity, VALUE_DECIMALS) == value)
     below, at = curve.masses(value)
     return EpsCapacityResult(value, optima[achieving].optimal_input, achieving, below, at)

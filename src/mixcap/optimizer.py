@@ -26,6 +26,12 @@ from .types_toolkit import compositions
 DEFAULT_TOL = 1e-9
 DEFAULT_KT_TOL = 1e-6
 MAX_ITER = 10**6
+# capacity_achieving_set: seeded restarts, their iteration cap, and the
+# total-variation radius under which two representatives are one
+N_RESTARTS = 8
+RESTART_SEED = 0
+RESTART_MAX_ITER = 200_000
+DEDUP_TV = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -53,12 +59,14 @@ class CapacityAchievingSet:
 
     The set itself may be a continuum; representatives all achieve the
     capacity within ``opt_tolerance`` and share the (unique) capacity-achieving
-    output distribution ``cap_output``.
+    output distribution ``cap_output``.  ``solve`` is the
+    ``constrained_capacity`` result the set was built around.
     """
 
     representatives: tuple
     cap_output: np.ndarray
     opt_tolerance: float
+    solve: CapacityResult
 
 
 def _divergences(p: np.ndarray, w: Dmc) -> np.ndarray:
@@ -143,13 +151,8 @@ def _embed(p_sub: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     return full
 
 
-def constrained_capacity(
-    w: Dmc,
-    cost: CostSpec | None = None,
-    tol: float = DEFAULT_TOL,
-    kt_tol: float = DEFAULT_KT_TOL,
-    max_iter: int = MAX_ITER,
-) -> CapacityResult:
+def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
+                         tol: float = DEFAULT_TOL) -> CapacityResult:
     """max I(P, W) over inputs with expected cost at most gamma, in nats.
 
     Unconstrained (or slack) budgets run plain alternating maximization; an
@@ -169,7 +172,7 @@ def constrained_capacity(
     if not cost.is_unconstrained and cost.gamma <= cost.gamma_zero + 1e-12:
         # budget pinned at the cheapest letters: optimize inside that face
         idx, sub = _restrict_to_budget_letters(w, cost)
-        sub_res = constrained_capacity(sub, CostSpec.free(len(idx)), tol, kt_tol, max_iter)
+        sub_res = constrained_capacity(sub, CostSpec.free(len(idx)), tol)
         p = _embed(sub_res.optimal_input.probs, idx, k)
         lam = _budget_multiplier(w, p, cost)
         return CapacityResult(sub_res.capacity, InputDist(p), lam,
@@ -181,7 +184,7 @@ def constrained_capacity(
         p_u = np.array([p0, 1.0 - p0])
         value_u, iters = mutual_information(InputDist(p_u), w), 200
     else:
-        p_u, value_u, iters = _ba_tilted(w, 0.0, costs, tol, max_iter=max_iter)
+        p_u, value_u, iters = _ba_tilted(w, 0.0, costs, tol)
     if cost.is_unconstrained or float(p_u @ costs) <= cost.gamma + 1e-12:
         return CapacityResult(max(value_u, 0.0), InputDist(p_u), 0.0,
                               _kt_worst_slack(w, p_u, cost, 0.0), iters)
@@ -201,7 +204,7 @@ def constrained_capacity(
     converged = False
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
-        p, _, it = _ba_tilted(w, lam, costs, inner_tol, max_iter=max_iter)
+        p, _, it = _ba_tilted(w, lam, costs, inner_tol)
         total_iters += it
         feas_p = _project_to_budget(p, cost)
         val = mutual_information(InputDist(feas_p), w)
@@ -316,9 +319,6 @@ def capacity_achieving_set(
     cost: CostSpec | None = None,
     opt_tol: float = 1e-9,
     grid: int = 32,
-    n_starts: int = 8,
-    seed: int = 0,
-    dedup_tv: float = 1e-6,
 ) -> CapacityAchievingSet:
     """Representatives of the capacity-achieving input set.
 
@@ -337,13 +337,13 @@ def capacity_achieving_set(
     # multi-start hunts for distinct optima on flat faces; the binary simplex
     # grid below already covers those, so |X| = 2 skips the restarts
     if k > 2:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(RESTART_SEED)
         lam = base.multiplier
-        for _ in range(n_starts):
+        for _ in range(N_RESTARTS):
             start = rng.dirichlet(np.ones(k))
             try:
                 p, _, _ = _ba_tilted(w, lam, cost.costs, min(opt_tol, DEFAULT_TOL) * 0.1,
-                                     start=start, max_iter=200_000)
+                                     start=start, max_iter=RESTART_MAX_ITER)
             except ConvergenceError:
                 continue
             candidates.append(_project_to_budget(p, cost) if cost.gamma is not None else p)
@@ -376,12 +376,12 @@ def capacity_achieving_set(
         # flat faces are wider than the pinning radius and keep their spread
         if polished is not None and total_variation(polished, c) <= 0.75 / max(grid, 2):
             c, pd = polished, InputDist(polished)
-        if any(total_variation(c, r.probs) <= dedup_tv for r in reps):
+        if any(total_variation(c, r.probs) <= DEDUP_TV for r in reps):
             continue
         reps.append(pd)
 
     cap_output = output_distribution(reps[0], w)
-    return CapacityAchievingSet(tuple(reps), cap_output, opt_tol)
+    return CapacityAchievingSet(tuple(reps), cap_output, opt_tol, base)
 
 
 def _binary_feasible_interval(cost: CostSpec):

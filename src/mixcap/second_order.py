@@ -24,14 +24,12 @@ from .channel import (
     psi_from_variance,
 )
 from .first_order import (
-    SearchConfig,
+    _argmax_candidates,
     _candidate_inputs,
-    _refine,
+    _eps_search,
     component_informations,
-    eps_capacity,
     eps_capacity_well_ordered,
 )
-from .optimizer import capacity_achieving_set, constrained_capacity
 from .well_ordered import require_well_ordered
 
 DEFAULT_TIE_TOL = 1e-9
@@ -60,10 +58,14 @@ class SecondOrderResult:
     open_boundary: bool = False
 
 
-def _classify(values, weights, r: float, tie_tol: float):
-    """Split atom mass into strictly-below / at-rate buckets."""
+def _check_tie_tol(tie_tol: float) -> None:
     if tie_tol < 0:
         raise ValueError("tie_tol must be nonnegative")
+
+
+def _classify(values, weights, r: float, tie_tol: float):
+    """Split atom mass into strictly-below / at-rate buckets."""
+    _check_tie_tol(tie_tol)
     base = 0.0
     at = []  # (weight, index)
     for idx, (v, w) in enumerate(zip(values, weights)):
@@ -212,19 +214,22 @@ def second_order_lb(
     cost: CostSpec | None = None,
     r: float | None = None,
     eps: float = 0.0,
-    search: SearchConfig = SearchConfig(),
+    grid: int = 32,
     tie_tol: float = DEFAULT_TIE_TOL,
     rate_tol: float = 1e-9,
 ) -> SecondOrderResult:
     """Direct-part second-order rate at rate r: sup over feasible P of solve_s.
 
     A LOWER BOUND for general mixtures (no converse is available); +-inf when
-    the rate is off the first-order capacity by more than ``rate_tol``.
+    the rate is off the first-order capacity by more than ``rate_tol``.  The
+    eps-capacity search and this one share one candidate list.
     """
+    _check_tie_tol(tie_tol)
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
-    cap_res = eps_capacity(mixed, cost, eps, search)
+    candidates = _candidate_inputs(mixed, cost, grid)
+    cap_res = _eps_search(mixed, cost, eps, candidates)
     if r is None:
         r = cap_res.capacity
     if r < cap_res.capacity - rate_tol:
@@ -234,8 +239,6 @@ def second_order_lb(
         return SecondOrderResult(-math.inf, r, cap_res.argmax_input, 1.0, 0.0,
                                  METHOD_LOWER_BOUND)
 
-    optima = [constrained_capacity(comp, cost) for comp in mixed.components]
-    candidates = _candidate_inputs(mixed, cost, search, optima)
     candidates.append(cap_res.argmax_input)
 
     # refinement may not trade dispersion against classification slack: at-rate
@@ -255,19 +258,8 @@ def second_order_lb(
                     return -math.inf
         return val
 
-    scored = sorted(((objective(c.probs), tuple(c.probs), c) for c in candidates),
-                    key=lambda t: (t[0], t[1]), reverse=True)
-    best_val, _, best_c = scored[0]
-    best_arr = best_c.probs
-    strict_obj = lambda a: objective(a, strict=True)
-    for val, _, cand in scored[: search.refine_top]:
-        if strict_obj(cand.probs) == -math.inf:
-            continue
-        refined = _refine(strict_obj, cand.probs, cost, search.refine_steps)
-        rval = objective(refined)
-        if (rval, tuple(refined)) > (best_val, tuple(best_arr)):
-            best_val, best_arr = rval, refined
-
+    _, best_arr = _argmax_candidates(objective, candidates, cost,
+                                     refine_objective=lambda a: objective(a, strict=True))
     best_p = InputDist(best_arr)
     best_res = solve_s(mixed, best_p, r, eps, tie_tol)
     g_at, mass_at = _gw_and_mass(mixed, best_p, component_informations(mixed, best_p), r,
@@ -281,31 +273,22 @@ def second_order_well_ordered(
     cost: CostSpec | None = None,
     eps: float = 0.0,
     tie_tol: float = 1e-7,
-    assume_well_ordered: bool = False,
-    check_tol: float = 1e-7,
-    rep_grid: int = 32,
-    rep_opt_tol: float = 1e-9,
 ) -> SecondOrderResult:
     """Exact second-order rate at R = C_eps for capacity-ordered mixtures.
 
     Atoms are classified against R by their component capacities; the sup runs
     over the representatives of the best component's capacity-achieving set.
-    Refuses (pointing to the lower-bound path) when the ordering check fails
-    and has not been asserted by the caller.
+    The ordering check supplies both, so each component is solved once; the
+    call refuses (pointing to the lower-bound path) when that check fails.
     """
-    if cost is None:
-        cost = CostSpec.free(mixed.num_inputs)
-    cost.check_feasible()
-    if not assume_well_ordered:
-        require_well_ordered(mixed, cost, tol=check_tol)
-    optima = [constrained_capacity(comp, cost) for comp in mixed.components]
+    report = require_well_ordered(mixed, cost)
+    optima = [rs.solve for rs in report.rep_sets]
     cap_res = eps_capacity_well_ordered(mixed, cost, eps, optima)
     r = cap_res.capacity
     caps = [res.capacity for res in optima]
     base, at = _classify(caps, mixed.weights, r, tie_tol)
 
-    reps = capacity_achieving_set(mixed.components[cap_res.achieving_component],
-                                  cost, opt_tol=rep_opt_tol, grid=rep_grid)
+    reps = report.rep_sets[cap_res.achieving_component]
     best_p, best_res = None, None
     for p in reps.representatives:
         res = _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)

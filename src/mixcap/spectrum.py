@@ -68,8 +68,9 @@ class AtomDist:
     def mean(self) -> float:
         return float(self.values @ self.probs)
 
-    def cdf_at(self, threshold: float, boundary_tol: float = BOUNDARY_TOL) -> float:
-        idx = np.searchsorted(self.values, threshold + boundary_tol, side="right")
+    def cdf_at(self, threshold: float) -> float:
+        """P{value <= threshold + BOUNDARY_TOL}."""
+        idx = np.searchsorted(self.values, threshold + BOUNDARY_TOL, side="right")
         return float(self.probs[:idx].sum())
 
 
@@ -195,8 +196,7 @@ def per_letter_spectrum(x_source, w: Dmc, q, numer: np.ndarray | None = None) ->
     return merge_atoms(np.array(values), np.array(probs), 0.0)
 
 
-def _convolve_pair(a: AtomDist, b: AtomDist, merge_tol: float,
-                   atom_cap: int = ATOM_CAP) -> AtomDist:
+def _convolve_pair(a: AtomDist, b: AtomDist, merge_tol: float) -> AtomDist:
     if len(a.values) * len(b.values) > PAIR_CAP:
         raise ConvergenceError(
             f"convolution would form {len(a.values) * len(b.values)} atom pairs; "
@@ -204,9 +204,9 @@ def _convolve_pair(a: AtomDist, b: AtomDist, merge_tol: float,
     values = (a.values[:, None] + b.values[None, :]).ravel()
     probs = (a.probs[:, None] * b.probs[None, :]).ravel()
     out = merge_atoms(values, probs, merge_tol)
-    if len(out.values) > atom_cap:
+    if len(out.values) > ATOM_CAP:
         raise ConvergenceError(
-            f"{len(out.values)} atoms exceed the cap {atom_cap}; "
+            f"{len(out.values)} atoms exceed the cap {ATOM_CAP}; "
             "use the Monte-Carlo path")
     return out
 
@@ -216,8 +216,7 @@ def default_merge_tol(atoms: AtomDist, n: int) -> float:
     return 1e-12 * n * scale
 
 
-def convolve_n(atoms: AtomDist, n: int, merge_tol: float | None = None,
-               atom_cap: int = ATOM_CAP) -> AtomDist:
+def convolve_n(atoms: AtomDist, n: int, merge_tol: float | None = None) -> AtomDist:
     """Exact distribution of the sum of n i.i.d. copies, by binary powering."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -228,10 +227,10 @@ def convolve_n(atoms: AtomDist, n: int, merge_tol: float | None = None,
     m = n
     while m > 0:
         if m & 1:
-            result = base if result is None else _convolve_pair(result, base, merge_tol, atom_cap)
+            result = base if result is None else _convolve_pair(result, base, merge_tol)
         m >>= 1
         if m:
-            base = _convolve_pair(base, base, merge_tol, atom_cap)
+            base = _convolve_pair(base, base, merge_tol)
     return result
 
 
@@ -246,21 +245,17 @@ def _letter_parts(w: Dmc, input_spec, q, n: int, numer: np.ndarray | None = None
 
 
 def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
-                       merge_tol: float | None = None,
-                       atom_cap: int = ATOM_CAP,
                        numer: np.ndarray | None = None) -> SpectrumCdf:
     """Exact n-letter spectrum for an i.i.d. input or a fixed composition.
 
     ``numer`` is passed on to ``per_letter_spectrum``.
     """
     parts = _letter_parts(w, input_spec, q, n, numer)
-    tol = merge_tol
-    if tol is None:
-        tol = max(default_merge_tol(a, n) for a, _ in parts)
+    tol = max(default_merge_tol(a, n) for a, _ in parts)
     agg = None
     for atoms_x, cnt in parts:
-        powered = convolve_n(atoms_x, cnt, tol, atom_cap)
-        agg = powered if agg is None else _convolve_pair(agg, powered, tol, atom_cap)
+        powered = convolve_n(atoms_x, cnt, tol)
+        agg = powered if agg is None else _convolve_pair(agg, powered, tol)
     return SpectrumCdf(n, agg)
 
 
@@ -289,7 +284,6 @@ def feinstein_bound(
     p: InputDist,
     code: CodeParams,
     slack: SlackParams,
-    merge_tol: float | None = None,
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -311,7 +305,7 @@ def feinstein_bound(
     big_k = math.log(mixed.num_atoms) / n
     zs = [z + (big_k + math.log(1.0 / w_k) / n) for w_k, _ in mixed.atoms]
     total, stderr, trials = _weighted_tail(mixed, p, [q_max] * mixed.num_atoms, zs, n,
-                                           merge_tol, mc_trials, seed, threads, force_mc)
+                                           mc_trials, seed, threads, force_mc)
     note = ("mixed-output surrogate: per-component max-envelope reference with log penalties"
             if mixed.num_atoms > 1 else "")
     return BoundEstimate(_clip01(total + math.exp(-n * eta)), KIND_FEINSTEIN, stderr,
@@ -325,7 +319,6 @@ def hayashi_nagaoka_bound(
     slack: SlackParams,
     input_spec=None,
     q_family: str = "product",
-    merge_tol: float | None = None,
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -357,7 +350,7 @@ def hayashi_nagaoka_bound(
     env = np.stack([comp.rows for comp in mixed.components]).max(axis=0)
     k = mixed.num_atoms
     total, stderr, trials = _weighted_tail(mixed, input_spec, [q] * k,
-                                           [z - math.log(k) / n] * k, n, merge_tol,
+                                           [z - math.log(k) / n] * k, n,
                                            mc_trials, seed, threads, force_mc, numer=env)
     return BoundEstimate(_clip01(total - math.exp(-n * eta)), KIND_HN, stderr, trials,
                          seed, "; ".join(notes))
@@ -369,7 +362,6 @@ def mixed_converse_bound(
     q_list,
     slack: SlackParams,
     input_spec=None,
-    merge_tol: float | None = None,
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -388,18 +380,17 @@ def mixed_converse_bound(
         raise ValueError("need one reference output per component")
     total, stderr, trials = _weighted_tail(mixed, input_spec, q_list,
                                            [code.rate - eta] * mixed.num_atoms, n,
-                                           merge_tol, mc_trials, seed, threads, force_mc)
+                                           mc_trials, seed, threads, force_mc)
     return BoundEstimate(_clip01(total - math.exp(-n * eta)), KIND_MIXED_CONVERSE,
                          stderr, trials, seed)
 
 
-def exact_tail_bound(mixed, code: CodeParams, q_list, input_spec=None,
-                     merge_tol: float | None = None) -> BoundEstimate:
+def exact_tail_bound(mixed, code: CodeParams, q_list, input_spec=None) -> BoundEstimate:
     """Weighted exact spectrum tail at the code rate (no slack terms)."""
     mixed = _as_mixed(mixed)
     input_spec = _input_spec(code, input_spec)
     total, _, _ = _weighted_tail(mixed, input_spec, q_list, [code.rate] * mixed.num_atoms,
-                                 code.n, merge_tol, None, 0, 1, False)
+                                 code.n, None, 0, 1, False)
     return BoundEstimate(_clip01(total), KIND_EXACT_TAIL)
 
 
@@ -411,7 +402,7 @@ def _input_spec(code: CodeParams, input_spec):
     return input_spec
 
 
-def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n, merge_tol,
+def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n,
                    mc_trials, seed, threads, force_mc, numer: np.ndarray | None = None):
     """(sum_k w_k P_k{density <= z_k}, its MC standard error, total MC trials).
 
@@ -421,7 +412,7 @@ def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n, merge_t
     """
     total, var, trials_total = 0.0, 0.0, 0
     for k, ((w_k, comp), q, z) in enumerate(zip(mixed.atoms, refs, thresholds)):
-        tail, stderr, trials = _tail_or_mc(comp, input_spec, q, n, z, merge_tol, mc_trials,
+        tail, stderr, trials = _tail_or_mc(comp, input_spec, q, n, z, mc_trials,
                                            seed + (k << 64), threads, numer, force_mc)
         total += w_k * tail
         var += (w_k * stderr) ** 2
@@ -429,7 +420,7 @@ def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n, merge_t
     return total, math.sqrt(var), trials_total
 
 
-def _tail_or_mc(w: Dmc, input_spec, q, n, z, merge_tol, mc_trials, seed, threads,
+def _tail_or_mc(w: Dmc, input_spec, q, n, z, mc_trials, seed, threads,
                 numer: np.ndarray | None = None, force_mc: bool = False):
     """Exact tail via convolution, falling back to MC when atoms blow up.
 
@@ -438,7 +429,7 @@ def _tail_or_mc(w: Dmc, input_spec, q, n, z, merge_tol, mc_trials, seed, threads
     """
     if not force_mc:
         try:
-            spec = aggregate_spectrum(w, input_spec, q, n, merge_tol, numer=numer)
+            spec = aggregate_spectrum(w, input_spec, q, n, numer=numer)
             return spec.tail_leq(z), 0.0, 0
         except ConvergenceError:
             if mc_trials is None:
@@ -461,7 +452,6 @@ def mc_tail(
     trials: int,
     seed: int,
     threads: int = 1,
-    chunk: int = MC_CHUNK,
     numer: np.ndarray | None = None,
 ) -> BoundEstimate:
     """Unbiased MC estimate of P{(1/n) sum of density <= threshold}.
@@ -480,8 +470,8 @@ def mc_tail(
     cut = threshold * n + BOUNDARY_TOL
 
     def run_chunk(c: int) -> int:
-        lo = c * chunk
-        size = min(chunk, trials - lo)
+        lo = c * MC_CHUNK
+        size = min(MC_CHUNK, trials - lo)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, c]))
         sums = np.zeros(size)
         for cnt, cum, values in blocks:
@@ -491,7 +481,7 @@ def mc_tail(
             sums += values[idx].sum(axis=1)
         return int(np.count_nonzero(sums <= cut))
 
-    n_chunks = (trials + chunk - 1) // chunk
+    n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(run_chunk, range(n_chunks)))

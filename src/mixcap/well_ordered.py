@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 from .channel import CostSpec, Dmc, InputDist, MixedChannel, mutual_information
 from .first_order import capacity_quantile_curve
-from .optimizer import capacity_achieving_set, constrained_capacity, _simplex_grid
+from .optimizer import capacity_achieving_set, _simplex_grid
 
 DEFAULT_ORDER_TOL = 1e-7
+MORE_CAPABLE_GRID = 64
 
 
 class NotWellOrderedError(RuntimeError):
@@ -44,20 +45,21 @@ class WellOrderReport:
     capacity_spectrum: tuple  # sorted (capacity, cumulative weight)
     tolerance: float
     coverage: str
+    rep_sets: tuple  # one CapacityAchievingSet per component, in atom order
 
     def __post_init__(self):
         if self.is_well_ordered != (len(self.violations) == 0):
             raise ValueError("report inconsistent: violations must be empty iff well-ordered")
 
 
-def more_capable(w1: Dmc, w2: Dmc, grid: int = 64) -> bool:
-    """True when I(P, w1) <= I(P, w2) + 1e-9 at every simplex grid point.
+def more_capable(w1: Dmc, w2: Dmc) -> bool:
+    """True when I(P, w1) <= I(P, w2) + 1e-9 at every point of the 1/64 simplex grid.
 
-    A necessary-condition check at the given resolution, not a certificate.
+    A necessary-condition check at that resolution, not a certificate.
     """
     if w1.rows.shape != w2.rows.shape:
         raise ValueError("channels must share alphabets")
-    for g in _simplex_grid(w1.num_inputs, grid):
+    for g in _simplex_grid(w1.num_inputs, MORE_CAPABLE_GRID):
         p = InputDist(g)
         if mutual_information(p, w1) > mutual_information(p, w2) + 1e-9:
             return False
@@ -69,63 +71,57 @@ def check_well_ordered(
     cost: CostSpec | None = None,
     tol: float = DEFAULT_ORDER_TOL,
     rep_grid: int = 32,
-    rep_opt_tol: float = 1e-9,
 ) -> WellOrderReport:
     """Check the capacity-ordering conditions over sampled representatives.
 
     Near-equal capacities (within tol) are treated as equal.  The finite atom
-    list makes the closedness hypothesis vacuous.
+    list makes the closedness hypothesis vacuous.  Each component is solved
+    once, inside its representative set; the report keeps the sets.
     """
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
-    optima = [constrained_capacity(comp, cost) for comp in mixed.components]
+    rep_sets = [capacity_achieving_set(comp, cost, grid=rep_grid) for comp in mixed.components]
+    optima = [rs.solve for rs in rep_sets]
     caps = [res.capacity for res in optima]
-    rep_sets = [
-        capacity_achieving_set(comp, cost, opt_tol=rep_opt_tol, grid=rep_grid)
-        for comp in mixed.components
-    ]
     violations = []
     n = mixed.num_atoms
     for i in range(n):
         for p in rep_sets[i].representatives:
-            infos = {}
             for j in range(n):
                 if j == i:
                     continue
-                infos[j] = mutual_information(p, mixed.components[j])
-            for j in range(n):
-                if j == i:
-                    continue
+                info = mutual_information(p, mixed.components[j])
                 if abs(caps[i] - caps[j]) <= tol:
-                    if abs(infos[j] - caps[i]) > tol:
+                    if abs(info - caps[i]) > tol:
                         violations.append(OrderViolation(
-                            i, j, p, infos[j],
+                            i, j, p, info,
                             f"|I - {caps[i]:.9g}| <= {tol:g} (equal capacities)"))
                 elif caps[i] < caps[j] - tol:
-                    if not infos[j] > caps[i] + tol:
+                    if not info > caps[i] + tol:
                         violations.append(OrderViolation(
-                            i, j, p, infos[j],
+                            i, j, p, info,
                             f"I > {caps[i]:.9g} + {tol:g} (larger capacity)"))
     curve = capacity_quantile_curve(mixed, optima)
     cum = tuple((v, curve.masses(v)[1]) for v, _ in curve.breakpoints)
     n_reps = sum(len(r.representatives) for r in rep_sets)
     coverage = (
         f"checked {n_reps} sampled representatives (grid 1/{rep_grid}, "
-        f"opt tol {rep_opt_tol:g}); a pass refutes nothing beyond this resolution; "
-        "closedness is vacuous for a finite atom list"
+        f"opt tol {rep_sets[0].opt_tolerance:g}); a pass refutes nothing beyond this "
+        "resolution; closedness is vacuous for a finite atom list"
     )
-    return WellOrderReport(len(violations) == 0, tuple(violations), cum, tol, coverage)
+    return WellOrderReport(len(violations) == 0, tuple(violations), cum, tol, coverage,
+                           tuple(rep_sets))
 
 
-def require_well_ordered(mixed: MixedChannel, cost: CostSpec | None = None,
-                         tol: float = DEFAULT_ORDER_TOL) -> WellOrderReport:
-    """``check_well_ordered``, raising NotWellOrderedError when it fails.
+def require_well_ordered(mixed: MixedChannel, cost: CostSpec | None = None) -> WellOrderReport:
+    """``check_well_ordered`` at the default tolerance, raising NotWellOrderedError on failure.
 
     The exact (well-ordered) paths refuse rather than return a value whose
-    formula does not apply; the message points to the lower-bound path.
+    formula does not apply; the message points to the lower-bound path.  The
+    report carries each component's solve for the caller to reuse.
     """
-    report = check_well_ordered(mixed, cost, tol=tol)
+    report = check_well_ordered(mixed, cost)
     if not report.is_well_ordered:
         raise NotWellOrderedError(
             "component family failed the capacity-ordering check; use the lower-bound "

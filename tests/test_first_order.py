@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcap import (
     CostSpec,
+    Dmc,
     InputDist,
     MixedChannel,
-    SearchConfig,
     eps_capacity,
     eps_capacity_well_ordered,
     mutual_information,
     rate_quantile,
 )
-from mixcap.first_order import build_quantile_curve
+from mixcap.first_order import VALUE_DECIMALS, build_quantile_curve
+from mixcap.optimizer import DEFAULT_TOL
 from conftest import bsc, bsc_capacity, random_mixture
 
 
@@ -151,3 +154,37 @@ def test_quantile_curve_masses_match_brute_sums():
         for eps in (0.0, 0.2, 0.5, 0.9):
             feasible = [v for v in distinct if weights[values < v].sum() <= eps + 1e-12]
             assert curve.quantile(eps) == pytest.approx(max(feasible), abs=1e-12)
+
+
+def _degraded_family(rng, num_inputs: int) -> MixedChannel:
+    """A random channel followed by symmetric noise of increasing strength.
+
+    Each component is a degraded version of the previous one, so the family
+    is ordered by capacity (and less noisy), and the exact formula applies.
+    """
+    base = rng.dirichlet(np.ones(3), size=num_inputs) * 0.9 + 0.1 / 3
+    deltas = np.sort(rng.uniform(0.0, 0.6, size=3))
+    weights = rng.dirichlet(np.ones(3))
+    atoms = []
+    for w_k, d in zip(weights, deltas):
+        noise = (1.0 - d) * np.eye(3) + d / 3.0
+        atoms.append((float(w_k), Dmc(base @ noise)))
+    return MixedChannel(tuple(atoms))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_inputs=st.sampled_from([2, 3]),
+       eps=st.floats(0.0, 0.95))
+def test_lower_bound_never_exceeds_exact_formula(seed, num_inputs, eps):
+    """On capacity-ordered families, search value <= exact formula + stated tolerance.
+
+    The search only evaluates I(P, W_k) at concrete inputs, so it never
+    exceeds the true quantile of capacities.  The formula reads solver
+    capacities, which sit below the true ones by at most the optimality gap
+    DEFAULT_TOL; both sides are rounded to VALUE_DECIMALS decimals, which
+    moves each by at most half of 1e-12.
+    """
+    mix = _degraded_family(np.random.default_rng(seed), num_inputs)
+    lower = eps_capacity(mix, eps=eps).capacity
+    exact = eps_capacity_well_ordered(mix, eps=eps).capacity
+    assert lower <= exact + DEFAULT_TOL + 10.0 ** -VALUE_DECIMALS

@@ -26,9 +26,19 @@ CASES = {
     "eps-capacity-bsc3": ["eps-capacity", "bsc3.json", "--eps", "0.35"],
     "eps-capacity-bsc3-wo": ["eps-capacity", "bsc3.json", "--eps", "0.35", "--well-ordered"],
     "eps-capacity-mix2x2": ["eps-capacity", "mix2x2.json", "--eps", "0.3"],
+    "eps-capacity-cost3": ["eps-capacity", "cost3.json", "--eps", "0.3"],
+    "eps-capacity-cost3-wo": ["eps-capacity", "cost3.json", "--eps", "0.3", "--well-ordered"],
+    "eps-capacity-multi5": ["eps-capacity", "multi5.json", "--eps", "0.3"],
     "second-order-bsc3": ["second-order", "bsc3.json", "--eps", "0.35"],
     "second-order-bsc3-wo": ["second-order", "bsc3.json", "--eps", "0.35", "--well-ordered"],
     "second-order-mix2x2": ["second-order", "mix2x2.json", "--eps", "0.3"],
+    "second-order-cost3": ["second-order", "cost3.json", "--eps", "0.3"],
+    "second-order-cost3-wo": ["second-order", "cost3.json", "--eps", "0.3", "--well-ordered"],
+    "second-order-multi5": ["second-order", "multi5.json", "--eps", "0.3"],
+    "second-order-bsc3-rate-low": ["second-order", "bsc3.json", "--eps", "0.35",
+                                   "--rate", "0.01"],
+    "second-order-bsc3-rate-high": ["second-order", "bsc3.json", "--eps", "0.35",
+                                    "--rate", "0.9"],
     "check-well-ordered-cost2": ["check-well-ordered", "cost2.json"],
     "check-well-ordered-zbsc": ["check-well-ordered", "zbsc.json"],
     "fbl-feinstein-bsc3": _fbl("bsc3.json", 100, 0.3, "feinstein"),
