@@ -4,6 +4,7 @@ well-orderedness checks, and finite-blocklength cross-validation."""
 from .channel import (
     CostSpec,
     Dmc,
+    DominationError,
     InfeasibleCostError,
     InfoStats,
     InputDist,
@@ -55,7 +56,6 @@ from .spectrum import (
     AtomDist,
     BoundEstimate,
     CodeParams,
-    DominationError,
     SpectrumCdf,
     aggregate_spectrum,
     convolve_n,

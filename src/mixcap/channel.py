@@ -8,12 +8,16 @@ Conventions:
   * 0 * log 0 = 0 throughout.
   * probability vectors must sum to 1 within ``SUM_TOL``; out-of-tolerance
     inputs are rejected, never renormalized.
+  * logs of channel matrices and reference outputs are taken only here;
+    ``Dmc.log_rows`` holds log W.  A reference q with q(y) = 0 at a reachable
+    (x, y) makes divergences +inf and the information density raise
+    ``DominationError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +28,10 @@ UNCONSTRAINED = None  # distinguished gamma value for "no cost constraint"
 
 class InfeasibleCostError(ValueError):
     """Raised when a cost budget is below the cheapest input letter."""
+
+
+class DominationError(ValueError):
+    """The reference output gives zero mass to a reachable output letter."""
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -44,9 +52,10 @@ def _check_prob_vector(v: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class Dmc:
-    """A discrete memoryless channel, ``rows[x, y] = W(y|x)``."""
+    """A discrete memoryless channel, ``rows[x, y] = W(y|x)``; ``log_rows`` is log W."""
 
     rows: np.ndarray
+    log_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _frozen_array(self.rows)
@@ -55,6 +64,8 @@ class Dmc:
         for x in range(rows.shape[0]):
             _check_prob_vector(rows[x], f"channel row {x}")
         object.__setattr__(self, "rows", rows)
+        with np.errstate(divide="ignore"):  # -inf where W(y|x) = 0
+            object.__setattr__(self, "log_rows", _frozen_array(np.log(rows)))
 
     @property
     def num_inputs(self) -> int:
@@ -230,31 +241,48 @@ def output_distribution(p: InputDist, w: Dmc) -> np.ndarray:
     return p.probs @ w.rows
 
 
+def _divergences(rows: np.ndarray, log_rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(rows[x] || q) for every row; 0 log 0 = 0, +inf where q misses a row's support."""
+    support = rows > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = rows * (log_rows - np.log(q))
+    out = np.where(support, terms, 0.0).sum(axis=1)
+    out[(support & (q <= 0.0)).any(axis=1)] = math.inf
+    return out
+
+
 def divergence(p, q) -> float:
     """D(p || q) in nats; returns math.inf when q fails to dominate p."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("divergence arguments must have equal length")
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(p)
+    return float(_divergences(p[None, :], log_p[None, :], q)[0])
 
 
 def row_divergences(w: Dmc, q: np.ndarray) -> np.ndarray:
     """D(W(.|x) || q) for every input letter, +inf where q fails to dominate."""
-    rows = w.rows
-    mask = rows > 0.0
-    with np.errstate(divide="ignore"):
-        log_rows = np.where(mask, np.log(np.where(mask, rows, 1.0)), 0.0)
-        log_q = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    out = np.where(mask, rows * (log_rows - log_q[None, :]), 0.0).sum(axis=1)
-    bad = (mask & (q[None, :] <= 0.0)).any(axis=1)
-    if np.any(bad):
-        out = out.copy()
-        out[bad] = math.inf
-    return out
+    return _divergences(w.rows, w.log_rows, np.asarray(q, dtype=float))
+
+
+def log_density(px, w: Dmc, q, numer: np.ndarray | None = None) -> np.ndarray:
+    """The information density log(numer(y|x) / q(y)), -inf off the reachable cells.
+
+    A cell (x, y) is reachable when px[x] > 0 and W(y|x) > 0; ``px`` weighs
+    the input letters and ``numer`` defaults to W.  Raises ``DominationError``
+    naming the first reachable (x, y), in row-major order, where q(y) = 0.
+    """
+    q = np.asarray(q, dtype=float)
+    reach = (np.asarray(px) > 0.0)[:, None] & (w.rows > 0.0)
+    missed = np.argwhere(reach & (q <= 0.0))
+    if len(missed):
+        x, y = missed[0]
+        raise DominationError(f"reference output has zero mass at y={y}, reachable from x={x}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_numer = w.log_rows if numer is None else np.log(numer)
+        return np.where(reach, log_numer - np.log(q), -np.inf)
 
 
 def mutual_information(p: InputDist, w: Dmc) -> float:
@@ -271,21 +299,14 @@ def _conditional_moments(weights_x: np.ndarray, w: Dmc, q: np.ndarray):
     Per letter x the density is centered at D(W(.|x) || q); the averages are
     taken with the composition ``weights_x`` over inputs.
     """
-    var = 0.0
-    third = 0.0
-    for x in range(w.num_inputs):
-        px = weights_x[x]
-        if px <= 0.0:
-            continue
-        row = w.rows[x]
-        mask = row > 0.0
-        if np.any(q[mask] <= 0.0):
-            raise ValueError(f"reference output does not dominate channel row {x}")
-        dens = np.log(row[mask]) - np.log(q[mask])
-        mean = float(row[mask] @ dens)
-        centered = dens - mean
-        var += px * float(row[mask] @ (centered**2))
-        third += px * float(row[mask] @ (np.abs(centered) ** 3))
+    dens = log_density(weights_x, w, q)
+    var = third = 0.0
+    for x in np.flatnonzero(weights_x > 0.0):
+        support = w.rows[x] > 0.0
+        row, d = w.rows[x][support], dens[x][support]
+        centered = d - float(row @ d)
+        var += weights_x[x] * float(row @ (centered**2))
+        third += weights_x[x] * float(row @ (np.abs(centered) ** 3))
     return max(var, 0.0), max(third, 0.0)
 
 

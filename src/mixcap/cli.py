@@ -26,7 +26,6 @@ from . import __version__
 from .channel import (
     CostSpec,
     Dmc,
-    InfeasibleCostError,
     InputDist,
     MixedChannel,
     SlackParams,
@@ -37,7 +36,6 @@ from .optimizer import ConvergenceError, constrained_capacity
 from .second_order import second_order_lb, second_order_well_ordered
 from .spectrum import (
     CodeParams,
-    DominationError,
     exact_tail_bound,
     feinstein_bound,
     hayashi_nagaoka_bound,
@@ -291,6 +289,8 @@ def run_command(argv, args: argparse.Namespace | None = None) -> tuple[int, str,
         args = _parser().parse_args(argv)
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
+    if getattr(args, "grid", 1) < 1:
+        raise ValueError("--grid must be at least 1")
     level = os.environ.get("MIXCAP_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr)
@@ -407,6 +407,8 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
 def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
     if min(args.n) < 1:
         raise ValueError("--n must be at least 1")
+    if args.z_points < 1:
+        raise ValueError("--z-points must be at least 1")
     p = _input_dist(args, mixed.num_inputs)
     slack = SlackParams(eta=1.0, gamma_slack=args.gamma_slack)
     for n in args.n:
@@ -430,7 +432,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, out, manifest = run_command(argv, args)
-    except (ValueError, InfeasibleCostError, DominationError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # includes InfeasibleCostError, DominationError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, EnumerationCapError, NotWellOrderedError) as exc:

@@ -36,13 +36,10 @@ class QuantileCurve:
     """Step function R -> mass strictly below R, for a weighted value list.
 
     ``breakpoints`` is a sorted tuple of (value, mass_strictly_below); the
-    mass at each value is the jump to the next breakpoint.  ``source`` tags
-    what the values are (per-input mutual informations or component
-    capacities).
+    mass at each value is the jump to the next breakpoint.
     """
 
     breakpoints: tuple
-    source: str
 
     def __post_init__(self):
         vals = [v for v, _ in self.breakpoints]
@@ -78,7 +75,7 @@ class QuantileCurve:
         return self.breakpoints[i - 1][0] if i else None
 
 
-def build_quantile_curve(values, weights, source: str) -> QuantileCurve:
+def build_quantile_curve(values, weights) -> QuantileCurve:
     vals = np.round(np.asarray(values, dtype=float), VALUE_DECIMALS)
     wts = np.asarray(weights, dtype=float)
     order = np.argsort(vals, kind="stable")
@@ -95,7 +92,7 @@ def build_quantile_curve(values, weights, source: str) -> QuantileCurve:
         breakpoints.append((float(vals[i]), below))
         below += mass
         i = j
-    return QuantileCurve(tuple(breakpoints), source)
+    return QuantileCurve(tuple(breakpoints))
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,7 @@ def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
     """sup{R : w{theta : I(P, W_theta) < R} <= eps} for a fixed input P."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    curve = build_quantile_curve(component_informations(mixed, p),
-                                 mixed.weights, "per-input I-values")
+    curve = build_quantile_curve(component_informations(mixed, p), mixed.weights)
     return curve.quantile(eps)
 
 
@@ -213,8 +209,7 @@ def _eps_search(mixed: MixedChannel, cost: CostSpec, eps: float,
 
     best_val, best_p = _argmax_candidates(objective, candidates, cost)
     p_best = InputDist(best_p)
-    curve = build_quantile_curve(component_informations(mixed, p_best),
-                                 mixed.weights, "per-input I-values")
+    curve = build_quantile_curve(component_informations(mixed, p_best), mixed.weights)
     below, at = curve.masses(best_val)
     return EpsCapacityResult(best_val, p_best, None, below, at)
 
@@ -222,8 +217,7 @@ def _eps_search(mixed: MixedChannel, cost: CostSpec, eps: float,
 def capacity_quantile_curve(mixed: MixedChannel,
                             optima: list[CapacityResult]) -> QuantileCurve:
     """Quantile curve over component capacities (the capacity spectrum)."""
-    return build_quantile_curve([res.capacity for res in optima],
-                                mixed.weights, "component capacities")
+    return build_quantile_curve([res.capacity for res in optima], mixed.weights)
 
 
 def eps_capacity_well_ordered(

@@ -151,16 +151,14 @@ def _embed(p_sub: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     return full
 
 
-def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
-                         tol: float = DEFAULT_TOL) -> CapacityResult:
+def constrained_capacity(w: Dmc, cost: CostSpec | None = None) -> CapacityResult:
     """max I(P, W) over inputs with expected cost at most gamma, in nats.
 
     Unconstrained (or slack) budgets run plain alternating maximization; an
     active budget is handled by bisection on the multiplier, keeping a
-    certified bracket on the value.  The returned input passes ``kt_verify``.
+    certified bracket on the value.  The value is optimal within
+    ``DEFAULT_TOL``, and the returned input passes ``kt_verify``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
     cost.check_feasible()
@@ -172,7 +170,7 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
     if not cost.is_unconstrained and cost.gamma <= cost.gamma_zero + 1e-12:
         # budget pinned at the cheapest letters: optimize inside that face
         idx, sub = _restrict_to_budget_letters(w, cost)
-        sub_res = constrained_capacity(sub, CostSpec.free(len(idx)), tol)
+        sub_res = constrained_capacity(sub, CostSpec.free(len(idx)))
         p = _embed(sub_res.optimal_input.probs, idx, k)
         lam = _budget_multiplier(w, p, cost)
         return CapacityResult(sub_res.capacity, InputDist(p), lam,
@@ -184,7 +182,7 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
         p_u = np.array([p0, 1.0 - p0])
         value_u, iters = mutual_information(InputDist(p_u), w), 200
     else:
-        p_u, value_u, iters = _ba_tilted(w, 0.0, costs, tol)
+        p_u, value_u, iters = _ba_tilted(w, 0.0, costs, DEFAULT_TOL)
     if cost.is_unconstrained or float(p_u @ costs) <= cost.gamma + 1e-12:
         return CapacityResult(max(value_u, 0.0), InputDist(p_u), 0.0,
                               _kt_worst_slack(w, p_u, cost, 0.0), iters)
@@ -197,7 +195,7 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
     # tilted optimum pins the budget, keeping a certified value bracket
     lam_hi = math.log(min(k, w.num_outputs)) / max(gamma - cost.gamma_zero, 1e-12) + 1.0
     lam_lo = 0.0
-    inner_tol = min(tol, 1e-11)
+    inner_tol = 1e-11
     best_p, best_val = None, -math.inf
     dual_best = math.inf
     total_iters = iters
@@ -217,7 +215,7 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
             lam_hi = lam
         d = _divergences(p, w)
         dual_best = min(dual_best, float((d - lam * costs).max()) + lam * gamma)
-        if dual_best - best_val <= tol and (
+        if dual_best - best_val <= DEFAULT_TOL and (
                 abs(exp_cost - gamma) <= 1e-9 or lam_hi - lam_lo <= 1e-11):
             converged = True
             break
@@ -317,7 +315,6 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 def capacity_achieving_set(
     w: Dmc,
     cost: CostSpec | None = None,
-    opt_tol: float = 1e-9,
     grid: int = 32,
 ) -> CapacityAchievingSet:
     """Representatives of the capacity-achieving input set.
@@ -329,7 +326,7 @@ def capacity_achieving_set(
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
-    base = constrained_capacity(w, cost, tol=min(opt_tol, DEFAULT_TOL))
+    base = constrained_capacity(w, cost)
     cap = base.capacity
     k = w.num_inputs
     candidates = [base.optimal_input.probs]
@@ -342,7 +339,7 @@ def capacity_achieving_set(
         for _ in range(N_RESTARTS):
             start = rng.dirichlet(np.ones(k))
             try:
-                p, _, _ = _ba_tilted(w, lam, cost.costs, min(opt_tol, DEFAULT_TOL) * 0.1,
+                p, _, _ = _ba_tilted(w, lam, cost.costs, DEFAULT_TOL * 0.1,
                                      start=start, max_iter=RESTART_MAX_ITER)
             except ConvergenceError:
                 continue
@@ -357,7 +354,7 @@ def capacity_achieving_set(
         p0 = _binary_polish(w, feas_lo, feas_hi)
         cand = np.array([p0, 1.0 - p0])
         if (cost.admits(InputDist(cand))
-                and abs(mutual_information(InputDist(cand), w) - cap) <= opt_tol):
+                and abs(mutual_information(InputDist(cand), w) - cap) <= DEFAULT_TOL):
             polished = cand
 
     reps = []
@@ -370,7 +367,7 @@ def capacity_achieving_set(
         pd = InputDist(c)
         if not cost.admits(pd):
             continue
-        if mutual_information(pd, w) < cap - opt_tol:
+        if mutual_information(pd, w) < cap - DEFAULT_TOL:
             continue
         # pin near-optimal grid points to the optimum they approximate;
         # flat faces are wider than the pinning radius and keep their spread
@@ -381,7 +378,7 @@ def capacity_achieving_set(
         reps.append(pd)
 
     cap_output = output_distribution(reps[0], w)
-    return CapacityAchievingSet(tuple(reps), cap_output, opt_tol, base)
+    return CapacityAchievingSet(tuple(reps), cap_output, DEFAULT_TOL, base)
 
 
 def _binary_feasible_interval(cost: CostSpec):

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Dmc, InputDist, MixedChannel, SlackParams, output_distribution
+# DominationError is re-exported: callers import it from here too
+from .channel import (DominationError, Dmc, InputDist, MixedChannel, SlackParams,
+                      log_density, output_distribution)
 from .optimizer import ConvergenceError
 from .types_toolkit import TypeClass, count_types
 
@@ -34,10 +36,6 @@ KIND_HN = "hayashi_nagaoka"
 KIND_MIXED_CONVERSE = "mixed_converse"
 KIND_EXACT_TAIL = "exact_tail"
 KIND_MC = "mc"
-
-
-class DominationError(ValueError):
-    """The reference output gives zero mass to a reachable output letter."""
 
 
 @dataclass(frozen=True)
@@ -173,27 +171,11 @@ def per_letter_spectrum(x_source, w: Dmc, q, numer: np.ndarray | None = None) ->
     replaces W inside the log while the probabilities still follow W (used by
     the mixture surrogates).
     """
-    q = np.asarray(q, dtype=float)
-    numer = w.rows if numer is None else numer
-    if isinstance(x_source, InputDist):
-        px = x_source.probs
-    else:
-        px = np.zeros(w.num_inputs)
-        px[int(x_source)] = 1.0
-    values, probs = [], []
-    for x in range(w.num_inputs):
-        if px[x] <= 0.0:
-            continue
-        for y in range(w.num_outputs):
-            pr = px[x] * w.rows[x, y]
-            if pr <= 0.0:
-                continue
-            if q[y] <= 0.0:
-                raise DominationError(
-                    f"reference output has zero mass at y={y}, reachable from x={x}")
-            values.append(math.log(numer[x, y]) - math.log(q[y]))
-            probs.append(pr)
-    return merge_atoms(np.array(values), np.array(probs), 0.0)
+    px = x_source.probs if isinstance(x_source, InputDist) else np.eye(w.num_inputs)[int(x_source)]
+    probs = px[:, None] * w.rows
+    reach = probs > 0.0
+    values = log_density(px, w, q, numer)[reach]
+    return merge_atoms(values, probs[reach], 0.0)
 
 
 def _convolve_pair(a: AtomDist, b: AtomDist, merge_tol: float) -> AtomDist:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CostSpec, InputDist, MixedChannel, SlackParams
+from .channel import CostSpec, Dmc, InputDist, MixedChannel, SlackParams, log_density
 
 ENUM_CAP = 10**6
 
@@ -100,20 +100,15 @@ def compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def enumerate_types(num_symbols: int, n: int, cap: int = ENUM_CAP):
+def enumerate_types(num_symbols: int, n: int):
     """All compositions of n into num_symbols parts, as TypeClass objects."""
     total = count_types(num_symbols, n)
-    if total > cap:
-        raise EnumerationCapError(f"{total} types exceed the cap {cap}")
+    if total > ENUM_CAP:
+        raise EnumerationCapError(f"{total} types exceed the cap {ENUM_CAP}")
     assert total <= (n + 1) ** num_symbols
     out = [TypeClass(np.array(c, dtype=int), n) for c in compositions(n, num_symbols)]
     assert len(out) == total
     return out
-
-
-def _log_safe(m: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(m > 0.0, np.log(np.where(m > 0.0, m, 1.0)), -np.inf)
 
 
 def _logsumexp(vals: np.ndarray) -> float:
@@ -133,7 +128,25 @@ def _dot_counts_log(counts: np.ndarray, logv: np.ndarray) -> float:
     return float(np.sum(counts[active] * logv[active]))
 
 
-def expurgated_space(mixed: MixedChannel, q_list, n: int, cap: int = ENUM_CAP) -> ExpurgationReport:
+def _reference_laws(mixed: MixedChannel, q_list) -> Dmc:
+    """The per-atom reference outputs as one channel from atoms to outputs."""
+    refs = Dmc(np.asarray(q_list, dtype=float))
+    if refs.rows.shape != (mixed.num_atoms, mixed.num_outputs):
+        raise ValueError("need one output distribution per atom")
+    return refs
+
+
+def _dominated(weights: np.ndarray, log_laws, count_matrices, slack: float) -> np.ndarray:
+    """Atoms whose law stays within exp(slack) of the mixture law at every count matrix."""
+    logw = np.log(weights)
+    member = np.ones(len(weights), dtype=bool)
+    for counts in count_matrices:
+        log_each = np.array([_dot_counts_log(counts, log_law) for log_law in log_laws])
+        member &= log_each <= slack + _logsumexp(logw + log_each) + 1e-12
+    return member
+
+
+def expurgated_space(mixed: MixedChannel, q_list, n: int) -> ExpurgationReport:
     """Per-atom membership in the dominated parameter set at blocklength n.
 
     An atom is a member when its n-letter product output law never exceeds
@@ -143,39 +156,21 @@ def expurgated_space(mixed: MixedChannel, q_list, n: int, cap: int = ENUM_CAP) -
     """
     kx, ky = mixed.num_inputs, mixed.num_outputs
     slack = n ** 0.25
-    logw = np.log(mixed.weights)
-    logq = np.array([_log_safe(np.asarray(q, dtype=float)) for q in q_list])
-    if logq.shape != (mixed.num_atoms, ky):
-        raise ValueError("need one output distribution per atom")
-    member = np.ones(mixed.num_atoms, dtype=bool)
-
-    for t in enumerate_types(ky, n, cap):
-        tv = t.counts
-        log_each = np.array([
-            _dot_counts_log(tv, logq[k]) for k in range(mixed.num_atoms)
-        ])
-        log_mix = _logsumexp(logw + log_each)
-        member &= log_each <= slack + log_mix + 1e-12
-
-    logw_rows = np.array([_log_safe(comp.rows) for comp in mixed.components])
-    for joint in _joint_count_matrices_total(kx, ky, n, cap):
-        jm = np.asarray(joint)
-        log_each = np.array([
-            _dot_counts_log(jm, logw_rows[k]) for k in range(mixed.num_atoms)
-        ])
-        log_mix = _logsumexp(logw + log_each)
-        member &= log_each <= slack + log_mix + 1e-12
-
+    refs = _reference_laws(mixed, q_list)
+    member = _dominated(mixed.weights, refs.log_rows,
+                        (t.counts for t in enumerate_types(ky, n)), slack)
+    member &= _dominated(mixed.weights, [comp.log_rows for comp in mixed.components],
+                         _joint_count_matrices_total(kx, ky, n), slack)
     mass = float(np.sum(mixed.weights[member]))
     bound = 1.0 - 2.0 * (n + 1) ** (kx * ky) * math.exp(-slack)
     return ExpurgationReport(tuple(bool(b) for b in member), mass, bound, n)
 
 
-def _joint_count_matrices_total(kx: int, ky: int, n: int, cap: int = ENUM_CAP):
+def _joint_count_matrices_total(kx: int, ky: int, n: int):
     """All kx-by-ky nonnegative integer matrices summing to n."""
     total = count_types(kx * ky, n)
-    if total > cap:
-        raise EnumerationCapError(f"{total} joint types exceed the cap {cap}")
+    if total > ENUM_CAP:
+        raise EnumerationCapError(f"{total} joint types exceed the cap {ENUM_CAP}")
     for flat in compositions(n, kx * ky):
         yield np.array(flat, dtype=int).reshape(kx, ky)
 
@@ -223,7 +218,6 @@ def decomposition_check(
     n: int,
     slack: SlackParams,
     z_grid,
-    cap: int = ENUM_CAP,
 ) -> DecompositionReport:
     """Exact verification of the two decomposition inequalities.
 
@@ -231,8 +225,9 @@ def decomposition_check(
     atom in the dominated set and every grid threshold the mixed-law tail is
     compared against the shifted component-law tail: the upper inequality
     bounds the mixed statistic against the component's own output law, the
-    lower one against the supplied per-atom reference outputs.  All tails are
-    exact sums over joint types.
+    lower one against the supplied per-atom reference outputs, which must
+    dominate the component on the composition's letters (else
+    ``DominationError``).  All tails are exact sums over joint types.
     """
     if composition.n != n:
         raise ValueError("composition blocklength does not match n")
@@ -240,7 +235,7 @@ def decomposition_check(
     gamma = slack.gamma_slack
     shift = gamma / math.sqrt(n) + n ** -0.75
     leak = math.exp(-math.sqrt(n) * gamma)
-    expur = expurgated_space(mixed, q_list, n, cap)
+    expur = expurgated_space(mixed, q_list, n)
     members = [i for i, m in enumerate(expur.member_mask) if m]
     weights = mixed.weights
     logw = np.log(weights)
@@ -248,14 +243,16 @@ def decomposition_check(
     log_t_size = _log_multinomial(n, m_counts)
 
     joints = list(_joint_matrices_with_rows(m_counts, ky))
-    logw_rows = np.array([_log_safe(comp.rows) for comp in mixed.components])
-    logq = np.array([_log_safe(np.asarray(q, dtype=float)) for q in q_list])
+    refs = _reference_laws(mixed, q_list)
 
     # per joint type: component log-probs of W_k^n(y|x), x of the composition
     log_wn = np.array([
-        [_dot_counts_log(J, logw_rows[k]) for J in joints]
-        for k in range(mixed.num_atoms)
+        [_dot_counts_log(J, comp.log_rows) for J in joints]
+        for comp in mixed.components
     ])
+    # per joint type: the n-letter information density of W_k against q_k^n
+    dens = [log_density(m_counts, comp, q) for comp, q in zip(mixed.components, refs.rows)]
+    log_dens_n = np.array([[_dot_counts_log(J, d) for J in joints] for d in dens])
     log_mix_wn = np.array([_logsumexp(logw + log_wn[:, j]) for j in range(len(joints))])
     # probability that the joint type of (x, Y_k) equals J
     log_pr = np.array([
@@ -285,7 +282,7 @@ def decomposition_check(
         for t in out_types
     }
     log_qn = {
-        t: np.array([_dot_counts_log(np.array(t), logq[k])
+        t: np.array([_dot_counts_log(np.array(t), refs.log_rows[k])
                      for k in range(mixed.num_atoms)])
         for t in out_types
     }
@@ -305,14 +302,13 @@ def decomposition_check(
         stat_upper_lhs = np.array([log_mix_wn[j] - log_py_mix[t_of[j]] for j in range(len(joints))])
         stat_upper_rhs = np.array([log_wn[k][j] - log_py[(k, t_of[j])] for j in range(len(joints))])
         stat_lower_lhs = np.array([log_mix_wn[j] - log_qn_mix[t_of[j]] for j in range(len(joints))])
-        stat_lower_rhs = np.array([log_wn[k][j] - log_qn[t_of[j]][k] for j in range(len(joints))])
         for z in z_grid:
             lhs_u = tail(stat_upper_lhs, pr_k, z)
             rhs_u = tail(stat_upper_rhs, pr_k, z + shift) + leak
             if lhs_u > rhs_u + 1e-10:
                 failures.append(DecompositionFailure("upper", k, float(z), lhs_u, rhs_u))
             lhs_l = tail(stat_lower_lhs, pr_k, z)
-            rhs_l = tail(stat_lower_rhs, pr_k, z - shift) - leak
+            rhs_l = tail(log_dens_n[k], pr_k, z - shift) - leak
             if lhs_l < rhs_l - 1e-10:
                 failures.append(DecompositionFailure("lower", k, float(z), lhs_l, rhs_l))
 

@@ -78,6 +78,8 @@ def check_well_ordered(
     list makes the closedness hypothesis vacuous.  Each component is solved
     once, inside its representative set; the report keeps the sets.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()

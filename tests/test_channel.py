@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mixcap import (
     CostSpec,
     Dmc,
+    DominationError,
     InfoStats,
     InputDist,
     MixedChannel,
@@ -21,6 +22,7 @@ from mixcap import (
     psi,
     psi_from_variance,
 )
+from mixcap.channel import row_divergences
 from conftest import bsc, binary_entropy, random_dmc
 
 
@@ -84,6 +86,44 @@ def test_divergence_examples():
     assert divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
     assert divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2))
     assert divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
+
+
+def test_log_rows_is_read_only_log_on_support():
+    rng = np.random.default_rng(17)
+    rows = rng.dirichlet(np.ones(4), size=3) * (rng.random((3, 4)) < 0.6)
+    rows[:, 0] += 1.0 - rows.sum(axis=1)  # keep each row a distribution
+    w = Dmc(rows)
+    support = w.rows > 0.0
+    assert not support.all()
+    assert not w.log_rows.flags.writeable
+    assert np.array_equal(w.log_rows[support], np.log(w.rows[support]))
+    assert np.all(w.log_rows[~support] == -np.inf)
+
+
+def test_divergence_is_the_row_kernel():
+    rng = np.random.default_rng(23)
+    for k in (2, 3, 9, 17):  # 9 and 17 span numpy's 8-wide summation blocks
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+            p[int(np.argmax(p))] += 1.0 - p.sum()
+            q = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.9)
+            q[int(np.argmax(q))] += 1.0 - q.sum()
+            d_row = row_divergences(Dmc([p]), q)[0]
+            d = divergence(p, q)
+            assert d == d_row
+            assert (d == math.inf) == bool(np.any((p > 0.0) & (q <= 0.0)))
+
+
+def test_info_stats_reference_must_dominate():
+    w = Dmc([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    q = np.array([0.5, 0.5, 0.0])  # misses y=2, reachable from x=1
+    with pytest.raises(DominationError, match=r"y=2, reachable from x=1") as err:
+        info_stats(InputDist([0.5, 0.5]), w, ref_output=q)
+    assert isinstance(err.value, ValueError)
+    # a letter left out of the composition reaches nothing
+    stats = info_stats(InputDist([0.5, 0.5]), w, composition=InputDist([1.0, 0.0]),
+                       ref_output=q)
+    assert stats.comp_variance == 0.0
 
 
 def test_dispersion_examples(uniform2):

@@ -225,6 +225,11 @@ BAD_SPECS = {
     (["capacity", "{generator_list}"], "generator"),
     (["capacity", "{params_int}"], "generator.params"),
     (["capacity", "{num_inputs_list}"], "num_inputs"),
+    (["eps-capacity", "{pair}", "--eps", "0.3", "--grid", "0"], "--grid"),
+    (["second-order", "{pair}", "--eps", "0.3", "--grid", "-1"], "--grid"),
+    (["check-well-ordered", "{pair}", "--grid", "0"], "--grid"),
+    (["validate-lemmas", "{pair}", "--n", "6", "--z-points", "0"], "--z-points"),
+    (["check-well-ordered", "{pair}", "--tol", "-1"], "tol"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")

@@ -144,7 +144,7 @@ def test_quantile_curve_masses_match_brute_sums():
         k = int(rng.integers(1, 8))
         values = rng.integers(0, 4, size=k) / 8.0  # few distinct values: ties
         weights = rng.dirichlet(np.ones(k))
-        curve = build_quantile_curve(values, weights, "test")
+        curve = build_quantile_curve(values, weights)
         distinct = np.unique(values)
         probes = np.concatenate([distinct, distinct + 0.0625, [values.min() - 1.0]])
         for r in probes:

@@ -123,7 +123,7 @@ def test_representative_contract():
         w = random_dmc(rng, 2, 3)
         cost = CostSpec([1.0, 0.0], gamma=float(rng.uniform(0.2, 0.8)))
         base = constrained_capacity(w, cost)
-        reps = capacity_achieving_set(w, cost, opt_tol=1e-9)
+        reps = capacity_achieving_set(w, cost)
         tv_bound = 10.0 * math.sqrt(reps.opt_tolerance)
         for p in reps.representatives:
             assert cost.admits(p)
@@ -135,7 +135,7 @@ def test_representative_contract():
 def test_three_letter_channel_with_cost():
     w = Dmc([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]])
     cost = CostSpec([2.0, 1.0, 0.0], gamma=0.8)
-    res = constrained_capacity(w, cost, tol=1e-9)
+    res = constrained_capacity(w, cost)
     assert cost.expected_cost(res.optimal_input) <= 0.8 + 1e-9
     passed, slack = kt_verify(w, res.optimal_input, cost, res.multiplier, tol=1e-5)
     assert passed, f"kt slack {slack}"

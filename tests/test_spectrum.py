@@ -48,6 +48,39 @@ def test_per_letter_spectrum_noiseless(uniform2):
     assert useless.values[0] == pytest.approx(0.0, abs=1e-15)
 
 
+def _brute_spectrum(px, w: Dmc, q, numer):
+    """(value, probability) atoms of log(numer/q) by an (x, y) loop with math.log."""
+    atoms = {}
+    for x in range(w.num_inputs):
+        for y in range(w.num_outputs):
+            pr = px[x] * w.rows[x, y]
+            if pr > 0.0:
+                v = math.log(numer[x, y]) - math.log(q[y])
+                atoms[v] = atoms.get(v, 0.0) + pr
+    return sorted(atoms.items())
+
+
+def test_per_letter_spectrum_matches_brute_force():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        kx, ky = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.ones(ky), size=kx) * (rng.random((kx, ky)) < 0.7)
+        rows[np.arange(kx), rng.integers(0, ky, kx)] += 1.0 - rows.sum(axis=1)
+        w = Dmc(rows)
+        p = InputDist(rng.dirichlet(np.ones(kx)))
+        numer = w.rows + rng.random((kx, ky))
+        cases = [(p, p.probs, w.rows), (p, p.probs, numer)]
+        x = int(rng.integers(kx))
+        cases.append((x, np.eye(kx)[x], w.rows))
+        for source, px, num in cases:
+            q = output_distribution(p, w)
+            got = per_letter_spectrum(source, w, q, None if num is w.rows else num)
+            want = _brute_spectrum(px, w, q, num)
+            assert len(got.values) == len(want)
+            assert np.all(np.abs(got.values - [v for v, _ in want]) <= 1e-15)
+            assert got.probs.tolist() == [pr for _, pr in want]
+
+
 def test_per_letter_spectrum_domination(uniform2):
     w = bsc(0.11)
     with pytest.raises(DominationError, match=r"y=1"):
