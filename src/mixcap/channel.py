@@ -98,7 +98,7 @@ class InputDist:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Per-letter input costs c(x) >= 0 and a budget gamma.
+    """Per-letter input costs c(x) >= 0 and a finite budget gamma.
 
     ``gamma=None`` (the UNCONSTRAINED sentinel) means no constraint.  Any
     constrained query requires ``gamma >= gamma_zero``, the cost of the
@@ -116,7 +116,10 @@ class CostSpec:
             raise ValueError("costs must be nonnegative")
         object.__setattr__(self, "costs", costs)
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", float(self.gamma))
+            gamma = float(self.gamma)
+            if not math.isfinite(gamma):
+                raise ValueError(f"gamma must be a finite number, got {gamma}")
+            object.__setattr__(self, "gamma", gamma)
 
     @property
     def gamma_zero(self) -> float:

@@ -256,7 +256,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-well-ordered", help="test the capacity ordering of components")
     common(p)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--grid", type=int, default=32)
 
     p = sub.add_parser("fbl", help="finite-blocklength bounds")
     common(p)
@@ -291,6 +290,9 @@ def run_command(argv, args: argparse.Namespace | None = None) -> tuple[int, str,
         raise ValueError("--threads must be at least 1")
     if getattr(args, "grid", 1) < 1:
         raise ValueError("--grid must be at least 1")
+    rate = getattr(args, "rate", None)
+    if rate is not None and math.isnan(rate):
+        raise ValueError("--rate must be a number, got nan")
     level = os.environ.get("MIXCAP_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr)
@@ -363,22 +365,26 @@ def _cmd_second_order(args, mixed, cost, em: Emitter):
 
 
 def _cmd_check_well_ordered(args, mixed, cost, em: Emitter):
-    report = check_well_ordered(mixed, cost, tol=args.tol, rep_grid=args.grid)
+    report = check_well_ordered(mixed, cost, tol=args.tol)
     em.row(quantity="is_well_ordered", value=int(report.is_well_ordered), units="bool",
-           method="sampled", tolerance=report.tolerance,
+           method="exact", tolerance=report.tolerance,
            violations=len(report.violations), coverage=report.coverage)
     for q, (v, cum) in enumerate(report.capacity_spectrum):
         em.row(quantity=f"spectrum[{q}]", value=v, units="nats", method="exact",
                tolerance="", violations="", coverage=f"cumulative_weight={_fmt(cum)}")
     for v in report.violations:
         em.row(quantity="violation", value=v.observed_info, units="nats",
-               method="sampled", tolerance=report.tolerance,
+               method="exact", tolerance=report.tolerance,
                violations=f"pair=({v.theta},{v.theta_prime})", coverage=v.required)
 
 
 def _cmd_fbl(args, mixed, cost, em: Emitter):
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     eta = args.eta if args.eta is not None else 1.0 / math.sqrt(args.n)
     slack = SlackParams(eta=eta)
     code = CodeParams.from_rate(args.n, args.rate)

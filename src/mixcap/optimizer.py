@@ -3,11 +3,13 @@
 The workhorse is alternating maximization with a Lagrangian cost tilt and an
 outer bisection on the multiplier.  For binary input alphabets the optimum is
 additionally polished by a derivative bisection, which pins the argmax itself
-(not just the value) to near machine precision.
+(not just the value) to near machine precision.  The capacity-achieving inputs
+form a polytope, returned as its vertices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,20 +20,13 @@ from .channel import (
     Dmc,
     InputDist,
     mutual_information,
-    output_distribution,
     row_divergences,
 )
-from .types_toolkit import compositions
+from .types_toolkit import ENUM_CAP, EnumerationCapError, compositions
 
 DEFAULT_TOL = 1e-9
 DEFAULT_KT_TOL = 1e-6
 MAX_ITER = 10**6
-# capacity_achieving_set: seeded restarts, their iteration cap, and the
-# total-variation radius under which two representatives are one
-N_RESTARTS = 8
-RESTART_SEED = 0
-RESTART_MAX_ITER = 200_000
-DEDUP_TV = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -55,12 +50,13 @@ class CapacityResult:
 
 @dataclass(frozen=True)
 class CapacityAchievingSet:
-    """Finitely many representatives of the capacity-achieving input set.
+    """The vertices of the capacity-achieving input polytope.
 
-    The set itself may be a continuum; representatives all achieve the
-    capacity within ``opt_tolerance`` and share the (unique) capacity-achieving
-    output distribution ``cap_output``.  ``solve`` is the
-    ``constrained_capacity`` result the set was built around.
+    Every capacity-achieving input is a convex combination of the
+    ``representatives``, which are those vertices: each achieves the capacity
+    within ``opt_tolerance`` and has the (unique) capacity-achieving output
+    distribution ``cap_output``.  ``solve`` is the ``constrained_capacity``
+    result the polytope was built around.
     """
 
     representatives: tuple
@@ -74,8 +70,7 @@ def _divergences(p: np.ndarray, w: Dmc) -> np.ndarray:
     return row_divergences(w, p @ w.rows)
 
 
-def _ba_tilted(w: Dmc, lam: float, costs: np.ndarray, tol: float,
-               start: np.ndarray | None = None, max_iter: int = MAX_ITER):
+def _ba_tilted(w: Dmc, lam: float, costs: np.ndarray, tol: float):
     """Maximize I(P, W) - lam * E c(X_P) by alternating maximization.
 
     Returns (p, value, iterations).  The stopping certificate is the standard
@@ -83,11 +78,10 @@ def _ba_tilted(w: Dmc, lam: float, costs: np.ndarray, tol: float,
     error of the value.
     """
     k = w.num_inputs
-    p = np.full(k, 1.0 / k) if start is None else start.copy()
-    p = np.clip(p, 1e-300, None)
+    p = np.full(k, 1.0 / k)
     p /= p.sum()
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         d = _divergences(p, w)
         score = d - lam * costs
         lower = float(p @ score)
@@ -102,7 +96,7 @@ def _ba_tilted(w: Dmc, lam: float, costs: np.ndarray, tol: float,
         p /= s
     else:
         raise ConvergenceError(
-            f"alternating maximization did not converge within {max_iter} iterations"
+            f"alternating maximization did not converge within {MAX_ITER} iterations"
         )
     return p, float(p @ (d - lam * costs)), iters
 
@@ -266,6 +260,19 @@ def _project_to_budget(p: np.ndarray, cost: CostSpec) -> np.ndarray:
     return (1.0 - alpha) * p + alpha * delta
 
 
+def _optimal_letters(w: Dmc, p: np.ndarray, costs: np.ndarray, lam: float,
+                     tol: float = DEFAULT_KT_TOL):
+    """S*: the letters whose tilted divergence D_x - lam c(x) at p is within tol of its max.
+
+    Returns ``(mask, d)`` with d = D(W(.|x) || PW).  At an optimum these are
+    the letters on which the Kuhn-Tucker condition holds with equality, so a
+    letter the solver left a vanishing mass on stays out.
+    """
+    d = _divergences(p, w)
+    score = d - lam * costs
+    return score >= score.max() - tol, d
+
+
 def kt_verify(
     w: Dmc,
     p: InputDist,
@@ -275,27 +282,17 @@ def kt_verify(
 ):
     """Kuhn-Tucker check: D(W(.|x) || PW) <= I(P,W) + lambda0 (c(x) - gamma).
 
-    Equality must hold within tol on the support of P.  Returns
-    ``(passed, worst_slack)`` where the slack is the largest signed violation
-    over both clauses.
+    Equality must hold within tol on the optimal letters S*
+    (``_optimal_letters``).  Returns ``(passed, worst_slack)`` where the slack
+    is the largest signed violation over both clauses.
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
-    d = _divergences(p.probs, w)
-    cap = mutual_information(p, w)
-    if cost.gamma is None:
-        rhs = np.full(w.num_inputs, cap)
-        if lambda0 != 0.0:
-            rhs = cap + lambda0 * (cost.costs - float(cost.costs.max()))
-    else:
-        rhs = cap + lambda0 * (cost.costs - cost.gamma)
-    worst = -math.inf
-    for x in range(w.num_inputs):
-        slack = d[x] - rhs[x]
-        if p.probs[x] > 1e-12:
-            slack = abs(slack)
-        worst = max(worst, slack)
-    return worst <= tol, float(worst)
+    support, d = _optimal_letters(w, p.probs, cost.costs, lambda0, tol)
+    gamma = float(cost.costs.max()) if cost.gamma is None else cost.gamma
+    slack = d - (mutual_information(p, w) + lambda0 * (cost.costs - gamma))
+    worst = float(np.where(support, np.abs(slack), slack).max())
+    return worst <= tol, worst
 
 
 def _kt_worst_slack(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
@@ -308,87 +305,66 @@ def _simplex_grid(k: int, denom: int):
         yield np.array(counts, dtype=float) / denom
 
 
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
+def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchievingSet:
+    """The vertices of the capacity-achieving input polytope.
 
-
-def capacity_achieving_set(
-    w: Dmc,
-    cost: CostSpec | None = None,
-    grid: int = 32,
-) -> CapacityAchievingSet:
-    """Representatives of the capacity-achieving input set.
-
-    Candidates come from the main solve, multi-start alternating maximization,
-    and a simplex-grid sweep at resolution 1/grid; near-duplicates are merged
-    by total-variation distance.  The optimum from ``constrained_capacity`` is
-    always included, so the set is never empty.
+    The polytope is {P >= 0 : supp P in S*, PW = q*}, where q* and S* come
+    from one ``constrained_capacity`` solve, cut by the budget: E c(X) = gamma
+    when it binds (multiplier > 0), else E c(X) + s = gamma with a slack s >= 0.
+    Its vertices are the basic solutions over rank-sized column subsets; one is
+    kept when it is nonnegative within ``DEFAULT_KT_TOL`` and achieves the
+    capacity within ``DEFAULT_TOL``.  The solver's q* may miss the span of S*
+    by its tolerance, so each basic solution is a least-squares one.  Raises
+    ``EnumerationCapError`` when the number of subsets exceeds ``ENUM_CAP``.
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
     base = constrained_capacity(w, cost)
-    cap = base.capacity
-    k = w.num_inputs
-    candidates = [base.optimal_input.probs]
+    p_star = base.optimal_input.probs
+    q_star = p_star @ w.rows
+    support, _ = _optimal_letters(w, p_star, cost.costs, base.multiplier)
+    letters = np.flatnonzero(support)
+    a, b = w.rows[letters].T, q_star
+    budget = cost.costs[letters]
+    if base.multiplier > 0.0:
+        a, b = np.vstack([a, budget]), np.append(b, cost.gamma)
+    elif cost.gamma is not None and cost.gamma < budget.max():
+        # the budget may cut the face: E c(X) + s = gamma with a slack column s >= 0
+        a = np.vstack([np.column_stack([a, np.zeros(len(b))]), np.append(budget, 1.0)])
+        b = np.append(b, cost.gamma)
+    rank = int(np.linalg.matrix_rank(a))
+    n_bases = math.comb(a.shape[1], rank)
+    if n_bases > ENUM_CAP:
+        raise EnumerationCapError(
+            f"{n_bases} candidate bases of the optimal-input polytope exceed the cap {ENUM_CAP}")
 
-    # multi-start hunts for distinct optima on flat faces; the binary simplex
-    # grid below already covers those, so |X| = 2 skips the restarts
-    if k > 2:
-        rng = np.random.default_rng(RESTART_SEED)
-        lam = base.multiplier
-        for _ in range(N_RESTARTS):
-            start = rng.dirichlet(np.ones(k))
-            try:
-                p, _, _ = _ba_tilted(w, lam, cost.costs, DEFAULT_TOL * 0.1,
-                                     start=start, max_iter=RESTART_MAX_ITER)
-            except ConvergenceError:
-                continue
-            candidates.append(_project_to_budget(p, cost) if cost.gamma is not None else p)
-
-    for g in _simplex_grid(k, grid):
-        candidates.append(g)
-
-    polished = None
-    if k == 2:
-        feas_lo, feas_hi = _binary_feasible_interval(cost)
-        p0 = _binary_polish(w, feas_lo, feas_hi)
-        cand = np.array([p0, 1.0 - p0])
-        if (cost.admits(InputDist(cand))
-                and abs(mutual_information(InputDist(cand), w) - cap) <= DEFAULT_TOL):
-            polished = cand
-
-    reps = []
-    for c in candidates:
-        c = np.clip(c, 0.0, None)
-        s = c.sum()
-        if s <= 0:
+    vertices = []
+    for basis in itertools.combinations(range(a.shape[1]), rank):
+        coef, _, sub_rank, _ = np.linalg.lstsq(a[:, basis], b, rcond=None)
+        if sub_rank < rank or coef.min() < -DEFAULT_KT_TOL:
             continue
-        c = c / s
-        pd = InputDist(c)
-        if not cost.admits(pd):
+        chosen = [j for j in basis if j < len(letters)]  # the slack column is last
+        p = np.zeros(w.num_inputs)
+        p[letters[chosen]] = np.clip(coef[:len(chosen)], 0.0, None)
+        p /= p.sum()
+        if cost.gamma is not None:
+            p = _project_to_budget(p, cost)  # round-off only: the budget row holds
+        vertex = InputDist(p)
+        if mutual_information(vertex, w) < base.capacity - DEFAULT_TOL:
             continue
-        if mutual_information(pd, w) < cap - DEFAULT_TOL:
+        # a degenerate vertex is the basic solution of several subsets
+        if any(np.abs(p - v.probs).max() <= DEFAULT_KT_TOL for v in vertices):
             continue
-        # pin near-optimal grid points to the optimum they approximate;
-        # flat faces are wider than the pinning radius and keep their spread
-        if polished is not None and total_variation(polished, c) <= 0.75 / max(grid, 2):
-            c, pd = polished, InputDist(polished)
-        if any(total_variation(c, r.probs) <= DEDUP_TV for r in reps):
-            continue
-        reps.append(pd)
-
-    cap_output = output_distribution(reps[0], w)
-    return CapacityAchievingSet(tuple(reps), cap_output, DEFAULT_TOL, base)
+        vertices.append(vertex)
+    if not vertices:
+        raise ConvergenceError("no basic solution over the optimal letters achieves the capacity")
+    return CapacityAchievingSet(tuple(vertices), q_star, DEFAULT_TOL, base)
 
 
 def _binary_feasible_interval(cost: CostSpec):
-    """Feasible range of the first letter's mass for |X| = 2."""
-    if cost.gamma is None:
-        return 0.0, 1.0
+    """Feasible range of the first letter's mass for |X| = 2, a budget and unequal costs."""
     c0, c1 = cost.costs
     gamma = float(cost.gamma)
-    if c0 == c1:
-        return 0.0, 1.0
     if c0 > c1:
         return 0.0, min(max((gamma - c1) / (c0 - c1), 0.0), 1.0)
     return max(min((gamma - c1) / (c0 - c1), 1.0), 0.0), 1.0

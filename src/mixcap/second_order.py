@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .channel import (
     CostSpec,
     InputDist,
@@ -27,6 +29,7 @@ from .first_order import (
     _argmax_candidates,
     _candidate_inputs,
     _eps_search,
+    _refine,
     component_informations,
     eps_capacity_well_ordered,
 )
@@ -277,9 +280,12 @@ def second_order_well_ordered(
     """Exact second-order rate at R = C_eps for capacity-ordered mixtures.
 
     Atoms are classified against R by their component capacities; the sup runs
-    over the representatives of the best component's capacity-achieving set.
-    The ordering check supplies both, so each component is solved once; the
-    call refuses (pointing to the lower-bound path) when that check fails.
+    over the capacity-achieving polytope of the best component.  On it each
+    at-rate dispersion is linear in P, so with one at-rate atom the sup sits at
+    a vertex; with several, the best vertex climbs its barycentric weights.
+    The ordering check supplies the polytope and the component solves, so each
+    component is solved once; the call refuses (pointing to the lower-bound
+    path) when that check fails.
     """
     report = require_well_ordered(mixed, cost)
     optima = [rs.solve for rs in report.rep_sets]
@@ -288,12 +294,21 @@ def second_order_well_ordered(
     caps = [res.capacity for res in optima]
     base, at = _classify(caps, mixed.weights, r, tie_tol)
 
-    reps = report.rep_sets[cap_res.achieving_component]
-    best_p, best_res = None, None
-    for p in reps.representatives:
-        res = _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
-        if best_res is None or (_extended_key(res), tuple(p.probs)) > (
-                _extended_key(best_res), tuple(best_p.probs)):
+    def solve_at(p: InputDist) -> SolveResult:
+        return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
+
+    vertices = report.rep_sets[cap_res.achieving_component].representatives
+    results = [solve_at(p) for p in vertices]
+    best = max(range(len(vertices)),
+               key=lambda i: (_extended_key(results[i]), tuple(vertices[i].probs)))
+    best_p, best_res = vertices[best], results[best]
+    if len(at) > 1 and len(vertices) > 1:
+        corners = np.array([p.probs for p in vertices])
+        weights = _refine(lambda t: solve_at(InputDist(t @ corners)).s_value,
+                          np.eye(len(vertices))[best], CostSpec.free(len(vertices)))
+        p = InputDist(weights @ corners)
+        res = solve_at(p)
+        if _extended_key(res) > _extended_key(best_res):
             best_p, best_res = p, res
     g_at, mass_at = _gw_and_mass(mixed, best_p, caps, r, best_res.s_value, tie_tol)
     return SecondOrderResult(best_res.s_value, r, best_p, g_at, mass_at,

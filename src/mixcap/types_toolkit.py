@@ -89,8 +89,8 @@ def count_types(num_symbols: int, n: int) -> int:
 def compositions(total: int, parts: int):
     """All tuples of ``parts`` nonnegative integers summing to ``total``.
 
-    Lexicographic order, first part slowest; tie-breaking in the searches and
-    the dedup of representatives depend on this order.
+    Lexicographic order, first part slowest; tie-breaking in the searches
+    depends on this order.
     """
     if parts == 1:
         yield (total,)

@@ -1,12 +1,12 @@
 """Decide whether a component family is ordered by capacity.
 
 The defining conditions are checked for every ordered pair of components at
-every representative of the capacity-achieving input set: equal capacities
-must give mutual information equal to that capacity through the other
-channel, and a strictly larger capacity must give strictly larger mutual
-information.  Only finitely many representatives are checked, so a pass means
-"no violation found at this resolution", while any recorded violation is a
-genuine refutation (up to the stated tolerance).
+every vertex of the capacity-achieving input polytope: equal capacities must
+give mutual information equal to that capacity through the other channel,
+and a strictly larger capacity must give strictly larger mutual information.
+Every capacity-achieving input is feasible and I(., W_j) is concave, so its
+minimum over the polytope sits at a vertex: a pass certifies both conditions
+up to the stated tolerance, and any recorded violation refutes them.
 """
 
 from __future__ import annotations
@@ -70,20 +70,19 @@ def check_well_ordered(
     mixed: MixedChannel,
     cost: CostSpec | None = None,
     tol: float = DEFAULT_ORDER_TOL,
-    rep_grid: int = 32,
 ) -> WellOrderReport:
-    """Check the capacity-ordering conditions over sampled representatives.
+    """Check the capacity-ordering conditions at the vertices of each optimal-input polytope.
 
     Near-equal capacities (within tol) are treated as equal.  The finite atom
     list makes the closedness hypothesis vacuous.  Each component is solved
-    once, inside its representative set; the report keeps the sets.
+    once, inside its vertex set; the report keeps the sets.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
-    rep_sets = [capacity_achieving_set(comp, cost, grid=rep_grid) for comp in mixed.components]
+    rep_sets = [capacity_achieving_set(comp, cost) for comp in mixed.components]
     optima = [rs.solve for rs in rep_sets]
     caps = [res.capacity for res in optima]
     violations = []
@@ -106,11 +105,11 @@ def check_well_ordered(
                             f"I > {caps[i]:.9g} + {tol:g} (larger capacity)"))
     curve = capacity_quantile_curve(mixed, optima)
     cum = tuple((v, curve.masses(v)[1]) for v, _ in curve.breakpoints)
-    n_reps = sum(len(r.representatives) for r in rep_sets)
+    n_vertices = sum(len(r.representatives) for r in rep_sets)
     coverage = (
-        f"checked {n_reps} sampled representatives (grid 1/{rep_grid}, "
-        f"opt tol {rep_sets[0].opt_tolerance:g}); a pass refutes nothing beyond this "
-        "resolution; closedness is vacuous for a finite atom list"
+        f"checked {n_vertices} vertices of the optimal-input polytopes (opt tol "
+        f"{rep_sets[0].opt_tolerance:g}); I(., W) is concave, so a pass certifies both "
+        "conditions; closedness is vacuous for a finite atom list"
     )
     return WellOrderReport(len(violations) == 0, tuple(violations), cum, tol, coverage,
                            tuple(rep_sets))

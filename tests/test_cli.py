@@ -227,14 +227,23 @@ BAD_SPECS = {
     (["capacity", "{num_inputs_list}"], "num_inputs"),
     (["eps-capacity", "{pair}", "--eps", "0.3", "--grid", "0"], "--grid"),
     (["second-order", "{pair}", "--eps", "0.3", "--grid", "-1"], "--grid"),
-    (["check-well-ordered", "{pair}", "--grid", "0"], "--grid"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "nan", "--bound", "exact"], "--rate"),
     (["validate-lemmas", "{pair}", "--n", "6", "--z-points", "0"], "--z-points"),
     (["check-well-ordered", "{pair}", "--tol", "-1"], "tol"),
+    (["second-order", "{bsc3}", "--eps", "0.35", "--rate", "nan"], "--rate"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--trials", "-5"],
+     "--trials"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--mc",
+      "--trials", "100", "--seed", "-1"], "--seed"),
+    (["capacity", "{cost2}", "--gamma", "nan"], "gamma"),
+    (["eps-capacity", "{cost2}", "--eps", "0.3", "--gamma", "nan"], "gamma"),
+    (["capacity", "{cost2}", "--gamma", "inf"], "gamma"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
              for name, doc in BAD_SPECS.items()}
-    argv = [a.format(pair=pair_spec, bsc3=os.path.join(GOLDEN, "bsc3.json"), **paths)
+    argv = [a.format(pair=pair_spec, bsc3=os.path.join(GOLDEN, "bsc3.json"),
+                     cost2=os.path.join(GOLDEN, "cost2.json"), **paths)
             for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -1,11 +1,15 @@
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
+import mixcap.optimizer
 from mixcap import (
     CostSpec,
     Dmc,
+    EnumerationCapError,
     InputDist,
     capacity_achieving_set,
     channel_dispersion,
@@ -14,7 +18,10 @@ from mixcap import (
     mutual_information,
     output_distribution,
 )
+from mixcap.cli import load_spec
 from conftest import bsc, bsc_capacity, random_dmc
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def grid_search_capacity(w: Dmc, cost: CostSpec | None = None, step: float = 1e-4):
@@ -106,9 +113,44 @@ def test_capacity_achieving_set_bsc_unique():
 def test_capacity_achieving_set_duplicated_rows():
     w = Dmc([[0.8, 0.2], [0.8, 0.2]])  # both inputs equivalent: flat optimal face
     reps = capacity_achieving_set(w)
-    assert len(reps.representatives) > 3
+    assert sorted(tuple(p.probs) for p in reps.representatives) == [(0.0, 1.0), (1.0, 0.0)]
     for p in reps.representatives:
         assert np.allclose(output_distribution(p, w), reps.cap_output, atol=1e-9)
+
+
+def test_capacity_achieving_set_two_vertex_segment():
+    # permuted rows with rows 0 + 1 = rows 2 + 3: the optimal inputs form a segment
+    w = Dmc([[0.4, 0.1, 0.25, 0.25], [0.1, 0.4, 0.25, 0.25],
+             [0.25, 0.25, 0.4, 0.1], [0.25, 0.25, 0.1, 0.4]])
+    reps = capacity_achieving_set(w)
+    vertices = sorted(tuple(np.round(p.probs, 9)) for p in reps.representatives)
+    assert vertices == [(0.0, 0.0, 0.5, 0.5), (0.5, 0.5, 0.0, 0.0)]
+
+
+def test_capacity_achieving_set_drops_a_letter_left_with_vanishing_mass():
+    # the solver leaves ~1.6e-7 on letter 1 of this component although its
+    # divergence is 6.1e-3 below capacity: the optimal input is (1/2, 0, 1/2)
+    mixed, cost = load_spec(os.path.join(GOLDEN, "cost3.json"))
+    w = mixed.components[1]
+    reps = capacity_achieving_set(w, cost)
+    assert reps.solve.optimal_input.probs[1] > 1e-7
+    (p,) = reps.representatives
+    assert p.probs[1] == 0.0
+    assert np.allclose(p.probs, [0.5, 0.0, 0.5], atol=1e-12)
+
+
+def test_capacity_achieving_set_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(mixcap.optimizer, "ENUM_CAP", 1)
+    with pytest.raises(EnumerationCapError):
+        capacity_achieving_set(Dmc([[0.8, 0.2], [0.8, 0.2]]))
+
+
+@pytest.mark.parametrize("spec", sorted(glob.glob(os.path.join(GOLDEN, "*.json"))),
+                         ids=os.path.basename)
+def test_kt_slack_on_golden_specs(spec):
+    mixed, cost = load_spec(spec)
+    for comp in mixed.components:
+        assert constrained_capacity(comp, cost).kt_slack <= 1e-6
 
 
 def test_capacity_achieving_set_identity_uniform_only():

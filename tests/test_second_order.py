@@ -196,6 +196,37 @@ def test_second_order_well_ordered_refuses_unordered():
         second_order_well_ordered(pair, eps=0.3)
 
 
+def test_second_order_well_ordered_ties_search_the_polytope():
+    """Two at-rate atoms whose dispersions cross on a 2-vertex optimal polytope.
+
+    Rows 0 + 1 = rows 2 + 3 = 2 q* with every D(W_x || q*) equal, so the
+    polytope is the segment from (1/2, 1/2, 0, 0) to (0, 0, 1/2, 1/2); the
+    second atom swaps the two row pairs.  At eps = 0.01 the midpoint, where
+    the dispersions agree, beats both vertices.
+    """
+
+    def pair_divergence(x):  # D(q* + (x, -x, 0, 0) || q*) for uniform q* on 4 letters
+        return (0.25 + x) * math.log(1 + 4 * x) + (0.25 - x) * math.log(1 - 4 * x)
+
+    beta, lo, hi = 0.1, 0.0, 0.25
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if pair_divergence(mid) < 2 * pair_divergence(beta) else (lo, mid)
+    alpha = lo
+    rows = [[0.25 + alpha, 0.25 - alpha, 0.25, 0.25], [0.25 - alpha, 0.25 + alpha, 0.25, 0.25],
+            [0.25 + beta, 0.25 + beta, 0.25 - beta, 0.25 - beta],
+            [0.25 - beta, 0.25 - beta, 0.25 + beta, 0.25 + beta]]
+    mix = MixedChannel(((0.5, Dmc(rows)), (0.5, Dmc(rows[2:] + rows[:2]))))
+    eps = 0.01
+    res = second_order_well_ordered(mix, eps=eps)
+    p = res.input.probs
+    assert p[0] == pytest.approx(p[1], abs=1e-9) and p[2] == pytest.approx(p[3], abs=1e-9)
+    scan = [solve_s(mix, InputDist([t / 2, t / 2, (1 - t) / 2, (1 - t) / 2]), res.rate, eps,
+                    1e-7).s_value for t in np.linspace(0.0, 1.0, 101)]
+    assert res.s_value >= max(scan) - 1e-9
+    assert res.s_value > max(scan[0], scan[-1]) + 1e-5
+
+
 def test_second_order_theta2_empty_plus_infinity():
     mix = MixedChannel(((0.5, bsc(0.05)), (0.5, bsc(0.2))))
     # eps = 0.4: rate pins the weaker atom; stronger atom is strictly above,

@@ -21,7 +21,7 @@ def test_bsc_family_is_well_ordered():
     report = check_well_ordered(mix)
     assert report.is_well_ordered
     assert report.violations == ()
-    assert "resolution" in report.coverage
+    assert report.coverage.startswith("checked 2 vertices") and "certifies" in report.coverage
 
 
 def test_singleton_vacuously_well_ordered():
@@ -39,6 +39,55 @@ def test_equal_capacity_bsc_z_pair_flagged():
     assert "equal capacities" in v.required
     # the cited mutual information really does miss the shared capacity
     assert abs(v.observed_info - bsc_capacity(0.11)) > report.tolerance
+
+
+def test_equal_capacity_violation_at_a_face_vertex_caught():
+    """A violation only near one vertex of an optimal face that no grid point touches.
+
+    Rows 0-2 of the first component are one letter, so its optimal inputs form
+    a face whose vertices put all of that letter's mass a* ~ 0.523 on one row.
+    The second component degrades row 1 inside the segment to row 3: equal
+    capacity, and I falls short of it by ~1.3e-3 at the vertex on row 1 but
+    by less than the 1e-3 tolerance wherever row 1 carries at most 0.6 of the
+    mass a*, so random points of the face rarely show it.  A tolerance of 1e-3
+    keeps the degraded row's Kuhn-Tucker gap wide enough for a fast capacity
+    solve.
+    """
+    r, s, r_worse = [0.9, 0.1], [0.25, 0.75], [0.8986, 0.1014]
+    first, second = Dmc([r, r, r, s]), Dmc([r, r_worse, r, s])
+    report = check_well_ordered(MixedChannel(((0.5, first), (0.5, second))), tol=1e-3)
+    assert not report.is_well_ordered
+    assert len(report.rep_sets[0].representatives) == 3
+    (v,) = report.violations
+    assert (v.theta, v.theta_prime) == (0, 1) and "equal capacities" in v.required
+    assert v.rep_input.probs[[0, 2]].tolist() == [0.0, 0.0]
+    cap = report.rep_sets[0].solve.capacity
+    assert cap - v.observed_info == pytest.approx(1.338e-3, abs=1e-5)
+
+
+def test_equal_capacity_violation_at_a_budget_cut_vertex_caught():
+    """A violation at a vertex that only the slack budget puts on the optimal face.
+
+    Rows 0 and 1 of the first component are one letter carrying mass a* ~ 0.523,
+    and letter 1 costs 1 against a budget of 0.3.  The budget does not bind at
+    the solver optimum (multiplier 0) but cuts the face PW = q*: its vertices
+    are (a*, 0, 1 - a*) and (a* - 0.3, 0.3, 1 - a*), the latter on the budget
+    boundary.  The second component degrades row 1, so the ordering fails
+    only away from the first vertex.
+    """
+    r, s = [0.9, 0.1], [0.25, 0.75]
+    first, second = Dmc([r, r, s]), Dmc([r, [0.85, 0.15], s])
+    cost = CostSpec(np.array([0.0, 1.0, 0.0]), 0.3)
+    report = check_well_ordered(MixedChannel(((0.5, first), (0.5, second))), cost)
+    assert report.rep_sets[0].solve.multiplier == 0.0
+    a_star = report.rep_sets[0].solve.optimal_input.probs[:2].sum()
+    vertices = sorted(tuple(p.probs) for p in report.rep_sets[0].representatives)
+    assert np.allclose(vertices, [(a_star - 0.3, 0.3, 1 - a_star), (a_star, 0.0, 1 - a_star)],
+                       atol=1e-12)
+    assert not report.is_well_ordered
+    (v,) = report.violations
+    assert (v.theta, v.theta_prime) == (0, 1) and "equal capacities" in v.required
+    assert v.rep_input.probs[1] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_more_capable_examples():
