@@ -221,8 +221,13 @@ def _output_flags(p: argparse.ArgumentParser, top: bool) -> None:
     p.add_argument("--threads", type=int, **(d or {"default": 1}))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is invalid input: one error line, exit 1
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mixcap",
         description="coding rates of mixed memoryless channels",
     )
@@ -242,7 +247,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--well-ordered", action="store_true")
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=int, default=32, help="accepted and ignored")
 
     p = sub.add_parser("second-order", help="second-order rate at the eps-capacity")
     common(p)
@@ -251,7 +256,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-tol", type=float, default=None,
                    help="at-rate classification width (default 1e-9; 1e-7 with --well-ordered)")
     p.add_argument("--well-ordered", action="store_true")
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=int, default=32, help="accepted and ignored")
 
     p = sub.add_parser("check-well-ordered", help="test the capacity ordering of components")
     common(p)
@@ -338,13 +343,13 @@ def _cmd_eps_capacity(args, mixed, cost, em: Emitter):
                                         [rs.solve for rs in report.rep_sets])
         method = "exact-formula"
     else:
-        res = eps_capacity(mixed, cost, args.eps, args.grid)
+        res = eps_capacity(mixed, cost, args.eps)
         method = "lower-bound"
     em.row(quantity="eps_capacity", value=res.capacity, units="nats", method=method,
            eps=args.eps, mass_below=res.mass_below, mass_at_or_below=res.mass_at_or_below,
            argmax_input=" ".join(_fmt(float(x)) for x in res.argmax_input.probs),
            achieving_component="" if res.achieving_component is None
-           else res.achieving_component)
+           else res.achieving_component, upper_bound=res.upper_bound)
 
 
 def _cmd_second_order(args, mixed, cost, em: Emitter):
@@ -357,7 +362,7 @@ def _cmd_second_order(args, mixed, cost, em: Emitter):
         res = second_order_well_ordered(mixed, cost, args.eps, tie_tol=tie)
     else:
         tie = args.tie_tol if args.tie_tol is not None else 1e-9
-        res = second_order_lb(mixed, cost, args.rate, args.eps, args.grid, tie_tol=tie)
+        res = second_order_lb(mixed, cost, args.rate, args.eps, tie_tol=tie)
     em.row(quantity="second_order", value=res.s_value, units="nats", method=res.method,
            eps=args.eps, rate=res.rate, theta2_mass=res.theta2_mass,
            gw_at_solution=res.gw_at_solution, open_boundary=res.open_boundary,
@@ -435,8 +440,8 @@ def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         code, out, manifest = run_command(argv, args)
     except (ValueError, OSError) as exc:  # includes InfeasibleCostError, DominationError
         print(f"error: {exc}", file=sys.stderr)

@@ -2,33 +2,32 @@
 
 The core object is the quantile of a weighted value list: the largest value
 whose strictly-below mass stays within the error budget.  The capacity is the
-sup of that quantile over feasible inputs, found by candidate search; for
-channels whose components are ordered by capacity the sup collapses to the
-quantile over component capacities.
+sup of that quantile over feasible inputs, the largest compound-channel
+capacity of an atom set the budget cannot drop, certified by a bracket; for
+capacity-ordered components it is the quantile over component capacities.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CostSpec, InputDist, MixedChannel, mutual_information
-from .optimizer import CapacityResult, constrained_capacity, _simplex_grid
+from .channel import CostSpec, Dmc, InputDist, MixedChannel, mutual_information, row_divergences
+from .optimizer import (DEFAULT_TOL, CapacityResult, _basic_solutions, _dual_bound,
+                        capacity_achieving_set, constrained_capacity)
+from .types_toolkit import ENUM_CAP, EnumerationCapError
+
+log = logging.getLogger(__name__)
 
 VALUE_DECIMALS = 12  # atoms with values closer than 1e-12 merge in quantiles
 
-# sup-over-inputs search: the simplex grid serves alphabets up to
-# MAX_GRID_INPUTS letters, larger ones take N_STARTS seeded random starts; the
-# REFINE_TOP best candidates get up to REFINE_STEPS rounds of pair moves
-MAX_GRID_INPUTS = 4
-N_STARTS = 16
-SEARCH_SEED = 0
-REFINE_STEPS = 60
-REFINE_TOP = 4
+# cutting planes: oracle solves per atom set, master-LP slack, and the kink polish
+MAX_ROUNDS, LP_TOL = 60, 1e-12
+KINK_BAND, KINK_TOL, POLISH_STEPS = 1e-7, 1e-14, 20
 
 
 @dataclass(frozen=True)
@@ -77,21 +76,14 @@ class QuantileCurve:
 
 def build_quantile_curve(values, weights) -> QuantileCurve:
     vals = np.round(np.asarray(values, dtype=float), VALUE_DECIMALS)
-    wts = np.asarray(weights, dtype=float)
     order = np.argsort(vals, kind="stable")
-    breakpoints = []
-    below = 0.0
-    i = 0
-    vals, wts = vals[order], wts[order]
-    while i < len(vals):
-        j = i
-        mass = 0.0
-        while j < len(vals) and vals[j] == vals[i]:
-            mass += wts[j]
-            j += 1
-        breakpoints.append((float(vals[i]), below))
+    masses = {}  # value -> summed weight, in increasing value order
+    for v, w in zip(vals[order], np.asarray(weights, dtype=float)[order]):
+        masses[float(v)] = masses.get(float(v), 0.0) + w
+    breakpoints, below = [], 0.0
+    for v, mass in masses.items():
+        breakpoints.append((v, below))
         below += mass
-        i = j
     return QuantileCurve(tuple(breakpoints))
 
 
@@ -102,122 +94,132 @@ class EpsCapacityResult:
     achieving_component: int | None = None
     mass_below: float = 0.0
     mass_at_or_below: float = 1.0
+    upper_bound: float = math.inf  # certified: the true eps-capacity is at most this
+    winners: tuple = ()  # per winning atom set, the inputs a second-order sup runs over
 
 
-def component_informations(mixed: MixedChannel, p: InputDist) -> np.ndarray:
-    return np.array([mutual_information(p, comp) for comp in mixed.components])
+def informations(comps, p: np.ndarray) -> np.ndarray:
+    return np.array([mutual_information(InputDist(p), w) for w in comps])
 
 
 def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
     """sup{R : w{theta : I(P, W_theta) < R} <= eps} for a fixed input P."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    curve = build_quantile_curve(component_informations(mixed, p), mixed.weights)
+    curve = build_quantile_curve(informations(mixed.components, p.probs), mixed.weights)
     return curve.quantile(eps)
 
 
-def _candidate_inputs(mixed: MixedChannel, cost: CostSpec, grid: int):
-    """Feasible search seeds: every component's optimum, then the grid or random starts."""
-    k = mixed.num_inputs
-    cands = [constrained_capacity(comp, cost).optimal_input.probs
-             for comp in mixed.components]
-    if k <= MAX_GRID_INPUTS:
-        cands.extend(_simplex_grid(k, grid))
-    else:
-        rng = np.random.default_rng(SEARCH_SEED)
-        cands.extend(rng.dirichlet(np.ones(k)) for _ in range(N_STARTS))
-    out = []
-    for c in cands:
-        pd = InputDist(np.clip(c, 0.0, None) / np.clip(c, 0.0, None).sum())
-        if cost.admits(pd):
-            out.append(pd)
-    return out
-
-
-def _refine(objective, p: np.ndarray, cost: CostSpec) -> np.ndarray:
-    """Projected coordinate-pair ascent with a shrinking step; a -inf start stays as is."""
-    k = len(p)
-    best = p.copy()
-    best_val = objective(best)
-    if best_val == -math.inf:
-        return best
-    delta = 0.25
-    for _ in range(REFINE_STEPS):
-        improved = False
-        for i, j in itertools.permutations(range(k), 2):
-            if best[i] < delta:
-                continue
-            cand = best.copy()
-            cand[i] -= delta
-            cand[j] += delta
-            pd = InputDist(cand)
-            if not cost.admits(pd):
-                continue
-            val = objective(cand)
-            if val > best_val + 1e-15:
-                best, best_val = cand, val
-                improved = True
-        if not improved:
-            delta *= 0.5
-            if delta < 1e-7:
-                break
-    return best
-
-
-def _argmax_candidates(objective, candidates, cost: CostSpec, refine_objective=None):
-    """Deterministic argmax: score, then refine the leaders, break ties lexicographically.
-
-    The leaders climb ``refine_objective`` (default ``objective``) when refined.
+def _master_lp(g: np.ndarray) -> np.ndarray:
+    """The lam in the simplex minimizing max_k (g lam)_k: the basic solution of least t of
+    g lam + s = t 1, sum lam = 1, (lam, s, t) >= 0, with g shifted so that t > 0 (last).
     """
-    scored = [(objective(c.probs), tuple(c.probs), c.probs) for c in candidates]
-    scored.sort(key=lambda t: (t[0], t[1]), reverse=True)
-    leaders = scored[:REFINE_TOP]
-    best_val, _, best_p = leaders[0]
-    for val, _, p in leaders:
-        refined = _refine(refine_objective or objective, p, cost)
-        rval = objective(refined)
-        if (rval, tuple(refined)) > (best_val, tuple(best_p)):
-            best_val, best_p = rval, refined
-    return best_val, best_p
+    n, m = g.shape
+    shift = 1.0 - g.min()
+    a = np.block([[g + shift, np.eye(n), -np.ones((n, 1))], [np.ones(m), np.zeros(n + 1)]])
+    basis, coef = min(_basic_solutions(a, np.eye(n + 1)[n], LP_TOL), key=lambda bc: bc[1][-1])
+    lam = np.clip(coef[:sum(np.array(basis) < m)], 0.0, None)
+    return np.bincount(np.array(basis)[:len(lam)], lam, m) / lam.sum()
 
 
-def eps_capacity(
-    mixed: MixedChannel,
-    cost: CostSpec | None = None,
-    eps: float = 0.0,
-    grid: int = 32,
-) -> EpsCapacityResult:
-    """First-order capacity: sup over feasible P of the rate quantile.
+def _polish(comps, cuts: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """mu @ cuts after Newton steps on the positive mu that equalize the kink's informations.
 
-    The search is seeded with every component's constrained-capacity optimum
-    plus a simplex grid at resolution 1/grid (or multi-start for larger
-    alphabets), then locally refined.  The reported value is the best found
-    at that resolution; it never exceeds the true sup.
+    Those within KINK_BAND of the least go to within KINK_TOL of each other;
+    d I_theta / d mu_k = sum_x (cuts_k - P)(x) D(W_theta(.|x) || P W_theta).
     """
+    cuts, mu = cuts[mu > 0.0], mu[mu > 0.0]
+    for _ in range(POLISH_STEPS):
+        p = mu @ cuts
+        info = informations(comps, p)
+        at = np.flatnonzero(info <= info.min() + KINK_BAND)
+        if np.ptp(info[at]) <= KINK_TOL:
+            break
+        d = np.array([row_divergences(comps[t], p @ comps[t].rows) for t in at])[:, p > 0.0]
+        jac = d @ (cuts - p)[:, p > 0.0].T  # no cut moves an unused letter, whose D may be inf
+        a = np.block([[jac, -np.ones((len(at), 1))], [np.ones(len(mu)), 0.0]])
+        step = np.linalg.lstsq(a, np.append(info.min() - info[at], 0.0), rcond=None)[0][:-1]
+        while (mu + step).min() < 0.0:
+            step /= 2.0
+        mu = mu + step
+    return mu @ cuts / mu.sum()
+
+
+def _compound(comps, cuts: np.ndarray, hi: float, cost: CostSpec):
+    """(lo, hi, P, solves): a bracket on max_P min_theta I(P, W_theta), by cutting planes.
+
+    By minimax duality it is the min over lam of C([lam_1 W_1 | ... | lam_m W_m]): the
+    master LP over the cut inputs picks lam, its dual mixes them, and a warm-started
+    ``constrained_capacity`` on that stacked channel adds a cut and an upper bound.
+    """
+    g = np.array([informations(comps, p) for p in cuts])
+    lo = -math.inf
+    for solves in range(MAX_ROUNDS + 1):
+        lam, mu = _master_lp(g), _master_lp(-g.T)  # its dual: the cut weights
+        p = mu @ cuts / mu.sum()
+        info = informations(comps, p)
+        if info.min() > lo:
+            lo, best = info.min(), (cuts, mu)
+        if hi - lo <= DEFAULT_TOL or solves == MAX_ROUNDS:
+            break
+        stacked = Dmc(np.hstack([l * w.rows for l, w in zip(lam, comps) if l > 0.0]))
+        res = constrained_capacity(stacked, cost, _start=p)
+        hi = min(hi, _dual_bound(stacked, res.optimal_input.probs, cost, res.multiplier))
+        cuts = np.vstack([cuts[mu > 0.0], res.optimal_input.probs])
+        g = np.vstack([g[mu > 0.0], informations(comps, cuts[-1])])
+    p = _polish(comps, *best)
+    return min(lo, informations(comps, p).min()), hi, InputDist(p), solves
+
+
+def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None,
+                 eps: float = 0.0) -> EpsCapacityResult:
+    """First-order capacity: the largest compound capacity of an atom set, bracketed.
+
+    The rate quantile at P is max over sets S with w(S^c) <= eps of min_{theta in S}
+    I(P, W_theta), so C_eps is the max over minimal S of the compound capacity of S
+    (Blackwell, Breiman & Thomasian 1959; Ahlswede 1968).  A set is pruned by its bound,
+    the least certified C_theta over S; settled by a vertex of its weakest component's
+    optimal polytope that keeps all of S at or above that capacity; or by ``_compound``.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
-    return _eps_search(mixed, cost, eps, _candidate_inputs(mixed, cost, grid))
-
-
-def _eps_search(mixed: MixedChannel, cost: CostSpec, eps: float,
-                candidates) -> EpsCapacityResult:
-    """``eps_capacity`` over the given candidate inputs."""
-
-    def objective(p_arr: np.ndarray) -> float:
-        return rate_quantile(mixed, InputDist(p_arr), eps)
-
-    best_val, best_p = _argmax_candidates(objective, candidates, cost)
-    p_best = InputDist(best_p)
-    curve = build_quantile_curve(component_informations(mixed, p_best), mixed.weights)
-    below, at = curve.masses(best_val)
-    return EpsCapacityResult(best_val, p_best, None, below, at)
-
-
-def capacity_quantile_curve(mixed: MixedChannel,
-                            optima: list[CapacityResult]) -> QuantileCurve:
-    """Quantile curve over component capacities (the capacity spectrum)."""
-    return build_quantile_curve([res.capacity for res in optima], mixed.weights)
+    n, comps, weights = mixed.num_atoms, mixed.components, mixed.weights
+    if 2 ** n > ENUM_CAP:
+        raise EnumerationCapError(f"{2 ** n} atom subsets exceed the cap {ENUM_CAP}")
+    rep_sets = [capacity_achieving_set(w, cost) for w in comps]
+    caps = [rs.solve.capacity for rs in rep_sets]
+    ubs = [_dual_bound(w, rs.solve.optimal_input.probs, cost, rs.solve.multiplier)
+           for w, rs in zip(comps, rep_sets)]
+    drops = [[j for j in range(n) if mask >> j & 1] for mask in range(2 ** n)]
+    sets = [tuple(j for j in range(n) if j not in d) for d in drops if sum(weights[d]) <= eps
+            and all(sum(weights[d]) + weights[j] > eps for j in range(n) if j not in d)]
+    best_lo, hi, found, pruned = -math.inf, -math.inf, [], []
+    for s in sorted(sets, key=lambda s: (-min(ubs[t] for t in s), s)):
+        s_hi, sub = min(ubs[t] for t in s), [comps[t] for t in s]
+        if s_hi < best_lo:
+            pruned.append(s)
+            continue
+        weakest = min(s, key=lambda t: caps[t])
+        verts = rep_sets[weakest].representatives
+        scores = [informations(sub, v.probs) for v in verts]
+        j = max(range(len(verts)), key=lambda j: scores[j].min())
+        if (np.delete(scores[j], s.index(weakest)) >= caps[weakest]).all():
+            s_lo, p, how = scores[j].min(), verts[j], f"a vertex of component {weakest}"
+        else:
+            cuts = np.array([rep_sets[t].solve.optimal_input.probs for t in s] + [verts[j].probs])
+            s_lo, s_hi, p, solves = _compound(sub, cuts, s_hi, cost)
+            verts, how = (p,), f"cutting planes, {solves + 1} rounds, {solves} oracle solves"
+        log.debug("eps-capacity set %s by %s: [%.12g, %.12g]", s, how, s_lo, s_hi)
+        best_lo, hi = max(best_lo, s_lo), max(hi, s_hi)
+        found.append((rate_quantile(mixed, p, eps), p, verts))
+    value, p, _ = max(found, key=lambda f: f[0])  # the first set at the largest value
+    log.debug("eps-capacity: pruned %s; bracket [%.12g, %.12g]", pruned, value, hi)
+    below, at = build_quantile_curve(informations(comps, p.probs), weights).masses(value)
+    return EpsCapacityResult(value, p, None, below, at, max(hi, value),
+                             tuple(verts for v, _, verts in found if v == value))
 
 
 def eps_capacity_well_ordered(
@@ -230,6 +232,7 @@ def eps_capacity_well_ordered(
 
     Valid when the component family is ordered by capacity (the caller
     asserts or has checked this); no optimization over inputs is involved.
+    The solver capacities lie within ``DEFAULT_TOL`` below the true ones.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
@@ -238,10 +241,11 @@ def eps_capacity_well_ordered(
     cost.check_feasible()
     if optima is None:
         optima = [constrained_capacity(comp, cost) for comp in mixed.components]
-    curve = capacity_quantile_curve(mixed, optima)
+    curve = build_quantile_curve([res.capacity for res in optima], mixed.weights)
     value = curve.quantile(eps)
     # the first component whose capacity the curve rounded to the quantile
     achieving = next(i for i, res in enumerate(optima)
                      if np.round(res.capacity, VALUE_DECIMALS) == value)
     below, at = curve.masses(value)
-    return EpsCapacityResult(value, optima[achieving].optimal_input, achieving, below, at)
+    return EpsCapacityResult(value, optima[achieving].optimal_input, achieving, below, at,
+                             value + DEFAULT_TOL)

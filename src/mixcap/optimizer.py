@@ -22,11 +22,12 @@ from .channel import (
     mutual_information,
     row_divergences,
 )
-from .types_toolkit import ENUM_CAP, EnumerationCapError, compositions
+from .types_toolkit import ENUM_CAP, EnumerationCapError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_KT_TOL = 1e-6
 MAX_ITER = 10**6
+WARM_MAX_ITER = 1000  # cap of a warm-started solve, which returns the iterate it reached
 
 
 class ConvergenceError(RuntimeError):
@@ -70,23 +71,22 @@ def _divergences(p: np.ndarray, w: Dmc) -> np.ndarray:
     return row_divergences(w, p @ w.rows)
 
 
-def _ba_tilted(w: Dmc, lam: float, costs: np.ndarray, tol: float):
-    """Maximize I(P, W) - lam * E c(X_P) by alternating maximization.
+def _ba_tilted(w: Dmc, lam: float, costs: np.ndarray, tol: float, start=None, cap=MAX_ITER):
+    """Maximize I(P, W) - lam * E c(X_P) by alternating maximization from ``start``.
 
     Returns (p, value, iterations).  The stopping certificate is the standard
     one: value <= max_x (D_x - lam c(x)), so the gap bounds the optimality
-    error of the value.
+    error of the value.  A ``cap`` below MAX_ITER returns the iterate reached.
     """
     k = w.num_inputs
-    p = np.full(k, 1.0 / k)
+    p = np.full(k, 1.0 / k) if start is None else np.array(start, dtype=float)
     p /= p.sum()
-    iters = 0
-    for iters in range(1, MAX_ITER + 1):
+    for iters in range(1, cap + 1):
         d = _divergences(p, w)
         score = d - lam * costs
         lower = float(p @ score)
         upper = float(score.max())
-        if upper - lower <= tol:
+        if upper - lower <= tol or iters == cap < MAX_ITER:
             break
         # multiplicative update; exp shifted by the max score for stability
         p = p * np.exp(score - upper)
@@ -133,25 +133,15 @@ def _binary_polish(w: Dmc, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _restrict_to_budget_letters(w: Dmc, cost: CostSpec):
-    """Sub-channel on the letters affordable at gamma == gamma_zero."""
-    idx = np.flatnonzero(cost.costs <= cost.gamma_zero + 1e-12)
-    return idx, Dmc(w.rows[idx])
-
-
-def _embed(p_sub: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
-    full = np.zeros(k)
-    full[idx] = p_sub
-    return full
-
-
-def constrained_capacity(w: Dmc, cost: CostSpec | None = None) -> CapacityResult:
+def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
+                         _start: np.ndarray | None = None) -> CapacityResult:
     """max I(P, W) over inputs with expected cost at most gamma, in nats.
 
     Unconstrained (or slack) budgets run plain alternating maximization; an
     active budget is handled by bisection on the multiplier, keeping a
     certified bracket on the value.  The value is optimal within
-    ``DEFAULT_TOL``, and the returned input passes ``kt_verify``.
+    ``DEFAULT_TOL``, and the returned input passes ``kt_verify``.  A feasible ``_start``
+    warm-starts the solves and caps a slack budget's (only ``_dual_bound`` is then certified).
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
@@ -163,9 +153,10 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None) -> CapacityResult
 
     if not cost.is_unconstrained and cost.gamma <= cost.gamma_zero + 1e-12:
         # budget pinned at the cheapest letters: optimize inside that face
-        idx, sub = _restrict_to_budget_letters(w, cost)
-        sub_res = constrained_capacity(sub, CostSpec.free(len(idx)))
-        p = _embed(sub_res.optimal_input.probs, idx, k)
+        idx = np.flatnonzero(costs <= cost.gamma_zero + 1e-12)  # the affordable letters
+        sub_res = constrained_capacity(Dmc(w.rows[idx]), CostSpec.free(len(idx)))
+        p = np.zeros(k)
+        p[idx] = sub_res.optimal_input.probs
         lam = _budget_multiplier(w, p, cost)
         return CapacityResult(sub_res.capacity, InputDist(p), lam,
                               _kt_worst_slack(w, p, cost, lam), sub_res.iterations)
@@ -173,13 +164,14 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None) -> CapacityResult
     # the unconstrained optimum answers unless the budget excludes it
     if k == 2:
         p0 = _binary_polish(w, 0.0, 1.0)
-        p_u = np.array([p0, 1.0 - p0])
-        value_u, iters = mutual_information(InputDist(p_u), w), 200
+        p = np.array([p0, 1.0 - p0])
+        value_u, iters = mutual_information(InputDist(p), w), 200
     else:
-        p_u, value_u, iters = _ba_tilted(w, 0.0, costs, DEFAULT_TOL)
-    if cost.is_unconstrained or float(p_u @ costs) <= cost.gamma + 1e-12:
-        return CapacityResult(max(value_u, 0.0), InputDist(p_u), 0.0,
-                              _kt_worst_slack(w, p_u, cost, 0.0), iters)
+        p, value_u, iters = _ba_tilted(w, 0.0, costs, DEFAULT_TOL, _start,
+                                       MAX_ITER if _start is None else WARM_MAX_ITER)
+    if cost.is_unconstrained or float(p @ costs) <= cost.gamma + 1e-12:
+        return CapacityResult(max(value_u, 0.0), InputDist(p), 0.0,
+                              _kt_worst_slack(w, p, cost, 0.0), iters)
 
     gamma = cost.gamma
     if k == 2:
@@ -196,7 +188,7 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None) -> CapacityResult
     converged = False
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
-        p, _, it = _ba_tilted(w, lam, costs, inner_tol)
+        p, _, it = _ba_tilted(w, lam, costs, inner_tol, None if _start is None else p)
         total_iters += it
         feas_p = _project_to_budget(p, cost)
         val = mutual_information(InputDist(feas_p), w)
@@ -299,10 +291,24 @@ def _kt_worst_slack(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
     return kt_verify(w, InputDist(p), cost, lam)[1]
 
 
-def _simplex_grid(k: int, denom: int):
-    """All probability vectors with denominator ``denom`` on the k-simplex."""
-    for counts in compositions(denom, k):
-        yield np.array(counts, dtype=float) / denom
+def _dual_bound(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
+    """max_x (D(W(.|x) || PW) - lam c(x)) + lam gamma: for any p and lam >= 0, >= the capacity."""
+    gamma = 0.0 if cost.gamma is None else cost.gamma
+    return float((_divergences(p, w) - lam * cost.costs).max()) + lam * gamma
+
+
+def _basic_solutions(a: np.ndarray, b: np.ndarray, tol: float):
+    """(basis, z_basis) per full-rank, rank-sized column subset whose least-squares solution
+    of a z = b has no entry below -tol; over ``ENUM_CAP`` subsets raise EnumerationCapError.
+    """
+    rank = int(np.linalg.matrix_rank(a))
+    n_bases = math.comb(a.shape[1], rank)
+    if n_bases > ENUM_CAP:
+        raise EnumerationCapError(f"{n_bases} candidate bases exceed the cap {ENUM_CAP}")
+    for basis in itertools.combinations(range(a.shape[1]), rank):
+        coef, _, sub_rank, _ = np.linalg.lstsq(a[:, basis], b, rcond=None)
+        if sub_rank == rank and coef.min() >= -tol:
+            yield basis, coef
 
 
 def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchievingSet:
@@ -332,17 +338,8 @@ def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchi
         # the budget may cut the face: E c(X) + s = gamma with a slack column s >= 0
         a = np.vstack([np.column_stack([a, np.zeros(len(b))]), np.append(budget, 1.0)])
         b = np.append(b, cost.gamma)
-    rank = int(np.linalg.matrix_rank(a))
-    n_bases = math.comb(a.shape[1], rank)
-    if n_bases > ENUM_CAP:
-        raise EnumerationCapError(
-            f"{n_bases} candidate bases of the optimal-input polytope exceed the cap {ENUM_CAP}")
-
     vertices = []
-    for basis in itertools.combinations(range(a.shape[1]), rank):
-        coef, _, sub_rank, _ = np.linalg.lstsq(a[:, basis], b, rcond=None)
-        if sub_rank < rank or coef.min() < -DEFAULT_KT_TOL:
-            continue
+    for basis, coef in _basic_solutions(a, b, DEFAULT_KT_TOL):
         chosen = [j for j in basis if j < len(letters)]  # the slack column is last
         p = np.zeros(w.num_inputs)
         p[letters[chosen]] = np.clip(coef[:len(chosen)], 0.0, None)

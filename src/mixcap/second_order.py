@@ -12,6 +12,7 @@ is exact, and results are tagged accordingly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,17 +26,11 @@ from .channel import (
     channel_dispersion,
     psi_from_variance,
 )
-from .first_order import (
-    _argmax_candidates,
-    _candidate_inputs,
-    _eps_search,
-    _refine,
-    component_informations,
-    eps_capacity_well_ordered,
-)
+from .first_order import eps_capacity, eps_capacity_well_ordered, informations
 from .well_ordered import require_well_ordered
 
 DEFAULT_TIE_TOL = 1e-9
+REFINE_STEPS = 60  # rounds of pair moves when a vertex climbs its barycentric weights
 
 METHOD_LOWER_BOUND = "lower-bound"
 METHOD_EXACT = "exact-formula"
@@ -82,7 +77,7 @@ def _classify(values, weights, r: float, tie_tol: float):
 def gw(mixed: MixedChannel, p: InputDist, r: float, s: float,
        tie_tol: float = DEFAULT_TIE_TOL) -> float:
     """G_w(R, S | P): strictly-below mass plus Gaussian mass of at-rate atoms."""
-    return _gw_and_mass(mixed, p, component_informations(mixed, p), r, s, tie_tol)[0]
+    return _gw_and_mass(mixed, p, informations(mixed.components, p.probs), r, s, tie_tol)[0]
 
 
 def _gw_and_mass(mixed: MixedChannel, p: InputDist, values, r: float, s: float,
@@ -182,7 +177,7 @@ def solve_s(mixed: MixedChannel, p: InputDist, r: float, eps: float,
     """sup{S : G_w(R, S | P) <= eps} as an extended real with a boundary flag."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    values = component_informations(mixed, p)
+    values = informations(mixed.components, p.probs)
     base, at = _classify(values, mixed.weights, r, tie_tol)
     return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
 
@@ -194,7 +189,7 @@ def canonical_solution(mixed: MixedChannel, p: InputDist, eps: float,
     Requires the admissibility sandwich w{I < C} <= eps <= w{I <= C} at the
     given input; +inf when no atom sits at the capacity (non-unique solution).
     """
-    values = component_informations(mixed, p)
+    values = informations(mixed.components, p.probs)
     base, at = _classify(values, mixed.weights, capacity, tie_tol)
     mass_at = sum(w for w, _ in at)
     if base > eps + 1e-12 or base + mass_at < eps - 1e-12:
@@ -212,60 +207,65 @@ def _extended_key(res: SolveResult):
     return (res.s_value, not res.open_boundary)
 
 
+def _sup_over_vertices(solve_at, vertices, refine: bool):
+    """(input, SolveResult): the best vertex (the largest on ties); with ``refine``
+    and several vertices, it then climbs its barycentric weights by pair moves.
+    """
+    results = [solve_at(p) for p in vertices]
+    best = max(range(len(vertices)),
+               key=lambda i: (_extended_key(results[i]), tuple(vertices[i].probs)))
+    best_p, best_res = vertices[best], results[best]
+    if not refine or len(vertices) < 2 or best_res.s_value == -math.inf:
+        return best_p, best_res
+    corners = np.array([p.probs for p in vertices])
+    t, delta = np.eye(len(vertices))[best], 0.25
+    for _ in range(REFINE_STEPS):
+        moved = False
+        for i, j in itertools.permutations(range(len(t)), 2):
+            if t[i] >= delta:
+                cand = t + delta * (np.eye(len(t))[j] - np.eye(len(t))[i])
+                res = solve_at(InputDist(cand @ corners))
+                if res.s_value > best_res.s_value + 1e-15:
+                    t, best_res, moved = cand, res, True
+        delta *= 1.0 if moved else 0.5
+        if delta < 1e-7:
+            break
+    return InputDist(t @ corners), best_res
+
+
 def second_order_lb(
     mixed: MixedChannel,
     cost: CostSpec | None = None,
     r: float | None = None,
     eps: float = 0.0,
-    grid: int = 32,
     tie_tol: float = DEFAULT_TIE_TOL,
     rate_tol: float = 1e-9,
 ) -> SecondOrderResult:
-    """Direct-part second-order rate at rate r: sup over feasible P of solve_s.
+    """Direct-part second-order rate at rate r: sup of solve_s over the eps-capacity optima.
 
-    A LOWER BOUND for general mixtures (no converse is available); +-inf when
-    the rate is off the first-order capacity by more than ``rate_tol``.  The
-    eps-capacity search and this one share one candidate list.
+    A LOWER BOUND for general mixtures (no converse is available); +-inf when the
+    rate is off the first-order capacity by more than ``rate_tol``.  The sup runs over
+    the ``winners`` of ``eps_capacity``; an input with an atom in the band snap_tol <
+    |I - r| <= tie_tol scores -inf, so no climb trades dispersion for slack.
     """
     _check_tie_tol(tie_tol)
-    if cost is None:
-        cost = CostSpec.free(mixed.num_inputs)
-    cost.check_feasible()
-    candidates = _candidate_inputs(mixed, cost, grid)
-    cap_res = _eps_search(mixed, cost, eps, candidates)
+    cap_res = eps_capacity(mixed, cost, eps)
     if r is None:
         r = cap_res.capacity
-    if r < cap_res.capacity - rate_tol:
-        return SecondOrderResult(math.inf, r, cap_res.argmax_input, 0.0, 0.0,
-                                 METHOD_LOWER_BOUND)
-    if r > cap_res.capacity + rate_tol:
-        return SecondOrderResult(-math.inf, r, cap_res.argmax_input, 1.0, 0.0,
-                                 METHOD_LOWER_BOUND)
-
-    candidates.append(cap_res.argmax_input)
-
-    # refinement may not trade dispersion against classification slack: at-rate
-    # atoms stay pinned well inside the tie band
+    if abs(r - cap_res.capacity) > rate_tol:  # S = +inf below the capacity, -inf above
+        below = r < cap_res.capacity
+        return SecondOrderResult(math.inf if below else -math.inf, r, cap_res.argmax_input,
+                                 0.0 if below else 1.0, 0.0, METHOD_LOWER_BOUND)
     snap_tol = max(1e-12, tie_tol * 1e-3)
 
-    def objective(p_arr, strict: bool = False) -> float:
-        pd = InputDist(p_arr)
-        res = solve_s(mixed, pd, r, eps, tie_tol)
-        val = res.s_value
-        if math.isfinite(val) and res.open_boundary:
-            val -= 1e-13  # prefer a closed boundary at the same point
-        if strict and math.isfinite(val):
-            infos = component_informations(mixed, pd)
-            for v_i in infos:
-                if snap_tol < abs(v_i - r) <= tie_tol:
-                    return -math.inf
-        return val
+    def solve_at(p: InputDist) -> SolveResult:
+        if any(snap_tol < abs(v - r) <= tie_tol for v in informations(mixed.components, p.probs)):
+            return SolveResult(-math.inf, False)
+        return solve_s(mixed, p, r, eps, tie_tol)
 
-    _, best_arr = _argmax_candidates(objective, candidates, cost,
-                                     refine_objective=lambda a: objective(a, strict=True))
-    best_p = InputDist(best_arr)
-    best_res = solve_s(mixed, best_p, r, eps, tie_tol)
-    g_at, mass_at = _gw_and_mass(mixed, best_p, component_informations(mixed, best_p), r,
+    sups = [_sup_over_vertices(solve_at, verts, True) for verts in cap_res.winners]
+    best_p, best_res = max(sups, key=lambda pair: (_extended_key(pair[1]), tuple(pair[0].probs)))
+    g_at, mass_at = _gw_and_mass(mixed, best_p, informations(mixed.components, best_p.probs), r,
                                  best_res.s_value, tie_tol)
     return SecondOrderResult(best_res.s_value, r, best_p, g_at, mass_at, METHOD_LOWER_BOUND,
                              best_res.open_boundary)
@@ -282,10 +282,9 @@ def second_order_well_ordered(
     Atoms are classified against R by their component capacities; the sup runs
     over the capacity-achieving polytope of the best component.  On it each
     at-rate dispersion is linear in P, so with one at-rate atom the sup sits at
-    a vertex; with several, the best vertex climbs its barycentric weights.
-    The ordering check supplies the polytope and the component solves, so each
-    component is solved once; the call refuses (pointing to the lower-bound
-    path) when that check fails.
+    a vertex; with several, the best vertex climbs (``_sup_over_vertices``).
+    The ordering check supplies the polytope and the component solves; the
+    call refuses (pointing to the lower-bound path) when that check fails.
     """
     report = require_well_ordered(mixed, cost)
     optima = [rs.solve for rs in report.rep_sets]
@@ -298,18 +297,7 @@ def second_order_well_ordered(
         return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
 
     vertices = report.rep_sets[cap_res.achieving_component].representatives
-    results = [solve_at(p) for p in vertices]
-    best = max(range(len(vertices)),
-               key=lambda i: (_extended_key(results[i]), tuple(vertices[i].probs)))
-    best_p, best_res = vertices[best], results[best]
-    if len(at) > 1 and len(vertices) > 1:
-        corners = np.array([p.probs for p in vertices])
-        weights = _refine(lambda t: solve_at(InputDist(t @ corners)).s_value,
-                          np.eye(len(vertices))[best], CostSpec.free(len(vertices)))
-        p = InputDist(weights @ corners)
-        res = solve_at(p)
-        if _extended_key(res) > _extended_key(best_res):
-            best_p, best_res = p, res
+    best_p, best_res = _sup_over_vertices(solve_at, vertices, len(at) > 1)
     g_at, mass_at = _gw_and_mass(mixed, best_p, caps, r, best_res.s_value, tie_tol)
     return SecondOrderResult(best_res.s_value, r, best_p, g_at, mass_at,
                              METHOD_EXACT, best_res.open_boundary)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import CostSpec, Dmc, InputDist, MixedChannel, mutual_information
-from .first_order import capacity_quantile_curve
-from .optimizer import capacity_achieving_set, _simplex_grid
+from .first_order import build_quantile_curve
+from .optimizer import capacity_achieving_set
+from .types_toolkit import compositions
 
 DEFAULT_ORDER_TOL = 1e-7
 MORE_CAPABLE_GRID = 64
@@ -52,6 +53,12 @@ class WellOrderReport:
             raise ValueError("report inconsistent: violations must be empty iff well-ordered")
 
 
+def _simplex_grid(k: int, denom: int):
+    """All probability vectors with denominator ``denom`` on the k-simplex."""
+    for counts in compositions(denom, k):
+        yield InputDist([c / denom for c in counts])
+
+
 def more_capable(w1: Dmc, w2: Dmc) -> bool:
     """True when I(P, w1) <= I(P, w2) + 1e-9 at every point of the 1/64 simplex grid.
 
@@ -59,8 +66,7 @@ def more_capable(w1: Dmc, w2: Dmc) -> bool:
     """
     if w1.rows.shape != w2.rows.shape:
         raise ValueError("channels must share alphabets")
-    for g in _simplex_grid(w1.num_inputs, MORE_CAPABLE_GRID):
-        p = InputDist(g)
+    for p in _simplex_grid(w1.num_inputs, MORE_CAPABLE_GRID):
         if mutual_information(p, w1) > mutual_information(p, w2) + 1e-9:
             return False
     return True
@@ -103,7 +109,7 @@ def check_well_ordered(
                         violations.append(OrderViolation(
                             i, j, p, info,
                             f"I > {caps[i]:.9g} + {tol:g} (larger capacity)"))
-    curve = capacity_quantile_curve(mixed, optima)
+    curve = build_quantile_curve([res.capacity for res in optima], mixed.weights)
     cum = tuple((v, curve.masses(v)[1]) for v, _ in curve.breakpoints)
     n_vertices = sum(len(r.representatives) for r in rep_sets)
     coverage = (

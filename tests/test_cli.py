@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -238,6 +239,8 @@ BAD_SPECS = {
     (["capacity", "{cost2}", "--gamma", "nan"], "gamma"),
     (["eps-capacity", "{cost2}", "--eps", "0.3", "--gamma", "nan"], "gamma"),
     (["capacity", "{cost2}", "--gamma", "inf"], "gamma"),
+    (["capacity", "{cost2}", "--gamma", "-inf"], "--gamma"),  # argparse reads -inf as a flag
+    (["check-well-ordered", "{bsc3}", "--grid", "0"], "--grid"),  # an unknown flag
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
@@ -383,3 +386,18 @@ def test_each_component_is_solved_once(argv, monkeypatch):
     assert code == 0
     assert calls["constrained_capacity"] == 3
     assert calls["capacity_achieving_set"] in (0, 3)
+
+
+def test_debug_log_explains_eps_capacity_on_stderr_only():
+    """MIXCAP_LOG=DEBUG reports each atom set's bracket and the final one on stderr;
+    the primary output stays byte-identical."""
+    argv = [sys.executable, "-m", "mixcap.cli", "eps-capacity",
+            os.path.join(GOLDEN, "zbsc.json"), "--eps", "0.3"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(GOLDEN), "..", "src"))
+    quiet = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    env["MIXCAP_LOG"] = "DEBUG"
+    loud = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    assert loud.stdout == quiet.stdout and quiet.stderr == ""
+    assert "eps-capacity set (0, 1) by cutting planes, " in loud.stderr
+    assert "oracle solves: [" in loud.stderr
+    assert "eps-capacity: pruned []; bracket [" in loud.stderr

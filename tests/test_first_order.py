@@ -1,4 +1,6 @@
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,14 +12,21 @@ from mixcap import (
     Dmc,
     InputDist,
     MixedChannel,
+    constrained_capacity,
     eps_capacity,
     eps_capacity_well_ordered,
     mutual_information,
     rate_quantile,
+    second_order_lb,
 )
-from mixcap.first_order import VALUE_DECIMALS, build_quantile_curve
+from mixcap.cli import load_spec
+from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _polish, build_quantile_curve,
+                                informations)
 from mixcap.optimizer import DEFAULT_TOL
-from conftest import bsc, bsc_capacity, random_mixture
+from mixcap.second_order import DEFAULT_TIE_TOL
+from conftest import bsc, bsc_capacity, random_dmc, random_mixture
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def brute_quantile(mixed, p, eps, step=1e-5):
@@ -188,3 +197,134 @@ def test_lower_bound_never_exceeds_exact_formula(seed, num_inputs, eps):
     lower = eps_capacity(mix, eps=eps).capacity
     exact = eps_capacity_well_ordered(mix, eps=eps).capacity
     assert lower <= exact + DEFAULT_TOL + 10.0 ** -VALUE_DECIMALS
+
+
+def _grid_rate_quantiles(mix, eps, denom=64):
+    """Rate quantile at every point of the 1/denom simplex grid, by plain numpy.
+
+    I(P, W) = H(PW) - sum_x P(x) H(W(.|x)), and the quantile is the largest
+    atom information whose strictly-below mass is at most eps: an independent
+    reference for the compound-channel reduction.
+    """
+    k = mix.num_inputs
+    pts = np.array([c for c in itertools.product(range(denom + 1), repeat=k - 1)
+                    if sum(c) <= denom])
+    pts = np.column_stack([pts, denom - pts.sum(axis=1)]) / denom
+    infos = []
+    for w in mix.components:
+        q = pts @ w.rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_out = -np.where(q > 0, q * np.log(q), 0.0).sum(axis=1)
+            h_rows = -np.where(w.rows > 0, w.rows * np.log(w.rows), 0.0).sum(axis=1)
+        infos.append(h_out - pts @ h_rows)
+    infos = np.array(infos).T  # grid points x atoms
+    below = (mix.weights * (infos[:, None, :] < infos[:, :, None])).sum(axis=2)
+    return np.where(below <= eps, infos, -np.inf).max(axis=1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_inputs=st.sampled_from([3, 4]),
+       eps=st.floats(0.0, 0.9), budget=st.booleans())
+def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, eps, budget):
+    """value <= upper_bound, value >= the best 1/64-grid input, value >= every component optimum.
+
+    The slack budget (gamma at the dearest letter) admits every input, so the
+    grid needs no filtering.  A component optimum is beaten only up to the
+    solver tolerance, because a set settled at an optimal-polytope vertex
+    reads that vertex, which is within DEFAULT_TOL of the capacity.
+    """
+    rng = np.random.default_rng(seed)
+    mix = MixedChannel(tuple((float(w), random_dmc(rng, num_inputs, 3))
+                             for w in rng.dirichlet(np.ones(3))))
+    costs = rng.uniform(0.0, 1.0, num_inputs)
+    cost = CostSpec(costs, float(costs.max())) if budget else None
+    res = eps_capacity(mix, cost, eps=eps)
+    assert res.capacity <= res.upper_bound <= res.capacity + 2e-9
+    assert res.capacity >= _grid_rate_quantiles(mix, eps).max() - 1e-12
+    for comp in mix.components:
+        p = constrained_capacity(comp, cost).optimal_input
+        assert res.capacity >= rate_quantile(mix, p, eps) - DEFAULT_TOL
+
+
+# the benchmark's 3-input search spec "s3b" at workload seed 0: the optimum sits on
+# the kink I(P, W_0) = I(P, W_2), where the grid search stalled
+S3B_ATOMS = (
+    (0.3518285926685833, [[0.17363986520488783, 0.44001548311828315, 0.38634465167682897],
+                          [0.7998915220570353, 0.09388232709658689, 0.10622615084637776],
+                          [0.6150916292926899, 0.17582309913257183, 0.20908527157473822]]),
+    (0.23729534814754205, [[0.20674306858105904, 0.5554312930379534, 0.23782563838098758],
+                           [0.4966687674360329, 0.11398879458219861, 0.3893424379817685],
+                           [0.10066788646744872, 0.3358542058417757, 0.5634779076907755]]),
+    (0.4108760591838747, [[0.6090023860856602, 0.07969335594930323, 0.3113042579650366],
+                          [0.3056504897827707, 0.04969960455590126, 0.644649905661328],
+                          [0.1584285223859281, 0.6526351274485578, 0.18893635016551413]]),
+)
+S3B_EPS = 0.2927
+S3B_GRID_SEARCH_VALUE = 0.183114169615  # printed by the simplex-grid search it replaces
+
+
+def test_kink_optimum_beats_the_grid_search():
+    """On the s3b kink the certified value clears the old search by more than 1e-5,
+    and the second-order input has no atom in the band snap_tol < |I - rate| <= tie_tol."""
+    mix = MixedChannel(tuple((w, Dmc(rows)) for w, rows in S3B_ATOMS))
+    res = eps_capacity(mix, eps=S3B_EPS)
+    assert res.capacity > S3B_GRID_SEARCH_VALUE + 1e-5
+    assert res.capacity <= res.upper_bound <= res.capacity + 2e-9
+    second = second_order_lb(mix, eps=S3B_EPS)
+    assert second.rate == res.capacity and math.isfinite(second.s_value)
+    infos = [mutual_information(second.input, comp) for comp in mix.components]
+    assert not any(1e-12 < abs(i - second.rate) <= DEFAULT_TIE_TOL for i in infos)
+    assert sum(abs(i - second.rate) <= 1e-12 for i in infos) == 2  # atoms 0 and 2
+
+
+# eps-capacities the simplex-grid search printed for every golden spec
+GRID_SEARCH_VALUES = {
+    ("bsc1.json", 0.3): 0.346631843641,
+    ("bsc3.json", 0.35): 0.192744757022,
+    ("cost2.json", 0.3): 0.110413075214,
+    ("cost3.json", 0.3): 0.19812160359,
+    ("mix2x2.json", 0.3): 0.238624668135,
+    ("multi5.json", 0.3): 0.120615338528,
+    ("zbsc.json", 0.3): 0.344764812789,
+}
+
+
+@pytest.mark.parametrize("spec, eps", sorted(GRID_SEARCH_VALUES), ids=lambda v: str(v))
+def test_certified_value_never_loses_to_the_grid_search(spec, eps):
+    """The old value lies below the certified upper bound, and the new one is no worse
+    than the old beyond the solver tolerance; the bracket is 2e-9 wide (1e-7 on multi5,
+    whose oracle solves stop at their iteration cap)."""
+    mixed, cost = load_spec(os.path.join(GOLDEN, spec))
+    res = eps_capacity(mixed, cost, eps)
+    old = GRID_SEARCH_VALUES[spec, eps]
+    assert old <= res.upper_bound
+    assert res.capacity >= old - DEFAULT_TOL
+    assert res.capacity <= res.upper_bound <= res.capacity + (
+        1e-7 if spec == "multi5.json" else 2e-9)
+
+
+def test_master_lp_matches_a_simplex_scan():
+    """The master LP's lam beats every point of a 1/60 simplex grid; its dual attains the value."""
+    rng = np.random.default_rng(11)
+    for m in (2, 3):
+        g = rng.uniform(0.0, 1.0, size=(4, m))
+        lam = _master_lp(g)
+        assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-12)
+        pts = [np.array(c) / 60 for c in itertools.product(range(61), repeat=m) if sum(c) == 60]
+        assert (g @ lam).max() <= min((g @ p).max() for p in pts) + 1e-12
+        mu = _master_lp(-g.T)  # the dual: cut weights whose mix is as good as the LP value
+        assert (mu @ g).min() == pytest.approx((g @ lam).max(), abs=1e-12)
+
+
+def test_polish_flattens_a_kink_with_more_cuts_than_atoms():
+    """Three cut inputs near the s3b kink, mixed 1e-8 off it: the polished mix puts
+    atoms 0 and 2 within 1e-13 of each other."""
+    mix = MixedChannel(tuple((w, Dmc(rows)) for w, rows in S3B_ATOMS))
+    kink = eps_capacity(mix, eps=S3B_EPS).argmax_input.probs
+    comps = [mix.components[0], mix.components[2]]
+    dirs = np.array([[1.0, -0.5, -0.5], [-0.2, 1.0, -0.8], [0.0, -1.0, 1.0]])
+    cuts = kink + 1e-6 * dirs
+    start = informations(comps, cuts.mean(axis=0))
+    assert 1e-12 < abs(start[0] - start[1]) < 1e-7
+    p = _polish(comps, cuts, np.full(3, 1.0 / 3.0))
+    assert abs(np.subtract(*informations(comps, p))) <= 1e-13
