@@ -126,6 +126,11 @@ class CostSpec:
         return float(self.costs.min())
 
     @property
+    def budget(self) -> float:
+        """gamma, or the largest letter cost when unconstrained: no input costs more."""
+        return float(self.costs.max()) if self.gamma is None else self.gamma
+
+    @property
     def is_unconstrained(self) -> bool:
         """True when no feasible input is excluded (gamma absent or >= max cost)."""
         return self.gamma is None or self.gamma >= float(self.costs.max())

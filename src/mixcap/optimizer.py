@@ -1,15 +1,19 @@
 """Cost-constrained capacity of a single DMC and its capacity-achieving inputs.
 
-The workhorse is alternating maximization with a Lagrangian cost tilt and an
-outer bisection on the multiplier.  For binary input alphabets the optimum is
-additionally polished by a derivative bisection, which pins the argmax itself
-(not just the value) to near machine precision.  The capacity-achieving inputs
-form a polytope, returned as its vertices.
+The workhorse is Blahut's alternating maximization with the budget inside its
+P-step: the multiplicative update is tilted back onto {E c <= gamma}, and the
+tilt's exponent is the Lagrange multiplier, so one loop serves every budget.
+A budget pinned at the cheapest cost is solved on the face of the cheapest
+letters.  For binary input alphabets the optimum is found by a derivative
+bisection instead, which pins the argmax itself (not just the value) to near
+machine precision.  The capacity-achieving inputs form a polytope, returned as
+its vertices.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -23,6 +27,8 @@ from .channel import (
     row_divergences,
 )
 from .types_toolkit import ENUM_CAP, EnumerationCapError
+
+log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_KT_TOL = 1e-6
@@ -71,41 +77,77 @@ def _divergences(p: np.ndarray, w: Dmc) -> np.ndarray:
     return row_divergences(w, p @ w.rows)
 
 
-def _ba_tilted(w: Dmc, lam: float, costs: np.ndarray, tol: float, start=None, cap=MAX_ITER):
-    """Maximize I(P, W) - lam * E c(X_P) by alternating maximization from ``start``.
+def _tilt(p: np.ndarray, costs: np.ndarray, gamma: float, lam: float = 0.0):
+    """The I-projection of p on {E c <= gamma}: (p e^(-lam c) normalized, lam).
 
-    Returns (p, value, iterations).  The stopping certificate is the standard
-    one: value <= max_x (D_x - lam c(x)), so the gap bounds the optimality
-    error of the value.  A ``cap`` below MAX_ITER returns the iterate reached.
+    p itself and lam = 0 when p meets the budget; else lam > 0 is the root of
+    E c = gamma, which falls in lam at rate Var c, by Newton steps from ``lam``
+    safeguarded by bisection.  A budget at the cheapest cost on p's support is
+    met only as lam -> inf: p conditioned on those letters.
+    """
+    if p @ costs <= gamma + 1e-12:
+        return p, 0.0
+    c0 = costs[p > 0].min()
+    if gamma <= c0 + 1e-12:
+        q = np.where(costs <= c0 + 1e-12, p, 0.0)
+        return q / q.sum(), math.inf
+    shift = np.maximum(costs - c0, 0.0)  # e^(-lam shift) <= 1 on the support
+    lo, hi = 0.0, math.inf
+    for _ in range(100):
+        q = p * np.exp(-lam * shift)
+        q /= q.sum()
+        mean = float(q @ costs)
+        if abs(mean - gamma) <= 1e-13:
+            break
+        lo, hi = (lam, hi) if mean > gamma else (lo, lam)
+        var = float(q @ (costs - mean) ** 2)
+        lam = lam + (mean - gamma) / var if var > 0.0 else hi
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0
+    return q, lam
+
+
+def _ba_tilted(w: Dmc, costs: np.ndarray, gamma: float, start=None, cap=MAX_ITER):
+    """Maximize I(P, W) over {E c(X_P) <= gamma} by alternating maximization from ``start``.
+
+    The P-step takes P e^D, D_x = D(W(.|x) || PW), to its I-projection on the
+    budget (``_tilt``), whose lam is the multiplier (Blahut 1972).  Returns
+    (p, value, lam, iterations) with value = I(P, W).  The stopping certificate
+    is the dual bound max_x (D_x - lam c(x)) + lam gamma, which is at least the
+    capacity for any lam >= 0, within ``DEFAULT_TOL`` of the value.  A ``cap``
+    below MAX_ITER returns the iterate reached.
     """
     k = w.num_inputs
     p = np.full(k, 1.0 / k) if start is None else np.array(start, dtype=float)
-    p /= p.sum()
+    p, lam = _tilt(p / p.sum(), costs, gamma)
+    bind = gamma < costs.max()  # else no input exceeds the budget
     for iters in range(1, cap + 1):
         d = _divergences(p, w)
         score = d - lam * costs
-        lower = float(p @ score)
-        upper = float(score.max())
-        if upper - lower <= tol or iters == cap < MAX_ITER:
+        value, upper = float(p @ d), float(score.max())
+        if upper + lam * gamma - value <= DEFAULT_TOL or iters == cap < MAX_ITER:
             break
-        # multiplicative update; exp shifted by the max score for stability
-        p = p * np.exp(score - upper)
+        # multiplicative update P e^D; exp shifted by max D (which is upper at lam = 0)
+        p = p * np.exp(d - (upper if lam == 0.0 else d.max()))
         s = p.sum()
         if s <= 0.0 or not np.isfinite(s):
             raise ConvergenceError("alternating maximization collapsed numerically")
         p /= s
+        if bind:
+            p, lam = _tilt(p, costs, gamma, lam)
     else:
         raise ConvergenceError(
             f"alternating maximization did not converge within {MAX_ITER} iterations"
         )
-    return p, float(p @ (d - lam * costs)), iters
+    return p, value, lam, iters
 
 
-def _binary_polish(w: Dmc, lo: float, hi: float) -> float:
-    """For |X| = 2, bisect dI/dp on [lo, hi]; p is the mass of letter 0.
+def _binary_polish(w: Dmc, lo: float, hi: float):
+    """For |X| = 2, bisect dI/dp on [lo, hi]; returns (p, steps), p the mass of letter 0.
 
     The derivative of I((p, 1-p), W) in the direction e0 - e1 equals
-    D(W(.|0)||PW) - D(W(.|1)||PW) and is nonincreasing in p.
+    D(W(.|0)||PW) - D(W(.|1)||PW) and is nonincreasing in p.  The bisection
+    stops when the bracket is below 1e-16 or no longer shrinks.
     """
 
     def deriv(p):
@@ -116,110 +158,70 @@ def _binary_polish(w: Dmc, lo: float, hi: float) -> float:
     f_lo = deriv(min(lo + eps, hi))
     f_hi = deriv(max(hi - eps, lo))
     if abs(f_lo) < 1e-13 and abs(f_hi) < 1e-13:
-        return 0.5 * (lo + hi)  # flat face: any interior point is optimal
+        return 0.5 * (lo + hi), 0  # flat face: any interior point is optimal
     if f_lo <= 0.0:
-        return lo
+        return lo, 0
     if f_hi >= 0.0:
-        return hi
+        return hi, 0
     a, b = lo, hi
-    for _ in range(200):
+    for steps in range(1, 201):
+        width = b - a
         m = 0.5 * (a + b)
         if deriv(m) > 0.0:
             a = m
         else:
             b = m
-        if b - a < 1e-16:
+        if b - a < 1e-16 or b - a == width:  # a bracket that kept its width stays put
             break
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), steps
 
 
 def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
                          _start: np.ndarray | None = None) -> CapacityResult:
     """max I(P, W) over inputs with expected cost at most gamma, in nats.
 
-    Unconstrained (or slack) budgets run plain alternating maximization; an
-    active budget is handled by bisection on the multiplier, keeping a
-    certified bracket on the value.  The value is optimal within
-    ``DEFAULT_TOL``, and the returned input passes ``kt_verify``.  A feasible ``_start``
-    warm-starts the solves and caps a slack budget's (only ``_dual_bound`` is then certified).
+    A budget at the cheapest cost is solved on the face of the cheapest
+    letters; |X| = 2 by ``_binary_polish`` on the feasible segment; any other
+    budget, binding or slack, by one run of ``_ba_tilted``, whose tilt gives
+    the multiplier.  The value is optimal within ``DEFAULT_TOL``, and the
+    returned input meets the budget and passes ``kt_verify``.  A feasible
+    ``_start`` warm-starts that run and caps it at ``WARM_MAX_ITER``
+    iterations: the iterate reached is feasible, and ``_dual_bound`` at it and
+    its multiplier is certified.  Under DEBUG logging each solve reports its
+    path, iterations, certified gap and multiplier.
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
     cost.check_feasible()
     if len(cost.costs) != w.num_inputs:
         raise ValueError("cost vector length does not match the channel input alphabet")
-    k = w.num_inputs
     costs = cost.costs
 
     if not cost.is_unconstrained and cost.gamma <= cost.gamma_zero + 1e-12:
         # budget pinned at the cheapest letters: optimize inside that face
         idx = np.flatnonzero(costs <= cost.gamma_zero + 1e-12)  # the affordable letters
         sub_res = constrained_capacity(Dmc(w.rows[idx]), CostSpec.free(len(idx)))
-        p = np.zeros(k)
+        p = np.zeros(w.num_inputs)
         p[idx] = sub_res.optimal_input.probs
-        lam = _budget_multiplier(w, p, cost)
-        return CapacityResult(sub_res.capacity, InputDist(p), lam,
-                              _kt_worst_slack(w, p, cost, lam), sub_res.iterations)
-
-    # the unconstrained optimum answers unless the budget excludes it
-    if k == 2:
-        p0 = _binary_polish(w, 0.0, 1.0)
+        value, lam, iters = sub_res.capacity, _budget_multiplier(w, p, cost), sub_res.iterations
+        path = "pinned face"
+    elif w.num_inputs == 2:
+        p0, iters = _binary_polish(w, 0.0, 1.0)
+        binding = float(np.array([p0, 1.0 - p0]) @ costs) > cost.budget + 1e-12
+        if binding:  # the budget excludes the free optimum: polish on the feasible segment
+            p0, steps = _binary_polish(w, *_binary_feasible_interval(cost))
+            iters += steps
         p = np.array([p0, 1.0 - p0])
-        value_u, iters = mutual_information(InputDist(p), w), 200
+        value = mutual_information(InputDist(p), w)
+        lam = _budget_multiplier(w, p, cost) if binding else 0.0
+        path = "binary polish"
     else:
-        p, value_u, iters = _ba_tilted(w, 0.0, costs, DEFAULT_TOL, _start,
-                                       MAX_ITER if _start is None else WARM_MAX_ITER)
-    if cost.is_unconstrained or float(p @ costs) <= cost.gamma + 1e-12:
-        return CapacityResult(max(value_u, 0.0), InputDist(p), 0.0,
-                              _kt_worst_slack(w, p, cost, 0.0), iters)
-
-    gamma = cost.gamma
-    if k == 2:
-        return _binary_constrained(w, cost, iters)
-
-    # active budget: bisection on the multiplier until the expected cost of the
-    # tilted optimum pins the budget, keeping a certified value bracket
-    lam_hi = math.log(min(k, w.num_outputs)) / max(gamma - cost.gamma_zero, 1e-12) + 1.0
-    lam_lo = 0.0
-    inner_tol = 1e-11
-    best_p, best_val = None, -math.inf
-    dual_best = math.inf
-    total_iters = iters
-    converged = False
-    for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        p, _, it = _ba_tilted(w, lam, costs, inner_tol, None if _start is None else p)
-        total_iters += it
-        feas_p = _project_to_budget(p, cost)
-        val = mutual_information(InputDist(feas_p), w)
-        if val > best_val:
-            best_p, best_val = feas_p, val
-        exp_cost = float(p @ costs)
-        if exp_cost > gamma:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        d = _divergences(p, w)
-        dual_best = min(dual_best, float((d - lam * costs).max()) + lam * gamma)
-        if dual_best - best_val <= DEFAULT_TOL and (
-                abs(exp_cost - gamma) <= 1e-9 or lam_hi - lam_lo <= 1e-11):
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError("multiplier bisection did not close the capacity bracket")
-    lam0 = 0.5 * (lam_lo + lam_hi)
-    return CapacityResult(max(best_val, 0.0), InputDist(best_p), lam0,
-                          _kt_worst_slack(w, best_p, cost, lam0), total_iters)
-
-
-def _binary_constrained(w: Dmc, cost: CostSpec, iters: int) -> CapacityResult:
-    """Active budget with |X| = 2: the feasible segment is one-dimensional."""
-    if cost.costs[0] == cost.costs[1]:  # budget cannot be active
-        raise ConvergenceError("active budget with equal letter costs")
-    p0 = _binary_polish(w, *_binary_feasible_interval(cost))
-    p = np.array([p0, 1.0 - p0])
-    value = mutual_information(InputDist(p), w)
-    lam = _budget_multiplier(w, p, cost)
+        p, value, lam, iters = _ba_tilted(w, costs, cost.budget, _start,
+                                          MAX_ITER if _start is None else WARM_MAX_ITER)
+        path = "alternating maximization"
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("constrained_capacity (%s): %d iterations, certified gap %.3g, "
+                  "multiplier %.12g", path, iters, _dual_bound(w, p, cost, lam) - value, lam)
     return CapacityResult(max(value, 0.0), InputDist(p), lam,
                           _kt_worst_slack(w, p, cost, lam), iters)
 
@@ -229,27 +231,11 @@ def _budget_multiplier(w: Dmc, p: np.ndarray, cost: CostSpec) -> float:
     d = _divergences(p, w)
     cap = float(p @ np.where(p > 0, d, 0.0))
     lam = 0.0
-    gamma = cost.gamma if cost.gamma is not None else float(cost.costs.max())
     for x in range(len(p)):
-        gap = cost.costs[x] - gamma
+        gap = cost.costs[x] - cost.budget
         if gap > 1e-12 and d[x] > cap:
             lam = max(lam, (d[x] - cap) / gap)
     return lam
-
-
-def _project_to_budget(p: np.ndarray, cost: CostSpec) -> np.ndarray:
-    """Mix p toward the cheapest letter until the budget holds."""
-    gamma = float(cost.gamma)
-    exp_cost = float(p @ cost.costs)
-    if exp_cost <= gamma:
-        return p
-    x0 = int(np.argmin(cost.costs))
-    delta = np.zeros_like(p)
-    delta[x0] = 1.0
-    c0 = cost.costs[x0]
-    alpha = (exp_cost - gamma) / max(exp_cost - c0, 1e-300)
-    alpha = min(max(alpha, 0.0), 1.0)
-    return (1.0 - alpha) * p + alpha * delta
 
 
 def _optimal_letters(w: Dmc, p: np.ndarray, costs: np.ndarray, lam: float,
@@ -281,8 +267,7 @@ def kt_verify(
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
     support, d = _optimal_letters(w, p.probs, cost.costs, lambda0, tol)
-    gamma = float(cost.costs.max()) if cost.gamma is None else cost.gamma
-    slack = d - (mutual_information(p, w) + lambda0 * (cost.costs - gamma))
+    slack = d - (mutual_information(p, w) + lambda0 * (cost.costs - cost.budget))
     worst = float(np.where(support, np.abs(slack), slack).max())
     return worst <= tol, worst
 
@@ -293,8 +278,7 @@ def _kt_worst_slack(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
 
 def _dual_bound(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
     """max_x (D(W(.|x) || PW) - lam c(x)) + lam gamma: for any p and lam >= 0, >= the capacity."""
-    gamma = 0.0 if cost.gamma is None else cost.gamma
-    return float((_divergences(p, w) - lam * cost.costs).max()) + lam * gamma
+    return float((_divergences(p, w) - lam * cost.costs).max()) + lam * cost.budget
 
 
 def _basic_solutions(a: np.ndarray, b: np.ndarray, tol: float):
@@ -320,7 +304,9 @@ def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchi
     Its vertices are the basic solutions over rank-sized column subsets; one is
     kept when it is nonnegative within ``DEFAULT_KT_TOL`` and achieves the
     capacity within ``DEFAULT_TOL``.  The solver's q* may miss the span of S*
-    by its tolerance, so each basic solution is a least-squares one.  Raises
+    by its tolerance, so each basic solution is a least-squares one, which is
+    then tilted (``_tilt``) onto the budget's face: a binding budget left
+    unspent by t costs about the multiplier times t of information.  Raises
     ``EnumerationCapError`` when the number of subsets exceeds ``ENUM_CAP``.
     """
     if cost is None:
@@ -344,8 +330,10 @@ def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchi
         p = np.zeros(w.num_inputs)
         p[letters[chosen]] = np.clip(coef[:len(chosen)], 0.0, None)
         p /= p.sum()
-        if cost.gamma is not None:
-            p = _project_to_budget(p, cost)  # round-off only: the budget row holds
+        # round-off and the solver's stray mass off S* can move p off the budget's face
+        p = _tilt(p, cost.costs, cost.budget)[0]
+        if base.multiplier > 0.0:  # the face is E c = gamma: tilt onto E (-c) <= -gamma too
+            p = _tilt(p, -cost.costs, -cost.gamma)[0]
         vertex = InputDist(p)
         if mutual_information(vertex, w) < base.capacity - DEFAULT_TOL:
             continue

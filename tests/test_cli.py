@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -389,15 +390,26 @@ def test_each_component_is_solved_once(argv, monkeypatch):
 
 
 def test_debug_log_explains_eps_capacity_on_stderr_only():
-    """MIXCAP_LOG=DEBUG reports each atom set's bracket and the final one on stderr;
-    the primary output stays byte-identical."""
-    argv = [sys.executable, "-m", "mixcap.cli", "eps-capacity",
-            os.path.join(GOLDEN, "zbsc.json"), "--eps", "0.3"]
+    """MIXCAP_LOG=DEBUG reports each atom set's bracket and the final one on stderr, and
+    each capacity solve its path, iterations, certified gap and multiplier; the primary
+    output stays byte-identical."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(GOLDEN), "..", "src"))
-    quiet = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-    env["MIXCAP_LOG"] = "DEBUG"
-    loud = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-    assert loud.stdout == quiet.stdout and quiet.stderr == ""
-    assert "eps-capacity set (0, 1) by cutting planes, " in loud.stderr
-    assert "oracle solves: [" in loud.stderr
-    assert "eps-capacity: pruned []; bracket [" in loud.stderr
+    stderr = {}
+    for spec in ("zbsc.json", "binding3.json"):  # binding3: a binding budget on 3 inputs
+        argv = [sys.executable, "-m", "mixcap.cli", "eps-capacity",
+                os.path.join(GOLDEN, spec), "--eps", "0.3"]
+        env.pop("MIXCAP_LOG", None)
+        quiet = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        env["MIXCAP_LOG"] = "DEBUG"
+        loud = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        assert loud.stdout == quiet.stdout and quiet.stderr == ""
+        assert "eps-capacity set (0, 1) by cutting planes, " in loud.stderr
+        assert "oracle solves: [" in loud.stderr
+        assert "eps-capacity: pruned []; bracket [" in loud.stderr
+        stderr[spec] = loud.stderr
+    assert "constrained_capacity (binary polish): " in stderr["zbsc.json"]
+    solves = [line for line in stderr["binding3.json"].splitlines() if "constrained_capacity" in line]
+    oracle = int(re.search(r"(\d+) oracle solves", stderr["binding3.json"]).group(1))
+    assert len(solves) == 2 + oracle > 2  # one line per component solve and per oracle solve
+    assert all(re.search(r"constrained_capacity \(alternating maximization\): \d+ iterations, "
+                         r"certified gap \S+, multiplier 0\.\d+$", line) for line in solves)

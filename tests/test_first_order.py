@@ -199,8 +199,8 @@ def test_lower_bound_never_exceeds_exact_formula(seed, num_inputs, eps):
     assert lower <= exact + DEFAULT_TOL + 10.0 ** -VALUE_DECIMALS
 
 
-def _grid_rate_quantiles(mix, eps, denom=64):
-    """Rate quantile at every point of the 1/denom simplex grid, by plain numpy.
+def _grid_rate_quantiles(mix, eps, cost=None, denom=64):
+    """Rate quantile at every budget-feasible point of the 1/denom simplex grid, by plain numpy.
 
     I(P, W) = H(PW) - sum_x P(x) H(W(.|x)), and the quantile is the largest
     atom information whose strictly-below mass is at most eps: an independent
@@ -210,6 +210,8 @@ def _grid_rate_quantiles(mix, eps, denom=64):
     pts = np.array([c for c in itertools.product(range(denom + 1), repeat=k - 1)
                     if sum(c) <= denom])
     pts = np.column_stack([pts, denom - pts.sum(axis=1)]) / denom
+    if cost is not None:
+        pts = pts[pts @ cost.costs <= cost.gamma]
     infos = []
     for w in mix.components:
         q = pts @ w.rows
@@ -224,23 +226,26 @@ def _grid_rate_quantiles(mix, eps, denom=64):
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_inputs=st.sampled_from([3, 4]),
-       eps=st.floats(0.0, 0.9), budget=st.booleans())
+       eps=st.floats(0.0, 0.9), budget=st.sampled_from([None, "slack", "binding"]))
 def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, eps, budget):
-    """value <= upper_bound, value >= the best 1/64-grid input, value >= every component optimum.
+    """value <= upper_bound, value >= the best feasible 1/64-grid input, value >= every
+    component optimum.
 
-    The slack budget (gamma at the dearest letter) admits every input, so the
-    grid needs no filtering.  A component optimum is beaten only up to the
-    solver tolerance, because a set settled at an optimal-polytope vertex
-    reads that vertex, which is within DEFAULT_TOL of the capacity.
+    The slack budget (gamma at the dearest letter) admits every input; the
+    binding one (gamma halfway from the cheapest to the mean letter cost) cuts
+    the grid.  A component optimum is beaten only up to the solver tolerance,
+    because a set settled at an optimal-polytope vertex reads that vertex, which
+    is within DEFAULT_TOL of the capacity.
     """
     rng = np.random.default_rng(seed)
     mix = MixedChannel(tuple((float(w), random_dmc(rng, num_inputs, 3))
                              for w in rng.dirichlet(np.ones(3))))
     costs = rng.uniform(0.0, 1.0, num_inputs)
-    cost = CostSpec(costs, float(costs.max())) if budget else None
+    gamma = {"slack": costs.max(), "binding": 0.5 * (costs.min() + costs.mean())}.get(budget)
+    cost = None if budget is None else CostSpec(costs, float(gamma))
     res = eps_capacity(mix, cost, eps=eps)
     assert res.capacity <= res.upper_bound <= res.capacity + 2e-9
-    assert res.capacity >= _grid_rate_quantiles(mix, eps).max() - 1e-12
+    assert res.capacity >= _grid_rate_quantiles(mix, eps, cost).max() - 1e-12
     for comp in mix.components:
         p = constrained_capacity(comp, cost).optimal_input
         assert res.capacity >= rate_quantile(mix, p, eps) - DEFAULT_TOL

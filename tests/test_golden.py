@@ -40,6 +40,13 @@ CASES = {
     "second-order-bsc3-rate-high": ["second-order", "bsc3.json", "--eps", "0.35",
                                     "--rate", "0.9"],
     "check-well-ordered-cost2": ["check-well-ordered", "cost2.json"],
+    # pinned4.json pins the budget at two zero-cost letters; binding3.json binds it on 3 inputs
+    "capacity-pinned4": ["capacity", "pinned4.json"],
+    "check-well-ordered-pinned4": ["check-well-ordered", "pinned4.json"],
+    "eps-capacity-pinned4": ["eps-capacity", "pinned4.json", "--eps", "0.3"],
+    "capacity-binding3": ["capacity", "binding3.json"],
+    "check-well-ordered-binding3": ["check-well-ordered", "binding3.json"],
+    "eps-capacity-binding3": ["eps-capacity", "binding3.json", "--eps", "0.3"],
     "check-well-ordered-zbsc": ["check-well-ordered", "zbsc.json"],
     "fbl-feinstein-bsc3": _fbl("bsc3.json", 100, 0.3, "feinstein"),
     "fbl-hn-bsc3": _fbl("bsc3.json", 100, 0.3, "hn"),

@@ -1,4 +1,5 @@
 import glob
+import itertools
 import math
 import os
 
@@ -19,6 +20,7 @@ from mixcap import (
     output_distribution,
 )
 from mixcap.cli import load_spec
+from mixcap.optimizer import DEFAULT_TOL, _dual_bound, _tilt
 from conftest import bsc, bsc_capacity, random_dmc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -39,6 +41,7 @@ def test_bsc_capacity_oracle():
     res = constrained_capacity(bsc(0.11))
     assert res.capacity == pytest.approx(bsc_capacity(0.11), abs=1e-12)
     assert np.allclose(res.optimal_input.probs, [0.5, 0.5], atol=1e-9)
+    assert res.iterations == 54  # bisection steps until the bracket stops shrinking
     passed, slack = kt_verify(bsc(0.11), res.optimal_input, None, res.multiplier)
     assert passed
 
@@ -187,3 +190,77 @@ def test_three_letter_channel_with_cost():
         p = InputDist(rng.dirichlet(np.ones(3)))
         if cost.admits(p):
             assert mutual_information(p, w) <= res.capacity + 1e-7
+
+
+def _simplex_grid(k: int, denom: int) -> np.ndarray:
+    """Every input with denominator ``denom`` on k letters, one per row (stars and bars)."""
+    bars = np.array(list(itertools.combinations(range(denom + k - 1), k - 1)))
+    ends = np.full((len(bars), 1), denom + k - 1)
+    return (np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1) / denom
+
+
+def _grid_informations(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """I(P, W) = H(PW) - sum_x P(x) H(W(.|x)) at every row P of pts, for W without zeros."""
+    q = pts @ rows
+    return -(q * np.log(q)).sum(axis=1) + pts @ (rows * np.log(rows)).sum(axis=1)
+
+
+def _certified_binding_solve(w: Dmc, cost: CostSpec):
+    """Solve, then check the budget, the dual certificate and the Kuhn-Tucker slack."""
+    res = constrained_capacity(w, cost)
+    p = res.optimal_input.probs
+    assert p @ cost.costs <= cost.gamma + 1e-12
+    assert res.capacity <= _dual_bound(w, p, cost, res.multiplier) <= res.capacity + DEFAULT_TOL
+    assert res.kt_slack <= 1e-6
+    return res
+
+
+def test_binding_budget_solves_are_certified_and_beat_the_feasible_grid():
+    """gamma strictly between the cheapest cost and the free optimum's expected cost."""
+    rng = np.random.default_rng(5)
+    for k, denom in ((3, 60), (4, 24)) * 4:
+        w = random_dmc(rng, k, 3)
+        costs = rng.permutation(np.arange(k, dtype=float))
+        free_cost = constrained_capacity(w).optimal_input.probs @ costs
+        cost = CostSpec(costs, float(rng.uniform(0.1, 0.9) * free_cost))
+        res = _certified_binding_solve(w, cost)
+        pts = _simplex_grid(k, denom)
+        pts = pts[pts @ costs <= cost.gamma]
+        assert res.capacity >= _grid_informations(w.rows, pts).max() - 1e-12
+
+
+def test_binding_budget_that_stalled_the_multiplier_bisection():
+    """A bisection on the multiplier, one solve from uniform per step, raised
+    ConvergenceError here; 0.0745257 is this channel's capacity without the budget."""
+    w = Dmc([[0.42621226943489027, 0.5737877305651098],
+             [0.4929155934676378, 0.5070844065323622],
+             [0.1416556587862121, 0.8583443412137879]])
+    cost = CostSpec([0.0, 1.0, 2.0], 0.7735827146189712)
+    res = _certified_binding_solve(w, cost)
+    assert res.capacity == pytest.approx(0.0482350975, abs=1e-9)
+    pts = _simplex_grid(3, 400)
+    assert res.capacity >= _grid_informations(w.rows, pts[pts @ cost.costs <= cost.gamma]).max()
+
+
+def test_tilt_is_the_i_projection_onto_the_budget():
+    """p e^(-lam c), normalized, spends the budget and is the feasible input closest to p
+    in divergence, from any warm lam; a met budget leaves p alone, and a budget at the
+    cheapest cost conditions p on the cheapest letters (lam = inf)."""
+    rng = np.random.default_rng(4)
+    costs = np.array([0.0, 0.0, 1.0, 2.5])
+    p = rng.dirichlet(np.ones(4))
+    q, lam = _tilt(p, costs, float(p @ costs))
+    assert q is p and lam == 0.0
+    gamma = 0.5 * float(p @ costs)
+    q, lam = _tilt(p, costs, gamma)
+    assert lam > 0.0 and abs(q @ costs - gamma) <= 1e-13
+    assert np.allclose(np.log(q / p) + lam * costs, math.log(q[0] / p[0]), atol=1e-12)
+    for warm in (0.1 * lam, 10.0 * lam, 1e3):
+        q_warm, lam_warm = _tilt(p, costs, gamma, warm)
+        assert np.allclose(q_warm, q, atol=1e-12) and lam_warm == pytest.approx(lam, rel=1e-9)
+    feasible = rng.dirichlet(np.ones(4), size=300)
+    feasible = feasible[feasible @ costs <= gamma]
+    assert (np.sum(feasible * np.log(feasible / p), axis=1) >= q @ np.log(q / p) - 1e-12).all()
+    q, lam = _tilt(p, costs, 0.0)
+    assert lam == math.inf
+    assert np.array_equal(q, np.array([p[0], p[1], 0.0, 0.0]) / (p[0] + p[1]))
