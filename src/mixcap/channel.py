@@ -231,10 +231,10 @@ class SlackParams:
     gamma_slack: float = 1.0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not self.gamma_slack > 0:
-            raise ValueError("gamma_slack must be positive")
+        for name in ("eta", "gamma_slack"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
 # ---------------------------------------------------------------------------

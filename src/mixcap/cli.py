@@ -397,8 +397,9 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
     outs = [output_distribution(p, comp) for comp in mixed.components]
     if args.mc and args.trials is None:
         raise ValueError("--mc requires --trials")
-    if args.mc and args.bound == "exact":
-        raise ValueError("--mc does not apply to --bound exact")
+    if args.bound == "exact" and (args.mc or args.trials is not None):
+        raise ValueError("--mc and --trials do not apply to --bound exact: "
+                         "it has no Monte-Carlo path")
     mc = dict(mc_trials=args.trials, seed=args.seed, threads=args.threads, force_mc=args.mc)
     if args.bound == "feinstein":
         est = feinstein_bound(mixed, p, code, slack, **mc)

@@ -30,6 +30,7 @@ BOUNDARY_TOL = 1e-9
 ATOM_CAP = 10**6
 PAIR_CAP = 4 * 10**7
 MC_CHUNK = 4096
+MC_BLOCK = 1 << 15  # uniforms per row block; with its indices and atom values, 768 KiB: fits L2
 
 KIND_FEINSTEIN = "feinstein"
 KIND_HN = "hayashi_nagaoka"
@@ -425,6 +426,19 @@ def _tail_or_mc(w: Dmc, input_spec, q, n, z, mc_trials, seed, threads,
 # ---------------------------------------------------------------------------
 
 
+def _atom_index(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The atom each uniform draws: #{j : edges[j] <= u}, with edges = cum[:-1].
+
+    This equals ``searchsorted(cum, u, "right")`` clipped to the last atom, so
+    a cumulative sum that ends below 1 by rounding gives its top sliver to the
+    last atom.
+    """
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for edge in edges:
+        idx += u >= edge
+    return idx
+
+
 def mc_tail(
     w: Dmc,
     input_spec,
@@ -438,8 +452,13 @@ def mc_tail(
 ) -> BoundEstimate:
     """Unbiased MC estimate of P{(1/n) sum of density <= threshold}.
 
-    Uses one counter-based generator stream per fixed-size chunk of trials,
-    so results are bit-identical for any thread count.
+    Each chunk of ``MC_CHUNK`` trials has its own counter-based generator
+    stream.  For each letter part in turn, the chunk draws a (trials,
+    letters) array of uniforms row-major, processed in row blocks of about
+    ``MC_BLOCK`` uniforms that stay in L2 cache.  Each uniform picks an atom
+    by the cumulative edges (``_atom_index``), and each trial's letters are
+    summed in one row, so results are bit-identical for any ``threads`` value
+    and any row-block size.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -447,20 +466,21 @@ def mc_tail(
         return BoundEstimate(1.0, KIND_MC, 0.0, 0, seed)
     if threshold == -math.inf:
         return BoundEstimate(0.0, KIND_MC, 0.0, 0, seed)
-    blocks = [(cnt, np.cumsum(a.probs), a.values)
+    blocks = [(cnt, np.cumsum(a.probs)[:-1], a.values)
               for a, cnt in _letter_parts(w, input_spec, q, n, numer)]
     cut = threshold * n + BOUNDARY_TOL
 
     def run_chunk(c: int) -> int:
-        lo = c * MC_CHUNK
-        size = min(MC_CHUNK, trials - lo)
+        size = min(MC_CHUNK, trials - c * MC_CHUNK)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, c]))
         sums = np.zeros(size)
-        for cnt, cum, values in blocks:
-            u = rng.random((size, cnt))
-            idx = np.searchsorted(cum, u, side="right")
-            np.clip(idx, 0, len(values) - 1, out=idx)
-            sums += values[idx].sum(axis=1)
+        for cnt, edges, values in blocks:
+            rows = max(1, MC_BLOCK // cnt)
+            buf = np.empty(min(rows, size) * cnt)
+            for r0 in range(0, size, rows):
+                u = buf[:min(rows, size - r0) * cnt].reshape(-1, cnt)
+                rng.random(out=u)
+                sums[r0:r0 + len(u)] += values[_atom_index(edges, u)].sum(axis=1)
         return int(np.count_nonzero(sums <= cut))
 
     n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK

@@ -181,6 +181,11 @@ def test_slack_params_validation():
         SlackParams(eta=0.0)
     with pytest.raises(ValueError):
         SlackParams(eta=0.1, gamma_slack=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive"):
+            SlackParams(eta=bad)
+        with pytest.raises(ValueError, match="finite positive"):
+            SlackParams(eta=0.1, gamma_slack=bad)
     sp = SlackParams(eta=0.1, gamma_slack=2.0)
     assert sp.gamma_slack == 2.0
 

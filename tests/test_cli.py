@@ -242,12 +242,20 @@ BAD_SPECS = {
     (["capacity", "{cost2}", "--gamma", "inf"], "gamma"),
     (["capacity", "{cost2}", "--gamma", "-inf"], "--gamma"),  # argparse reads -inf as a flag
     (["check-well-ordered", "{bsc3}", "--grid", "0"], "--grid"),  # an unknown flag
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--eta", "inf"],
+     "eta"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "hn", "--eta", "inf", "--mc",
+      "--trials", "100", "--seed", "3"], "eta"),
+    (["validate-lemmas", "{mix2x2}", "--n", "6", "--gamma-slack", "inf"], "gamma_slack"),
+    (["fbl", "{mix2x2}", "--n", "100", "--rate", "0.3", "--bound", "exact", "--trials", "1000"],
+     "--trials"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
              for name, doc in BAD_SPECS.items()}
     argv = [a.format(pair=pair_spec, bsc3=os.path.join(GOLDEN, "bsc3.json"),
-                     cost2=os.path.join(GOLDEN, "cost2.json"), **paths)
+                     cost2=os.path.join(GOLDEN, "cost2.json"),
+                     mix2x2=os.path.join(GOLDEN, "mix2x2.json"), **paths)
             for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -26,6 +26,8 @@ from mixcap import (
     output_distribution,
     per_letter_spectrum,
 )
+from mixcap import spectrum
+from mixcap.spectrum import BOUNDARY_TOL, MC_CHUNK, _atom_index, _letter_parts
 from mixcap.types_toolkit import TypeClass, count_types
 from conftest import bsc, random_dmc
 
@@ -236,6 +238,96 @@ def test_mc_tail_reproducible_across_threads(uniform2):
     b = mc_tail(w, uniform2, q, 50, thresh, trials=20_000, seed=99, threads=4)
     assert a.value == b.value
     assert a.trials == 20_000 and a.seed == 99
+
+
+def _mc_tail_unblocked(w, input_spec, q, n, threshold, trials, seed, numer=None):
+    """(value, stderr, trials) of the sampler before row blocking: searchsorted
+    and clip on each chunk's full (size, cnt) array of uniforms."""
+    parts = [(cnt, np.cumsum(a.probs), a.values)
+             for a, cnt in _letter_parts(w, input_spec, q, n, numer)]
+    cut = threshold * n + BOUNDARY_TOL
+    hits = 0
+    for c in range((trials + MC_CHUNK - 1) // MC_CHUNK):
+        size = min(MC_CHUNK, trials - c * MC_CHUNK)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, c]))
+        sums = np.zeros(size)
+        for cnt, cum, values in parts:
+            idx = np.searchsorted(cum, rng.random((size, cnt)), side="right")
+            np.clip(idx, 0, len(values) - 1, out=idx)
+            sums += values[idx].sum(axis=1)
+        hits += int(np.count_nonzero(sums <= cut))
+    p_hat = hits / trials
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials), trials
+
+
+def _sampler_cases(rng, count):
+    """(w, input spec, q, n, threshold, numer) over random letter laws.
+
+    Rows get random zeros and row 0 is noiseless, so under a composition
+    letter 0 has a single atom; i.i.d. and fixed-composition inputs each come
+    with and without a numerator.
+    """
+    for _ in range(count):
+        kx, ky = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.ones(ky), size=kx) * (rng.random((kx, ky)) < 0.6)
+        rows[0] = 0.0
+        rows[np.arange(kx), rng.integers(0, ky, kx)] += 1.0 - rows.sum(axis=1)
+        w = Dmc(rows)
+        p = InputDist(rng.dirichlet(np.ones(kx)))
+        q = output_distribution(p, w)
+        n = int(rng.integers(3, 30))
+        comp = TypeClass(rng.multinomial(n - 1, p.probs) + np.eye(kx, dtype=int)[0], n)
+        numer = w.rows + rng.random((kx, ky))
+        for num in (None, numer):
+            z = per_letter_spectrum(p, w, q, num).mean() + float(rng.normal(0.0, 0.05))
+            yield w, p, q, n, z, num
+            yield w, comp, q, n, z, num
+
+
+@pytest.mark.parametrize("block", [None, 50])
+def test_mc_tail_matches_unblocked_sampler(block, monkeypatch):
+    """The row-blocked sampler is bit-identical to searchsorted + clip on whole chunks."""
+    if block is not None:
+        monkeypatch.setattr(spectrum, "MC_BLOCK", block)
+    rng = np.random.default_rng(17)
+    cases = list(_sampler_cases(rng, 6))
+    # 60 letters are wider than a 50-uniform row block, so each block holds one trial
+    w, p = bsc(0.2), InputDist([0.3, 0.7])
+    q = output_distribution(p, w)
+    z = mutual_information(p, w)
+    cases += [(w, p, q, 60, z, None), (w, TypeClass(np.array([20, 40]), 60), q, 60, z, None)]
+    # ten atoms of mass 0.1 each: their cumulative sum ends at 1 - 2^-53
+    tenths = Dmc([[0.1] * 10, rng.dirichlet(np.ones(10))])
+    q = rng.dirichlet(np.ones(10))
+    cases.append((tenths, TypeClass(np.array([9, 0]), 9), q, 9, float(np.mean(np.log(0.1 / q))),
+                  None))
+    sums_below_one = one_atom_letters = inner = 0
+    for w, spec, q, n, z, numer in cases:
+        for a, _ in _letter_parts(w, spec, q, n, numer):
+            sums_below_one += np.cumsum(a.probs)[-1] < 1.0
+            one_atom_letters += len(a.values) == 1
+        for trials, threads in ((MC_CHUNK + 37, 1), (2 * MC_CHUNK + 1, 3), (5, 3)):
+            seed = int(rng.integers(2**40))
+            est = mc_tail(w, spec, q, n, z, trials, seed, threads=threads, numer=numer)
+            assert (est.value, est.stderr, est.trials) == \
+                _mc_tail_unblocked(w, spec, q, n, z, trials, seed, numer)
+            inner += 0.0 < est.value < 1.0
+    # the laws reach both edge cases, and most estimates are not a bare 0 or 1
+    assert sums_below_one and one_atom_letters
+    assert inner > 2 * len(cases)
+
+
+def test_atom_index_is_clipped_searchsorted():
+    rng = np.random.default_rng(29)
+    for n_atoms in (1, 2, 5, 60):
+        cum = np.cumsum(rng.dirichlet(np.ones(n_atoms)))
+        # the second law's cumulative sum ends below 1, as rounding can leave it
+        for c in (cum, cum * (1.0 - 1e-9)):
+            u = np.concatenate([rng.random(2000), c, np.nextafter(c, 0.0),
+                                [0.0, np.nextafter(1.0, 0.0)]])
+            want = np.clip(np.searchsorted(c, u, side="right"), 0, n_atoms - 1)
+            assert np.array_equal(_atom_index(c[:-1], u), want)
+            assert np.array_equal(_atom_index(c[:-1], u.reshape(2, -1)), want.reshape(2, -1))
 
 
 def test_berry_esseen_consistency(uniform2):
