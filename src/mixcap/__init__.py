@@ -50,7 +50,6 @@ from .well_ordered import (
     NotWellOrderedError,
     WellOrderReport,
     check_well_ordered,
-    more_capable,
 )
 from .spectrum import (
     AtomDist,

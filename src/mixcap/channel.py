@@ -43,6 +43,8 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 def _check_prob_vector(v: np.ndarray, what: str) -> None:
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{what} must be a non-empty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} has non-finite entries")
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise ValueError(f"{what} has entries outside [0, 1]")
     s = float(v.sum())

@@ -57,8 +57,8 @@ class SecondOrderResult:
 
 
 def _check_tie_tol(tie_tol: float) -> None:
-    if tie_tol < 0:
-        raise ValueError("tie_tol must be nonnegative")
+    if not (math.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError("tie_tol must be finite and nonnegative")
 
 
 def _classify(values, weights, r: float, tie_tol: float):

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import (DominationError, Dmc, InputDist, MixedChannel, SlackParams,
                       log_density, output_distribution)
 from .optimizer import ConvergenceError
-from .types_toolkit import TypeClass, count_types
+from .types_toolkit import TypeClass
 
 BOUNDARY_TOL = 1e-9
 ATOM_CAP = 10**6
@@ -301,7 +301,6 @@ def hayashi_nagaoka_bound(
     q,
     slack: SlackParams,
     input_spec=None,
-    q_family: str = "product",
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -309,25 +308,16 @@ def hayashi_nagaoka_bound(
 ) -> BoundEstimate:
     """Converse: P{density <= rate - eta} - exp(-n eta), clipped to [0, 1].
 
-    ``q`` is a single-letter reference; ``q_family`` may be "product" or
-    "type-mixture" (the latter shifts the threshold by -log(N_n + 1)/n and
-    keeps q as the extra reference term, a valid single-reference evaluation
-    of the mixture-of-types family).  For true mixtures the component laws
-    are replaced by their pointwise maximum (flagged), which keeps the
-    converse direction; with one component the maximum is the channel itself.
+    ``q`` is a single-letter reference, taken as a product law.  For true
+    mixtures the component laws are replaced by their pointwise maximum
+    (flagged), which keeps the converse direction; with one component the
+    maximum is the channel itself.
     """
     mixed = _as_mixed(channel)
     n, eta = code.n, slack.eta
     input_spec = _input_spec(code, input_spec)
     z = code.rate - eta
-    notes = []
-    if q_family == "type-mixture":
-        z -= math.log(count_types(mixed.num_inputs, n) + 1) / n
-        notes.append("type-mixture family via single-reference evaluation")
-    elif q_family != "product":
-        raise ValueError(f"unknown q family {q_family!r}")
-    if mixed.num_atoms > 1:
-        notes.append("mixed-law surrogate: max-envelope numerator")
+    note = "mixed-law surrogate: max-envelope numerator" if mixed.num_atoms > 1 else ""
     # pointwise maximum of the component laws: not stochastic, used only as
     # the numerator inside the statistic, which keeps the converse direction
     env = np.stack([comp.rows for comp in mixed.components]).max(axis=0)
@@ -336,7 +326,7 @@ def hayashi_nagaoka_bound(
                                            [z - math.log(k) / n] * k, n,
                                            mc_trials, seed, threads, force_mc, numer=env)
     return BoundEstimate(_clip01(total - math.exp(-n * eta)), KIND_HN, stderr, trials,
-                         seed, "; ".join(notes))
+                         seed, note)
 
 
 def mixed_converse_bound(

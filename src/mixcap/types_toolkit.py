@@ -2,8 +2,13 @@
 
 Everything here works type-wise: membership conditions and tail statistics
 that depend on sequences only through their (joint) type are evaluated once
-per type with exact multiplicities, never per sequence.  This keeps the
-desk-scale validations (small n, small alphabets) exact and fast.
+per type with exact multiplicities, never per sequence.  One enumerator,
+``enumerate_types``, lists the types as rows of an int array; a joint type
+is a type over the letter pairs, flattened row-major.  Every statistic is
+computed for all types at once: sums of counts times log-probabilities,
+log-multinomials from one table of log k!, and log-sum-exps over atoms or
+over the joint types of one output type.  This keeps the desk-scale
+validations (small n, small alphabets) exact and fast.
 """
 
 from __future__ import annotations
@@ -86,46 +91,45 @@ def count_types(num_symbols: int, n: int) -> int:
     return math.comb(n + num_symbols - 1, num_symbols - 1)
 
 
-def compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``.
+def enumerate_types(num_symbols: int, n: int) -> np.ndarray:
+    """All compositions of n into num_symbols parts, one per row.
 
-    Lexicographic order, first part slowest; tie-breaking in the searches
-    depends on this order.
+    Stars and bars: the positions of num_symbols - 1 bars among n + num_symbols - 1
+    slots come from ``itertools.combinations`` and the parts are the gaps
+    between them.  Lexicographic order, first part slowest.  The count is
+    checked against ``ENUM_CAP`` before anything is allocated.
     """
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
-def enumerate_types(num_symbols: int, n: int):
-    """All compositions of n into num_symbols parts, as TypeClass objects."""
     total = count_types(num_symbols, n)
     if total > ENUM_CAP:
         raise EnumerationCapError(f"{total} types exceed the cap {ENUM_CAP}")
-    assert total <= (n + 1) ** num_symbols
-    out = [TypeClass(np.array(c, dtype=int), n) for c in compositions(n, num_symbols)]
-    assert len(out) == total
+    bars = num_symbols - 1
+    pos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + bars), bars)),
+                      dtype=int, count=total * bars)
+    return np.diff(pos.reshape(total, bars), axis=1, prepend=-1, append=n + bars) - 1
+
+
+def _counts_log(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
+    """counts @ log_table.T (types by table rows), with 0 * (-inf) treated as 0."""
+    finite = np.isfinite(log_table)
+    out = counts @ np.where(finite, log_table, 0.0).T
+    out[(counts > 0) @ ~finite.T] = -np.inf
     return out
 
 
-def _logsumexp(vals: np.ndarray) -> float:
-    hi = np.max(vals)
-    if hi == -np.inf:
-        return -np.inf
-    return float(hi + np.log(np.sum(np.exp(vals - hi))))
+def _logsumexp(vals: np.ndarray, groups=None, num_groups: int = 1) -> np.ndarray:
+    """log sum exp over the rows of ``vals`` within each group (all rows by default).
 
-
-def _dot_counts_log(counts: np.ndarray, logv: np.ndarray) -> float:
-    """sum counts * logv over active cells, with 0 * (-inf) treated as 0."""
-    counts = counts.reshape(-1)
-    logv = logv.reshape(-1)
-    active = counts > 0
-    if np.any(~np.isfinite(logv[active])):
-        return -np.inf
-    return float(np.sum(counts[active] * logv[active]))
+    Returns one row per group; -inf where every entry of a group is -inf.
+    """
+    if groups is None:
+        groups = np.zeros(len(vals), dtype=int)
+    hi = np.full((num_groups,) + vals.shape[1:], -np.inf)
+    np.maximum.at(hi, groups, vals)
+    hi[~np.isfinite(hi)] = 0.0
+    total = np.zeros_like(hi)
+    np.add.at(total, groups, np.exp(vals - hi[groups]))
+    with np.errstate(divide="ignore"):  # log 0 = -inf for an all -inf group
+        return hi + np.log(total)
 
 
 def _reference_laws(mixed: MixedChannel, q_list) -> Dmc:
@@ -136,14 +140,17 @@ def _reference_laws(mixed: MixedChannel, q_list) -> Dmc:
     return refs
 
 
-def _dominated(weights: np.ndarray, log_laws, count_matrices, slack: float) -> np.ndarray:
-    """Atoms whose law stays within exp(slack) of the mixture law at every count matrix."""
-    logw = np.log(weights)
-    member = np.ones(len(weights), dtype=bool)
-    for counts in count_matrices:
-        log_each = np.array([_dot_counts_log(counts, log_law) for log_law in log_laws])
-        member &= log_each <= slack + _logsumexp(logw + log_each) + 1e-12
-    return member
+def _log_laws(log_laws: np.ndarray, counts: np.ndarray, weights: np.ndarray):
+    """Per-type log-probabilities of each atom's law (types by atoms), and of their mixture."""
+    log_each = _counts_log(counts, log_laws.reshape(len(log_laws), -1))
+    return log_each, _logsumexp((np.log(weights) + log_each).T)[0]
+
+
+def _dominated(weights: np.ndarray, log_laws: np.ndarray, counts: np.ndarray,
+               slack: float) -> np.ndarray:
+    """Atoms whose law stays within exp(slack) of the mixture law at every count vector."""
+    log_each, log_mix = _log_laws(log_laws, counts, weights)
+    return np.all(log_each <= slack + log_mix[:, None] + 1e-12, axis=0)
 
 
 def expurgated_space(mixed: MixedChannel, q_list, n: int) -> ExpurgationReport:
@@ -152,44 +159,24 @@ def expurgated_space(mixed: MixedChannel, q_list, n: int) -> ExpurgationReport:
     An atom is a member when its n-letter product output law never exceeds
     exp(n^(1/4)) times the mixture law (checked per output type) and its
     n-letter channel law never exceeds exp(n^(1/4)) times the mixture channel
-    (checked per joint type).
+    (checked per joint type, a type over the kx * ky letter pairs).
     """
     kx, ky = mixed.num_inputs, mixed.num_outputs
     slack = n ** 0.25
     refs = _reference_laws(mixed, q_list)
-    member = _dominated(mixed.weights, refs.log_rows,
-                        (t.counts for t in enumerate_types(ky, n)), slack)
-    member &= _dominated(mixed.weights, [comp.log_rows for comp in mixed.components],
-                         _joint_count_matrices_total(kx, ky, n), slack)
+    member = _dominated(mixed.weights, refs.log_rows, enumerate_types(ky, n), slack)
+    member &= _dominated(mixed.weights, np.stack([comp.log_rows for comp in mixed.components]),
+                         enumerate_types(kx * ky, n), slack)
     mass = float(np.sum(mixed.weights[member]))
     bound = 1.0 - 2.0 * (n + 1) ** (kx * ky) * math.exp(-slack)
     return ExpurgationReport(tuple(bool(b) for b in member), mass, bound, n)
 
 
-def _joint_count_matrices_total(kx: int, ky: int, n: int):
-    """All kx-by-ky nonnegative integer matrices summing to n."""
-    total = count_types(kx * ky, n)
-    if total > ENUM_CAP:
-        raise EnumerationCapError(f"{total} joint types exceed the cap {ENUM_CAP}")
-    for flat in compositions(n, kx * ky):
-        yield np.array(flat, dtype=int).reshape(kx, ky)
-
-
-def _joint_matrices_with_rows(row_sums, ky: int):
-    """All count matrices with the given row sums."""
-    per_row = []
-    for m in row_sums:
-        per_row.append([np.array(c, dtype=int)
-                        for c in compositions(int(m), ky)])
-    for rows in itertools.product(*per_row):
-        yield np.stack(rows)
-
-
-def _log_multinomial(total: int, parts) -> float:
-    v = math.lgamma(total + 1)
-    for p in parts:
-        v -= math.lgamma(int(p) + 1)
-    return v
+def _tails(stat: np.ndarray, probs: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The total of ``probs`` over the entries with stat <= t, for each threshold t."""
+    order = np.argsort(stat, kind="stable")
+    cum = np.concatenate(([0.0], np.cumsum(probs[order])))
+    return cum[np.searchsorted(stat[order], thresholds, side="right")]
 
 
 @dataclass(frozen=True)
@@ -227,90 +214,63 @@ def decomposition_check(
     bounds the mixed statistic against the component's own output law, the
     lower one against the supplied per-atom reference outputs, which must
     dominate the component on the composition's letters (else
-    ``DominationError``).  All tails are exact sums over joint types.
+    ``DominationError``).  All tails are exact sums over the joint types whose
+    row sums are the composition; those of zero probability under an atom's
+    channel are left out of its statistics.
     """
     if composition.n != n:
         raise ValueError("composition blocklength does not match n")
-    kx, ky = mixed.num_inputs, mixed.num_outputs
     gamma = slack.gamma_slack
     shift = gamma / math.sqrt(n) + n ** -0.75
     leak = math.exp(-math.sqrt(n) * gamma)
     expur = expurgated_space(mixed, q_list, n)
     members = [i for i, m in enumerate(expur.member_mask) if m]
-    weights = mixed.weights
-    logw = np.log(weights)
     m_counts = composition.counts
-    log_t_size = _log_multinomial(n, m_counts)
-
-    joints = list(_joint_matrices_with_rows(m_counts, ky))
     refs = _reference_laws(mixed, q_list)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])  # log k!
 
-    # per joint type: component log-probs of W_k^n(y|x), x of the composition
-    log_wn = np.array([
-        [_dot_counts_log(J, comp.log_rows) for J in joints]
-        for comp in mixed.components
-    ])
-    # per joint type: the n-letter information density of W_k against q_k^n
-    dens = [log_density(m_counts, comp, q) for comp, q in zip(mixed.components, refs.rows)]
-    log_dens_n = np.array([[_dot_counts_log(J, d) for J in joints] for d in dens])
-    log_mix_wn = np.array([_logsumexp(logw + log_wn[:, j]) for j in range(len(joints))])
-    # probability that the joint type of (x, Y_k) equals J
-    log_pr = np.array([
-        [
-            sum(_log_multinomial(int(m_counts[a]), J[a]) for a in range(kx)) + log_wn[k][j]
-            for j, J in enumerate(joints)
-        ]
-        for k in range(mixed.num_atoms)
-    ])
+    # the joint types with the composition as row sums: the rows' types, crossed
+    rows = [enumerate_types(mixed.num_outputs, int(m)) for m in m_counts]
+    picks = np.indices([len(r) for r in rows]).reshape(len(rows), -1)
+    joints = np.stack([r[i] for r, i in zip(rows, picks)], axis=1)  # joint x input x output
+    flat = joints.reshape(len(joints), -1)
+    log_fact_joint = log_fact[flat].sum(axis=1)
+    out_types, of = np.unique(joints.sum(axis=1), axis=0, return_inverse=True)
+    of = of.reshape(-1)  # numpy 2.0.0 returns it 2-D
 
-    # sequence-level output laws, indexed by output type
-    out_types = {}
-    for j, J in enumerate(joints):
-        t = tuple(int(v) for v in J.sum(axis=0))
-        out_types.setdefault(t, []).append(j)
-    log_py = {}   # per (component, output type): log P_{Y_k^n}(y) for y of that type
-    for t, idxs in out_types.items():
-        col_mult = []
-        for j in idxs:
-            J = joints[j]
-            col_mult.append(sum(_log_multinomial(t[b], J[:, b]) for b in range(ky)))
-        for k in range(mixed.num_atoms):
-            vals = np.array([col_mult[i] + log_wn[k][j] for i, j in enumerate(idxs)])
-            log_py[(k, t)] = _logsumexp(vals) - log_t_size
-    log_py_mix = {
-        t: _logsumexp(np.array([logw[k] + log_py[(k, t)] for k in range(mixed.num_atoms)]))
-        for t in out_types
-    }
-    log_qn = {
-        t: np.array([_dot_counts_log(np.array(t), refs.log_rows[k])
-                     for k in range(mixed.num_atoms)])
-        for t in out_types
-    }
-    log_qn_mix = {t: _logsumexp(logw + log_qn[t]) for t in out_types}
+    # per joint type and atom: log W_k^n(y|x) for x of the composition, and the
+    # n-letter information density of W_k against q_k^n
+    log_wn, log_mix_wn = _log_laws(np.stack([comp.log_rows for comp in mixed.components]),
+                                   flat, mixed.weights)
+    log_dens_n = _counts_log(flat, np.stack([
+        log_density(m_counts, comp, q).reshape(-1)
+        for comp, q in zip(mixed.components, refs.rows)]))
+    # probability that the joint type of (x, Y_k) is J
+    log_pr = log_fact[m_counts].sum() - log_fact_joint[:, None] + log_wn
+    # per output type and atom: log P_{Y_k^n}(y) for y of that type, the
+    # multinomial of the columns counting the x-sequences of the composition
+    log_col = log_fact[out_types].sum(axis=1)[of] - log_fact_joint
+    log_t_size = log_fact[n] - log_fact[m_counts].sum()
+    log_py = _logsumexp(log_col[:, None] + log_wn, of, len(out_types)) - log_t_size
+    log_py_mix = _logsumexp((np.log(mixed.weights) + log_py).T)[0]
+    _, log_qn_mix = _log_laws(refs.log_rows, out_types, mixed.weights)
 
-    t_of = [tuple(int(v) for v in J.sum(axis=0)) for J in joints]
-
-    def tail(stat: np.ndarray, probs_log: np.ndarray, z: float) -> float:
-        mask = stat <= z * n + 1e-12
-        if not np.any(mask):
-            return 0.0
-        return float(np.exp(_logsumexp(probs_log[mask])))
-
+    zs = np.asarray(z_grid, dtype=float)
     failures = []
     for k in members:
-        pr_k = log_pr[k]
-        stat_upper_lhs = np.array([log_mix_wn[j] - log_py_mix[t_of[j]] for j in range(len(joints))])
-        stat_upper_rhs = np.array([log_wn[k][j] - log_py[(k, t_of[j])] for j in range(len(joints))])
-        stat_lower_lhs = np.array([log_mix_wn[j] - log_qn_mix[t_of[j]] for j in range(len(joints))])
-        for z in z_grid:
-            lhs_u = tail(stat_upper_lhs, pr_k, z)
-            rhs_u = tail(stat_upper_rhs, pr_k, z + shift) + leak
-            if lhs_u > rhs_u + 1e-10:
-                failures.append(DecompositionFailure("upper", k, float(z), lhs_u, rhs_u))
-            lhs_l = tail(stat_lower_lhs, pr_k, z)
-            rhs_l = tail(log_dens_n[k], pr_k, z - shift) - leak
-            if lhs_l < rhs_l - 1e-10:
-                failures.append(DecompositionFailure("lower", k, float(z), lhs_l, rhs_l))
+        keep = np.isfinite(log_wn[:, k])
+        pr, t = np.exp(log_pr[keep, k]), of[keep]
+        lhs_u = _tails(log_mix_wn[keep] - log_py_mix[t], pr, zs * n + 1e-12)
+        rhs_u = _tails(log_wn[keep, k] - log_py[t, k], pr, (zs + shift) * n + 1e-12) + leak
+        lhs_l = _tails(log_mix_wn[keep] - log_qn_mix[t], pr, zs * n + 1e-12)
+        rhs_l = _tails(log_dens_n[keep, k], pr, (zs - shift) * n + 1e-12) - leak
+        for i, z in enumerate(zs):
+            if lhs_u[i] > rhs_u[i] + 1e-10:
+                failures.append(DecompositionFailure("upper", k, float(z), float(lhs_u[i]),
+                                                     float(rhs_u[i])))
+            if lhs_l[i] < rhs_l[i] - 1e-10:
+                failures.append(DecompositionFailure("lower", k, float(z), float(lhs_l[i]),
+                                                     float(rhs_l[i])))
 
     return DecompositionReport(not failures, tuple(failures), n, gamma,
                                tuple(members), tuple(float(z) for z in z_grid))

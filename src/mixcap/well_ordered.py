@@ -11,15 +11,14 @@ up to the stated tolerance, and any recorded violation refutes them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .channel import CostSpec, Dmc, InputDist, MixedChannel, mutual_information
+from .channel import CostSpec, InputDist, MixedChannel, mutual_information
 from .first_order import build_quantile_curve
 from .optimizer import capacity_achieving_set
-from .types_toolkit import compositions
 
 DEFAULT_ORDER_TOL = 1e-7
-MORE_CAPABLE_GRID = 64
 
 
 class NotWellOrderedError(RuntimeError):
@@ -53,25 +52,6 @@ class WellOrderReport:
             raise ValueError("report inconsistent: violations must be empty iff well-ordered")
 
 
-def _simplex_grid(k: int, denom: int):
-    """All probability vectors with denominator ``denom`` on the k-simplex."""
-    for counts in compositions(denom, k):
-        yield InputDist([c / denom for c in counts])
-
-
-def more_capable(w1: Dmc, w2: Dmc) -> bool:
-    """True when I(P, w1) <= I(P, w2) + 1e-9 at every point of the 1/64 simplex grid.
-
-    A necessary-condition check at that resolution, not a certificate.
-    """
-    if w1.rows.shape != w2.rows.shape:
-        raise ValueError("channels must share alphabets")
-    for p in _simplex_grid(w1.num_inputs, MORE_CAPABLE_GRID):
-        if mutual_information(p, w1) > mutual_information(p, w2) + 1e-9:
-            return False
-    return True
-
-
 def check_well_ordered(
     mixed: MixedChannel,
     cost: CostSpec | None = None,
@@ -83,8 +63,8 @@ def check_well_ordered(
     list makes the closedness hypothesis vacuous.  Each component is solved
     once, inside its vertex set; the report keeps the sets.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ def test_validate_lemmas_command(pair_spec, capsys):
     assert "decomposition_pass,1" in out
 
 
+def test_validate_lemmas_zero_entries_raise_no_warning(capsys):
+    """zbsc.json has W(1|0) = 0: joint types of zero probability stay out of the statistics."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["validate-lemmas", os.path.join(GOLDEN, "zbsc.json"), "--n", "6"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
 ONE_ATOM = [{"weight": 1.0, "rows": [[0.9, 0.1], [0.2, 0.8]]}]
 
 # malformed spec files, each run as "capacity {name}"
@@ -249,13 +259,22 @@ BAD_SPECS = {
     (["validate-lemmas", "{mix2x2}", "--n", "6", "--gamma-slack", "inf"], "gamma_slack"),
     (["fbl", "{mix2x2}", "--n", "100", "--rate", "0.3", "--bound", "exact", "--trials", "1000"],
      "--trials"),
+    (["check-well-ordered", "{multi5}", "--tol", "nan"], "tol"),
+    (["check-well-ordered", "{multi5}", "--tol", "inf"], "tol"),
+    (["second-order", "{mix2x2}", "--eps", "0.3", "--tie-tol", "nan"], "tie_tol"),
+    (["second-order", "{mix2x2}", "--eps", "0.3", "--tie-tol", "inf"], "tie_tol"),
+    (["fbl", "{mix2x2}", "--n", "20", "--rate", "0.2", "--bound", "feinstein",
+      "--input-probs", "nan,1"], "input distribution"),
+    (["validate-lemmas", "{mix2x2}", "--n", "6", "--input-probs", "nan,1"],
+     "input distribution"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
              for name, doc in BAD_SPECS.items()}
     argv = [a.format(pair=pair_spec, bsc3=os.path.join(GOLDEN, "bsc3.json"),
                      cost2=os.path.join(GOLDEN, "cost2.json"),
-                     mix2x2=os.path.join(GOLDEN, "mix2x2.json"), **paths)
+                     mix2x2=os.path.join(GOLDEN, "mix2x2.json"),
+                     multi5=os.path.join(GOLDEN, "multi5.json"), **paths)
             for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()

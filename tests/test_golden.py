@@ -59,6 +59,7 @@ CASES = {
     "fbl-feinstein-bsc1-mc": _fbl("bsc1.json", 100, 0.3, "feinstein",
                                   "--mc", "--trials", "20000", "--seed", "5"),
     "validate-lemmas-mix2x2": ["validate-lemmas", "mix2x2.json", "--n", "6"],
+    "validate-lemmas-cost3": ["validate-lemmas", "cost3.json", "--n", "6", "10"],
     # zbsc.json has a component with zero entries: the densities' -inf cells
     "capacity-zbsc": ["capacity", "zbsc.json"],
     "second-order-zbsc": ["second-order", "zbsc.json", "--eps", "0.3"],
@@ -66,6 +67,7 @@ CASES = {
     "fbl-hn-zbsc": _fbl("zbsc.json", 60, 0.4, "hn"),
     "fbl-mixed-converse-zbsc": _fbl("zbsc.json", 60, 0.3, "mixed-converse"),
     "fbl-exact-zbsc": _fbl("zbsc.json", 60, 0.3, "exact"),
+    "validate-lemmas-zbsc": ["validate-lemmas", "zbsc.json", "--n", "6", "10"],
 }
 
 

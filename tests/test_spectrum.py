@@ -28,7 +28,7 @@ from mixcap import (
 )
 from mixcap import spectrum
 from mixcap.spectrum import BOUNDARY_TOL, MC_CHUNK, _atom_index, _letter_parts
-from mixcap.types_toolkit import TypeClass, count_types
+from mixcap.types_toolkit import TypeClass
 from conftest import bsc, random_dmc
 
 
@@ -465,22 +465,3 @@ def test_mc_tail_kind():
     w = bsc(0.11)
     est = mc_tail(w, InputDist([0.5, 0.5]), [0.5, 0.5], 10, 0.3, 1000, 0)
     assert est.kind == "mc" and est.trials == 1000
-
-
-def test_hn_type_mixture_is_product_bound_at_shifted_rate(uniform2, bsc_pair):
-    """q_family="type-mixture" is the product bound at R - log(N_n + 1)/n."""
-    n, rate = 40, 0.5
-    slack = SlackParams(eta=0.05)
-    q = output_distribution(uniform2, bsc(0.11))
-    shift = math.log(count_types(2, n) + 1) / n
-    for channel in (bsc(0.11), bsc_pair):
-        mix = hayashi_nagaoka_bound(channel, CodeParams.from_rate(n, rate), q, slack,
-                                    input_spec=uniform2, q_family="type-mixture")
-        prod = hayashi_nagaoka_bound(channel, CodeParams.from_rate(n, rate - shift), q, slack,
-                                     input_spec=uniform2)
-        assert 0.0 < prod.value < 1.0
-        assert mix.value == pytest.approx(prod.value, abs=1e-12)
-        assert "type-mixture" in mix.note
-    with pytest.raises(ValueError, match="unknown q family"):
-        hayashi_nagaoka_bound(bsc(0.11), CodeParams.from_rate(n, rate), q, slack,
-                              input_spec=uniform2, q_family="types")

@@ -10,7 +10,6 @@ from mixcap import (
     constrained_capacity,
     eps_capacity_well_ordered,
     mutual_information,
-    more_capable,
     rate_quantile,
 )
 from conftest import bsc, bsc_capacity, z_channel_matching
@@ -88,21 +87,6 @@ def test_equal_capacity_violation_at_a_budget_cut_vertex_caught():
     (v,) = report.violations
     assert (v.theta, v.theta_prime) == (0, 1) and "equal capacities" in v.required
     assert v.rep_input.probs[1] == pytest.approx(0.3, abs=1e-12)
-
-
-def test_more_capable_examples():
-    assert more_capable(bsc(0.2), bsc(0.05))
-    assert more_capable(bsc(0.2), bsc(0.2))
-    assert not more_capable(bsc(0.05), bsc(0.2))
-    with pytest.raises(ValueError):
-        more_capable(bsc(0.1), Dmc([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]))
-
-
-def test_more_capable_transitive_on_grid():
-    chain = [bsc(0.3), bsc(0.2), bsc(0.1)]
-    assert more_capable(chain[0], chain[1])
-    assert more_capable(chain[1], chain[2])
-    assert more_capable(chain[0], chain[2])
 
 
 def test_capacity_spectrum_pair():
