@@ -44,7 +44,6 @@ from .spectrum import (
 from .types_toolkit import (
     EnumerationCapError,
     decomposition_check,
-    expurgated_space,
     quantized_type,
 )
 from .well_ordered import NotWellOrderedError, check_well_ordered, require_well_ordered
@@ -427,12 +426,12 @@ def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
         comp_type = quantized_type(p, n, cost)
         outs = [output_distribution(InputDist(comp_type.fractions), c)
                 for c in mixed.components]
-        exp = expurgated_space(mixed, outs, n)
+        z_grid = np.linspace(0.05, math.log(mixed.num_outputs) + 1.0, args.z_points)
+        rep = decomposition_check(mixed, comp_type, outs, n, slack, z_grid)
+        exp = rep.expurgation
         em.row(quantity="expurgated_mass", value=exp.mass, units="probability",
                method="exact", n=n, detail=f"bound={_fmt(exp.bound)}",
                members="".join("1" if m else "0" for m in exp.member_mask))
-        z_grid = np.linspace(0.05, math.log(mixed.num_outputs) + 1.0, args.z_points)
-        rep = decomposition_check(mixed, comp_type, outs, n, slack, z_grid)
         em.row(quantity="decomposition_pass", value=int(rep.passed), units="bool",
                method="exact", n=n,
                detail=f"violations={len(rep.failures)},atoms={rep.member_atoms}",

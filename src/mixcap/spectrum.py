@@ -7,6 +7,10 @@ achievability and converse bounds are evaluated from those tails; true
 mixtures, whose output law is not a product, get explicitly flagged
 upper-bound surrogates with logarithmic penalties.
 
+Past the convolution caps the tails are estimated by Monte Carlo: each trial
+draws, for each letter part, one multinomial vector that counts the letters
+on each atom, so its cost does not depend on n.
+
 Boundary convention: a tail at threshold z includes atoms within
 ``BOUNDARY_TOL`` of n z (absolute, on the total), and the Monte-Carlo sampler
 applies the same rule, so the two paths agree on lattice spectra.
@@ -30,7 +34,6 @@ BOUNDARY_TOL = 1e-9
 ATOM_CAP = 10**6
 PAIR_CAP = 4 * 10**7
 MC_CHUNK = 4096
-MC_BLOCK = 1 << 15  # uniforms per row block; with its indices and atom values, 768 KiB: fits L2
 
 KIND_FEINSTEIN = "feinstein"
 KIND_HN = "hayashi_nagaoka"
@@ -416,19 +419,6 @@ def _tail_or_mc(w: Dmc, input_spec, q, n, z, mc_trials, seed, threads,
 # ---------------------------------------------------------------------------
 
 
-def _atom_index(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The atom each uniform draws: #{j : edges[j] <= u}, with edges = cum[:-1].
-
-    This equals ``searchsorted(cum, u, "right")`` clipped to the last atom, so
-    a cumulative sum that ends below 1 by rounding gives its top sliver to the
-    last atom.
-    """
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for edge in edges:
-        idx += u >= edge
-    return idx
-
-
 def mc_tail(
     w: Dmc,
     input_spec,
@@ -442,13 +432,12 @@ def mc_tail(
 ) -> BoundEstimate:
     """Unbiased MC estimate of P{(1/n) sum of density <= threshold}.
 
-    Each chunk of ``MC_CHUNK`` trials has its own counter-based generator
-    stream.  For each letter part in turn, the chunk draws a (trials,
-    letters) array of uniforms row-major, processed in row blocks of about
-    ``MC_BLOCK`` uniforms that stay in L2 cache.  Each uniform picks an atom
-    by the cumulative edges (``_atom_index``), and each trial's letters are
-    summed in one row, so results are bit-identical for any ``threads`` value
-    and any row-block size.
+    The n-letter density depends only on how many letters land on each
+    per-letter atom, so each trial draws one multinomial count vector per
+    letter part and sums counts times atom values: cost and memory do not
+    depend on n.  Each chunk of ``MC_CHUNK`` trials has its own
+    counter-based generator stream, so results are bit-identical for any
+    ``threads`` value.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -456,21 +445,18 @@ def mc_tail(
         return BoundEstimate(1.0, KIND_MC, 0.0, 0, seed)
     if threshold == -math.inf:
         return BoundEstimate(0.0, KIND_MC, 0.0, 0, seed)
-    blocks = [(cnt, np.cumsum(a.probs)[:-1], a.values)
-              for a, cnt in _letter_parts(w, input_spec, q, n, numer)]
+    # normalized: rows may sum to 1 + SUM_TOL, past the 1 + 1e-12 that numpy
+    # allows for all but the last atom
+    parts = [(cnt, a.probs / a.probs.sum(), a.values)
+             for a, cnt in _letter_parts(w, input_spec, q, n, numer)]
     cut = threshold * n + BOUNDARY_TOL
 
     def run_chunk(c: int) -> int:
         size = min(MC_CHUNK, trials - c * MC_CHUNK)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, c]))
         sums = np.zeros(size)
-        for cnt, edges, values in blocks:
-            rows = max(1, MC_BLOCK // cnt)
-            buf = np.empty(min(rows, size) * cnt)
-            for r0 in range(0, size, rows):
-                u = buf[:min(rows, size - r0) * cnt].reshape(-1, cnt)
-                rng.random(out=u)
-                sums[r0:r0 + len(u)] += values[_atom_index(edges, u)].sum(axis=1)
+        for cnt, probs, values in parts:
+            sums += (rng.multinomial(cnt, probs, size=size) * values).sum(axis=1)
         return int(np.count_nonzero(sums <= cut))
 
     n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK

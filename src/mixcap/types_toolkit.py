@@ -194,8 +194,12 @@ class DecompositionReport:
     failures: tuple
     n: int
     gamma_slack: float
-    member_atoms: tuple
+    expurgation: ExpurgationReport
     z_grid: tuple
+
+    @property
+    def member_atoms(self) -> tuple:
+        return tuple(i for i, m in enumerate(self.expurgation.member_mask) if m)
 
 
 def decomposition_check(
@@ -273,7 +277,7 @@ def decomposition_check(
                                                      float(rhs_l[i])))
 
     return DecompositionReport(not failures, tuple(failures), n, gamma,
-                               tuple(members), tuple(float(z) for z in z_grid))
+                               expur, tuple(float(z) for z in z_grid))
 
 
 def mixture_converse_enumeration(mixed: MixedChannel, composition: TypeClass,

@@ -416,6 +416,24 @@ def test_each_component_is_solved_once(argv, monkeypatch):
     assert calls["capacity_achieving_set"] in (0, 3)
 
 
+def test_validate_lemmas_expurgates_once_per_n(monkeypatch):
+    """The expurgated_mass row comes from the decomposition check's own expurgation."""
+    calls = []
+    original = mixcap.types_toolkit.expurgated_space
+
+    def counted(mixed, q_list, n):
+        calls.append(n)
+        return original(mixed, q_list, n)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "mixcap" and getattr(mod, "expurgated_space", None) is original:
+            monkeypatch.setattr(mod, "expurgated_space", counted)
+    code, _, _ = run_command(["validate-lemmas", os.path.join(GOLDEN, "zbsc.json"),
+                              "--n", "6", "10"])
+    assert code == 0
+    assert calls == [6, 10]
+
+
 def test_debug_log_explains_eps_capacity_on_stderr_only():
     """MIXCAP_LOG=DEBUG reports each atom set's bracket and the final one on stderr, and
     each capacity solve its path, iterations, certified gap and multiplier; the primary

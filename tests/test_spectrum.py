@@ -26,8 +26,7 @@ from mixcap import (
     output_distribution,
     per_letter_spectrum,
 )
-from mixcap import spectrum
-from mixcap.spectrum import BOUNDARY_TOL, MC_CHUNK, _atom_index, _letter_parts
+from mixcap.spectrum import MC_CHUNK, _letter_parts
 from mixcap.types_toolkit import TypeClass
 from conftest import bsc, random_dmc
 
@@ -240,26 +239,6 @@ def test_mc_tail_reproducible_across_threads(uniform2):
     assert a.trials == 20_000 and a.seed == 99
 
 
-def _mc_tail_unblocked(w, input_spec, q, n, threshold, trials, seed, numer=None):
-    """(value, stderr, trials) of the sampler before row blocking: searchsorted
-    and clip on each chunk's full (size, cnt) array of uniforms."""
-    parts = [(cnt, np.cumsum(a.probs), a.values)
-             for a, cnt in _letter_parts(w, input_spec, q, n, numer)]
-    cut = threshold * n + BOUNDARY_TOL
-    hits = 0
-    for c in range((trials + MC_CHUNK - 1) // MC_CHUNK):
-        size = min(MC_CHUNK, trials - c * MC_CHUNK)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, c]))
-        sums = np.zeros(size)
-        for cnt, cum, values in parts:
-            idx = np.searchsorted(cum, rng.random((size, cnt)), side="right")
-            np.clip(idx, 0, len(values) - 1, out=idx)
-            sums += values[idx].sum(axis=1)
-        hits += int(np.count_nonzero(sums <= cut))
-    p_hat = hits / trials
-    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials), trials
-
-
 def _sampler_cases(rng, count):
     """(w, input spec, q, n, threshold, numer) over random letter laws.
 
@@ -275,7 +254,7 @@ def _sampler_cases(rng, count):
         w = Dmc(rows)
         p = InputDist(rng.dirichlet(np.ones(kx)))
         q = output_distribution(p, w)
-        n = int(rng.integers(3, 30))
+        n = int(rng.integers(3, 12))
         comp = TypeClass(rng.multinomial(n - 1, p.probs) + np.eye(kx, dtype=int)[0], n)
         numer = w.rows + rng.random((kx, ky))
         for num in (None, numer):
@@ -284,50 +263,89 @@ def _sampler_cases(rng, count):
             yield w, comp, q, n, z, num
 
 
-@pytest.mark.parametrize("block", [None, 50])
-def test_mc_tail_matches_unblocked_sampler(block, monkeypatch):
-    """The row-blocked sampler is bit-identical to searchsorted + clip on whole chunks."""
-    if block is not None:
-        monkeypatch.setattr(spectrum, "MC_BLOCK", block)
-    rng = np.random.default_rng(17)
-    cases = list(_sampler_cases(rng, 6))
-    # 60 letters are wider than a 50-uniform row block, so each block holds one trial
-    w, p = bsc(0.2), InputDist([0.3, 0.7])
-    q = output_distribution(p, w)
-    z = mutual_information(p, w)
-    cases += [(w, p, q, 60, z, None), (w, TypeClass(np.array([20, 40]), 60), q, 60, z, None)]
+def _edge_cases(rng):
+    """(w, input spec, q, n, threshold, numer) on letter laws at the sampler's edges."""
     # ten atoms of mass 0.1 each: their cumulative sum ends at 1 - 2^-53
     tenths = Dmc([[0.1] * 10, rng.dirichlet(np.ones(10))])
     q = rng.dirichlet(np.ones(10))
-    cases.append((tenths, TypeClass(np.array([9, 0]), 9), q, 9, float(np.mean(np.log(0.1 / q))),
-                  None))
-    sums_below_one = one_atom_letters = inner = 0
+    yield tenths, TypeClass(np.array([9, 0]), 9), q, 9, float(np.mean(np.log(0.1 / q))), None
+    # the largest density sits on a 1e-200 atom, and next to it one of 1e-301
+    # that the probability floor drops
+    for _ in range(4):
+        rows = np.zeros((2, 5))
+        rows[:, :3] = rng.dirichlet(np.ones(3), size=2)
+        rows[0, 3:] = 1e-200, 1e-301
+        w, p = Dmc(rows), InputDist(rng.dirichlet(np.ones(2)))
+        q = output_distribution(p, w)
+        n = int(rng.integers(5, 20))
+        z = per_letter_spectrum(p, w, q).mean() + float(rng.normal(0.0, 0.05))
+        yield w, p, q, n, z, None
+        yield w, TypeClass(np.array([n - 2, 2]), n), q, n, z, None
+    # rows and input each sum to 1 + 9e-13, inside SUM_TOL, and the last
+    # atom is tiny, so all but the last atom sum to more than 1 + 1e-12
+    e = 9e-13
+    w, p = Dmc([[0.3 + e, 0.7 - 1e-14, 1e-14], [0.6, 0.4 + e, 0.0]]), InputDist([0.5 + e, 0.5])
+    q = output_distribution(p, w)
+    yield w, p, q, 12, per_letter_spectrum(p, w, q).mean(), None
+
+
+def _binomial_p_exceeds_one(probs):
+    """Whether numpy's multinomial draws some atom j with a binomial p above 1:
+    it uses p_j / (1 - p_0 - ... - p_(j-1)), with the remainder by running subtraction."""
+    rest = 1.0
+    for pj in probs[:-1]:
+        if pj / rest > 1.0:
+            return True
+        rest -= pj
+    return False
+
+
+def test_mc_tail_matches_exact_tail():
+    """Count-vector sampling agrees with the exact convolution within 4.5 sigma."""
+    rng = np.random.default_rng(17)
+    cases = list(_sampler_cases(rng, 6)) + list(_edge_cases(rng))
+    trials = 20_000
+    sums_below_one = one_atom_letters = p_above_one = head_above_one = inner = 0
     for w, spec, q, n, z, numer in cases:
         for a, _ in _letter_parts(w, spec, q, n, numer):
             sums_below_one += np.cumsum(a.probs)[-1] < 1.0
             one_atom_letters += len(a.values) == 1
-        for trials, threads in ((MC_CHUNK + 37, 1), (2 * MC_CHUNK + 1, 3), (5, 3)):
+            # the sampler passes the law normalized to sum 1
+            p_above_one += _binomial_p_exceeds_one(a.probs / a.probs.sum())
+            head_above_one += a.probs[:-1].sum() > 1.0 + 1e-12
+        exact = aggregate_spectrum(w, spec, q, n, numer).tail_leq(z)
+        est = mc_tail(w, spec, q, n, z, trials, int(rng.integers(2**40)), numer=numer)
+        assert abs(est.value - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / trials) + 1e-12
+        inner += 0.0 < est.value < 1.0
+    # the laws reach every edge case, and most estimates are not a bare 0 or 1
+    assert sums_below_one and one_atom_letters and p_above_one and head_above_one
+    assert inner > len(cases) // 2
+
+
+def test_mc_tail_is_identical_across_threads():
+    rng = np.random.default_rng(23)
+    for w, spec, q, n, z, numer in _sampler_cases(rng, 2):
+        for trials in (MC_CHUNK + 37, 2 * MC_CHUNK + 1, 5):
             seed = int(rng.integers(2**40))
-            est = mc_tail(w, spec, q, n, z, trials, seed, threads=threads, numer=numer)
-            assert (est.value, est.stderr, est.trials) == \
-                _mc_tail_unblocked(w, spec, q, n, z, trials, seed, numer)
-            inner += 0.0 < est.value < 1.0
-    # the laws reach both edge cases, and most estimates are not a bare 0 or 1
-    assert sums_below_one and one_atom_letters
-    assert inner > 2 * len(cases)
+            one, three = (mc_tail(w, spec, q, n, z, trials, seed, threads=t, numer=numer)
+                          for t in (1, 3))
+            assert (one.value, one.stderr, one.trials) == (three.value, three.stderr, three.trials)
+            assert one.trials == trials
 
 
-def test_atom_index_is_clipped_searchsorted():
-    rng = np.random.default_rng(29)
-    for n_atoms in (1, 2, 5, 60):
-        cum = np.cumsum(rng.dirichlet(np.ones(n_atoms)))
-        # the second law's cumulative sum ends below 1, as rounding can leave it
-        for c in (cum, cum * (1.0 - 1e-9)):
-            u = np.concatenate([rng.random(2000), c, np.nextafter(c, 0.0),
-                                [0.0, np.nextafter(1.0, 0.0)]])
-            want = np.clip(np.searchsorted(c, u, side="right"), 0, n_atoms - 1)
-            assert np.array_equal(_atom_index(c[:-1], u), want)
-            assert np.array_equal(_atom_index(c[:-1], u.reshape(2, -1)), want.reshape(2, -1))
+def test_mc_tail_cost_does_not_grow_with_n(uniform2):
+    """At n = 10^9 the normalized density is Gaussian in the limit (Berry-Esseen
+    error near 1e-5); drawing letters one by one would need gigabytes."""
+    w = bsc(0.11)
+    q = output_distribution(uniform2, w)
+    a = per_letter_spectrum(uniform2, w, q)
+    mean = a.mean()
+    sd = math.sqrt(float(a.probs @ (a.values - mean) ** 2))
+    n, trials, t = 10**9, 4000, 0.7
+    est = mc_tail(w, uniform2, q, n, mean + t * sd / math.sqrt(n), trials, seed=3)
+    phi = gaussian_cdf(t)
+    assert est.trials == trials
+    assert abs(est.value - phi) <= 4 * math.sqrt(phi * (1 - phi) / trials) + 1e-4
 
 
 def test_berry_esseen_consistency(uniform2):
