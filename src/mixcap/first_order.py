@@ -18,16 +18,16 @@ import numpy as np
 
 from .channel import CostSpec, Dmc, InputDist, MixedChannel, mutual_information, row_divergences
 from .optimizer import (DEFAULT_TOL, CapacityResult, _basic_solutions, _dual_bound,
-                        capacity_achieving_set, constrained_capacity)
+                        _newton_on_face, capacity_achieving_set, constrained_capacity)
 from .types_toolkit import ENUM_CAP, EnumerationCapError
 
 log = logging.getLogger(__name__)
 
 VALUE_DECIMALS = 12  # atoms with values closer than 1e-12 merge in quantiles
 
-# cutting planes: oracle solves per atom set, master-LP slack, and the kink polish
+# cutting planes: oracle solves per atom set, master-LP slack, and the kink polish's band
 MAX_ROUNDS, LP_TOL = 60, 1e-12
-KINK_BAND, KINK_TOL, POLISH_STEPS = 1e-7, 1e-14, 20
+KINK_BAND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,18 @@ def _master_lp(g: np.ndarray) -> np.ndarray:
 def _polish(comps, cuts: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """mu @ cuts after Newton steps on the positive mu that equalize the kink's informations.
 
-    Those within KINK_BAND of the least go to within KINK_TOL of each other;
-    d I_theta / d mu_k = sum_x (cuts_k - P)(x) D(W_theta(.|x) || P W_theta).
+    Those within KINK_BAND of the least go to within KINK_TOL of each other
+    (``_newton_on_face``); d I_theta / d mu_k = sum_x (cuts_k - P)(x) D(W_theta(.|x) || P W_theta).
     """
-    cuts, mu = cuts[mu > 0.0], mu[mu > 0.0]
-    for _ in range(POLISH_STEPS):
-        p = mu @ cuts
+    def kink(z):
+        p = z @ cuts
         info = informations(comps, p)
         at = np.flatnonzero(info <= info.min() + KINK_BAND)
-        if np.ptp(info[at]) <= KINK_TOL:
-            break
-        d = np.array([row_divergences(comps[t], p @ comps[t].rows) for t in at])[:, p > 0.0]
-        jac = d @ (cuts - p)[:, p > 0.0].T  # no cut moves an unused letter, whose D may be inf
-        a = np.block([[jac, -np.ones((len(at), 1))], [np.ones(len(mu)), 0.0]])
-        step = np.linalg.lstsq(a, np.append(info.min() - info[at], 0.0), rcond=None)[0][:-1]
-        while (mu + step).min() < 0.0:
-            step /= 2.0
-        mu = mu + step
+        used = p > 0.0  # no cut moves an unused letter, whose D may be inf
+        d = np.array([row_divergences(comps[t], p @ comps[t].rows) for t in at])[:, used]
+        return info[at], d @ (cuts[z > 0.0] - p)[:, used].T
+
+    mu = _newton_on_face(kink, mu)[0]
     return mu @ cuts / mu.sum()
 
 

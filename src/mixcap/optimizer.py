@@ -2,12 +2,12 @@
 
 The workhorse is Blahut's alternating maximization with the budget inside its
 P-step: the multiplicative update is tilted back onto {E c <= gamma}, and the
-tilt's exponent is the Lagrange multiplier, so one loop serves every budget.
-A budget pinned at the cheapest cost is solved on the face of the cheapest
-letters.  For binary input alphabets the optimum is found by a derivative
-bisection instead, which pins the argmax itself (not just the value) to near
-machine precision.  The capacity-achieving inputs form a polytope, returned as
-its vertices.
+tilt's exponent is the Lagrange multiplier, so one loop serves every budget and
+every input alphabet.  It starves a letter just below the Kuhn-Tucker level
+only slowly, so Newton's method on the Kuhn-Tucker system of the optimal face
+finishes it; the dual bound certifies either.  A budget pinned at the cheapest
+cost is solved on the face of the cheapest letters.  The capacity-achieving
+inputs form a polytope, returned as its vertices.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_KT_TOL = 1e-6
 MAX_ITER = 10**6
 WARM_MAX_ITER = 1000  # cap of a warm-started solve, which returns the iterate it reached
+# Newton on a face: the spread of its equations at which it stops, and its step cap
+KINK_TOL, POLISH_STEPS = 1e-14, 20
 
 
 class ConvergenceError(RuntimeError):
@@ -107,73 +109,100 @@ def _tilt(p: np.ndarray, costs: np.ndarray, gamma: float, lam: float = 0.0):
     return q, lam
 
 
-def _ba_tilted(w: Dmc, costs: np.ndarray, gamma: float, start=None, cap=MAX_ITER):
+def _newton_on_face(f, z: np.ndarray, row=None, lam: float = 0.0):
+    """Newton's method for f(z) = t + lam c, sum z = 1 and c @ z = gamma over z >= 0.
+
+    ``f(z)`` gives the equations' values and Jacobian on the face z > 0.  The
+    unknowns are z there, the level t and, given ``row = (c, gamma)``, lam
+    (starting at ``lam``), whose term lam c_i joins face coordinate i's equation.
+    Each step solves the linearization by least squares; a coordinate it drives
+    negative leaves the face.  Stops when all equations hold within KINK_TOL or
+    after POLISH_STEPS steps; returns (z, lam, steps).
+    """
+    for steps in range(POLISH_STEPS + 1):
+        face = z > 0.0
+        vals, jac = f(z)
+        if row is None:
+            lin, border, resid = np.ones((1, face.sum())), -np.ones((len(vals), 1)), vals
+        else:
+            lin = np.vstack([np.ones(face.sum()), row[0][face]])
+            border, resid = -lin.T, vals - lam * row[0][face]
+        gap = np.append(1.0, [] if row is None else row[1]) - lin @ z[face]
+        if max(np.ptp(resid), np.abs(gap).max()) <= KINK_TOL or steps == POLISH_STEPS:
+            break
+        a = np.block([[jac, border], [lin, np.zeros((len(lin), len(lin)))]])
+        sol = np.linalg.lstsq(a, np.concatenate([resid.min() - resid, gap]), rcond=None)[0]
+        z = np.maximum(z + np.bincount(np.flatnonzero(face), sol[:face.sum()], len(z)), 0.0)
+        lam += 0.0 if row is None else float(sol[-1])
+    return z, lam, steps
+
+
+def _face_step(w: Dmc, cost: CostSpec, p: np.ndarray, score: np.ndarray, lam: float):
+    """Newton on D_x - lam c(x) = t over the faces of the m best-scored letters, m = 1, 2, ...
+
+    The budget row c @ P = gamma and lam join when the tilt is active (lam > 0).
+    Newton starts from p on the face, with mass 1/m on a letter p leaves empty
+    (a warm start can).  Returns ((p, value, lam), steps) at the first feasible
+    face solution the dual bound certifies within ``DEFAULT_TOL``, else (None, steps).
+    """
+    row = (cost.costs, cost.budget) if lam > 0.0 else None
+
+    def equations(z):  # D_x on the face, and dD_x / dz_x' = -sum_y W(y|x) W(y|x') / q(y)
+        rows, q = w.rows[z > 0.0], z @ w.rows
+        ratio = np.divide(rows, q, out=np.zeros_like(rows), where=q > 0.0)
+        return _divergences(z, w)[z > 0.0], -ratio @ rows.T
+
+    total, order = 0, np.argsort(-score, kind="stable")
+    for face in (order[:m] for m in range(1, len(p) + 1)):
+        if row is not None and not cost.costs[face].min() <= cost.budget <= cost.costs[face].max():
+            continue  # no input on this face spends the budget exactly
+        z = np.bincount(face, np.where(p[face] > 0.0, p[face], 1.0 / len(face)), len(p))
+        z, face_lam, steps = _newton_on_face(equations, z / z.sum(), row, lam)
+        total += steps
+        z = InputDist(z / z.sum())
+        value = mutual_information(z, w)
+        if face_lam >= 0.0 and cost.admits(z) and (
+                _dual_bound(w, z.probs, cost, face_lam) - value <= DEFAULT_TOL):
+            return (z.probs, value, face_lam), total
+    return None, total
+
+
+def _ba_tilted(w: Dmc, cost: CostSpec, start=None, cap=MAX_ITER):
     """Maximize I(P, W) over {E c(X_P) <= gamma} by alternating maximization from ``start``.
 
     The P-step takes P e^D, D_x = D(W(.|x) || PW), to its I-projection on the
-    budget (``_tilt``), whose lam is the multiplier (Blahut 1972).  Returns
-    (p, value, lam, iterations) with value = I(P, W).  The stopping certificate
-    is the dual bound max_x (D_x - lam c(x)) + lam gamma, which is at least the
-    capacity for any lam >= 0, within ``DEFAULT_TOL`` of the value.  A ``cap``
-    below MAX_ITER returns the iterate reached.
+    budget (``_tilt``), whose lam is the multiplier (Blahut 1972).  The
+    stopping certificate is the dual bound max_x (D_x - lam c(x)) + lam gamma,
+    which is at least the capacity for any lam >= 0, within ``DEFAULT_TOL`` of
+    the value.  Each time that gap has halved since the last face tried,
+    ``_face_step`` tries to finish the solve by Newton on the optimal face.
+    Returns (p, value, lam, iterations, newton_steps, path) with value =
+    I(P, W).  A ``cap`` below MAX_ITER returns the iterate reached.
     """
-    k = w.num_inputs
+    costs, gamma, k = cost.costs, cost.budget, w.num_inputs
     p = np.full(k, 1.0 / k) if start is None else np.array(start, dtype=float)
     p, lam = _tilt(p / p.sum(), costs, gamma)
-    bind = gamma < costs.max()  # else no input exceeds the budget
+    steps, tried = 0, math.inf  # Newton steps, and the gap at the last face tried
     for iters in range(1, cap + 1):
         d = _divergences(p, w)
         score = d - lam * costs
-        value, upper = float(p @ d), float(score.max())
-        if upper + lam * gamma - value <= DEFAULT_TOL or iters == cap < MAX_ITER:
-            break
-        # multiplicative update P e^D; exp shifted by max D (which is upper at lam = 0)
-        p = p * np.exp(d - (upper if lam == 0.0 else d.max()))
+        value = float(p @ d)
+        gap = float(score.max()) + lam * gamma - value
+        if gap <= DEFAULT_TOL or iters == cap < MAX_ITER:
+            return p, value, lam, iters, steps, "alternating maximization"
+        if gap <= 0.5 * tried:
+            face, face_steps = _face_step(w, cost, p, score, lam)
+            steps += face_steps
+            if face is not None:
+                return (*face, iters, steps, "Newton on the optimal face")
+            tried = gap
+        p = p * np.exp(d - d.max())  # the multiplicative update P e^D, shifted by max D
         s = p.sum()
         if s <= 0.0 or not np.isfinite(s):
             raise ConvergenceError("alternating maximization collapsed numerically")
-        p /= s
-        if bind:
-            p, lam = _tilt(p, costs, gamma, lam)
-    else:
-        raise ConvergenceError(
-            f"alternating maximization did not converge within {MAX_ITER} iterations"
-        )
-    return p, value, lam, iters
-
-
-def _binary_polish(w: Dmc, lo: float, hi: float):
-    """For |X| = 2, bisect dI/dp on [lo, hi]; returns (p, steps), p the mass of letter 0.
-
-    The derivative of I((p, 1-p), W) in the direction e0 - e1 equals
-    D(W(.|0)||PW) - D(W(.|1)||PW) and is nonincreasing in p.  The bisection
-    stops when the bracket is below 1e-16 or no longer shrinks.
-    """
-
-    def deriv(p):
-        d = _divergences(np.array([p, 1.0 - p]), w)
-        return d[0] - d[1]
-
-    eps = 1e-12
-    f_lo = deriv(min(lo + eps, hi))
-    f_hi = deriv(max(hi - eps, lo))
-    if abs(f_lo) < 1e-13 and abs(f_hi) < 1e-13:
-        return 0.5 * (lo + hi), 0  # flat face: any interior point is optimal
-    if f_lo <= 0.0:
-        return lo, 0
-    if f_hi >= 0.0:
-        return hi, 0
-    a, b = lo, hi
-    for steps in range(1, 201):
-        width = b - a
-        m = 0.5 * (a + b)
-        if deriv(m) > 0.0:
-            a = m
-        else:
-            b = m
-        if b - a < 1e-16 or b - a == width:  # a bracket that kept its width stays put
-            break
-    return 0.5 * (a + b), steps
+        p, lam = _tilt(p / s, costs, gamma, lam)
+    raise ConvergenceError(
+        f"alternating maximization did not converge within {MAX_ITER} iterations")
 
 
 def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
@@ -181,61 +210,52 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
     """max I(P, W) over inputs with expected cost at most gamma, in nats.
 
     A budget at the cheapest cost is solved on the face of the cheapest
-    letters; |X| = 2 by ``_binary_polish`` on the feasible segment; any other
-    budget, binding or slack, by one run of ``_ba_tilted``, whose tilt gives
-    the multiplier.  The value is optimal within ``DEFAULT_TOL``, and the
-    returned input meets the budget and passes ``kt_verify``.  A feasible
-    ``_start`` warm-starts that run and caps it at ``WARM_MAX_ITER``
-    iterations: the iterate reached is feasible, and ``_dual_bound`` at it and
-    its multiplier is certified.  Under DEBUG logging each solve reports its
-    path, iterations, certified gap and multiplier.
+    letters, with the multiplier of ``_least_multiplier``; any other budget and
+    input alphabet by one run of ``_ba_tilted``.  The value is optimal within
+    ``DEFAULT_TOL``, and the returned input meets the budget and passes
+    ``kt_verify``; ``iterations`` counts alternating iterations and Newton
+    steps.  A feasible ``_start`` warm-starts that run and caps it at
+    ``WARM_MAX_ITER`` iterations: the iterate reached is feasible, and
+    ``_dual_bound`` at it and its multiplier is certified.  Under DEBUG logging
+    each solve reports its path, both counts, certified gap and multiplier.
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
     cost.check_feasible()
     if len(cost.costs) != w.num_inputs:
         raise ValueError("cost vector length does not match the channel input alphabet")
-    costs = cost.costs
 
     if not cost.is_unconstrained and cost.gamma <= cost.gamma_zero + 1e-12:
         # budget pinned at the cheapest letters: optimize inside that face
-        idx = np.flatnonzero(costs <= cost.gamma_zero + 1e-12)  # the affordable letters
+        idx = np.flatnonzero(cost.costs <= cost.gamma_zero + 1e-12)  # the affordable letters
         sub_res = constrained_capacity(Dmc(w.rows[idx]), CostSpec.free(len(idx)))
-        p = np.zeros(w.num_inputs)
-        p[idx] = sub_res.optimal_input.probs
-        value, lam, iters = sub_res.capacity, _budget_multiplier(w, p, cost), sub_res.iterations
-        path = "pinned face"
-    elif w.num_inputs == 2:
-        p0, iters = _binary_polish(w, 0.0, 1.0)
-        binding = float(np.array([p0, 1.0 - p0]) @ costs) > cost.budget + 1e-12
-        if binding:  # the budget excludes the free optimum: polish on the feasible segment
-            p0, steps = _binary_polish(w, *_binary_feasible_interval(cost))
-            iters += steps
-        p = np.array([p0, 1.0 - p0])
-        value = mutual_information(InputDist(p), w)
-        lam = _budget_multiplier(w, p, cost) if binding else 0.0
-        path = "binary polish"
+        p = np.bincount(idx, sub_res.optimal_input.probs, w.num_inputs)
+        value, lam, iters = sub_res.capacity, _least_multiplier(w, p, cost), sub_res.iterations
+        steps, path = 0, "pinned face"
     else:
-        p, value, lam, iters = _ba_tilted(w, costs, cost.budget, _start,
-                                          MAX_ITER if _start is None else WARM_MAX_ITER)
-        path = "alternating maximization"
+        p, value, lam, iters, steps, path = _ba_tilted(
+            w, cost, _start, MAX_ITER if _start is None else WARM_MAX_ITER)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("constrained_capacity (%s): %d iterations, certified gap %.3g, "
-                  "multiplier %.12g", path, iters, _dual_bound(w, p, cost, lam) - value, lam)
+        log.debug("constrained_capacity (%s): %d alternating iterations, %d Newton steps, "
+                  "certified gap %.3g, multiplier %.12g",
+                  path, iters, steps, _dual_bound(w, p, cost, lam) - value, lam)
     return CapacityResult(max(value, 0.0), InputDist(p), lam,
-                          _kt_worst_slack(w, p, cost, lam), iters)
+                          kt_verify(w, InputDist(p), cost, lam)[1], iters + steps)
 
 
-def _budget_multiplier(w: Dmc, p: np.ndarray, cost: CostSpec) -> float:
-    """Least multiplier making the Kuhn-Tucker condition hold at p."""
-    d = _divergences(p, w)
-    cap = float(p @ np.where(p > 0, d, 0.0))
-    lam = 0.0
-    for x in range(len(p)):
-        gap = cost.costs[x] - cost.budget
-        if gap > 1e-12 and d[x] > cap:
-            lam = max(lam, (d[x] - cap) / gap)
-    return lam
+def _least_multiplier(w: Dmc, p: np.ndarray, cost: CostSpec) -> float:
+    """The least lam >= 0 minimizing ``_dual_bound`` at p, max_x (D_x + lam (gamma - c(x))).
+
+    That is convex and piecewise linear in lam, so least at 0 or where two of
+    its lines cross; a letter of infinite D drops below only as lam -> inf.
+    """
+    d, slope = _divergences(p, w), cost.budget - cost.costs
+    if not np.isfinite(d).all():
+        return math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lams = (d[:, None] - d) / (slope - slope[:, None])
+    lams = np.unique(np.append(0.0, lams[np.isfinite(lams) & (lams > 0.0)]))
+    return float(lams[np.argmin((d + lams[:, None] * slope).max(axis=1))])
 
 
 def _optimal_letters(w: Dmc, p: np.ndarray, costs: np.ndarray, lam: float,
@@ -272,10 +292,6 @@ def kt_verify(
     return worst <= tol, worst
 
 
-def _kt_worst_slack(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
-    return kt_verify(w, InputDist(p), cost, lam)[1]
-
-
 def _dual_bound(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
     """max_x (D(W(.|x) || PW) - lam c(x)) + lam gamma: for any p and lam >= 0, >= the capacity."""
     return float((_divergences(p, w) - lam * cost.costs).max()) + lam * cost.budget
@@ -298,23 +314,23 @@ def _basic_solutions(a: np.ndarray, b: np.ndarray, tol: float):
 def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchievingSet:
     """The vertices of the capacity-achieving input polytope.
 
-    The polytope is {P >= 0 : supp P in S*, PW = q*}, where q* and S* come
-    from one ``constrained_capacity`` solve, cut by the budget: E c(X) = gamma
-    when it binds (multiplier > 0), else E c(X) + s = gamma with a slack s >= 0.
-    Its vertices are the basic solutions over rank-sized column subsets; one is
+    The polytope is {P >= 0 : supp P in S*, PW = q*}, where q* comes from one
+    ``constrained_capacity`` solve and S* from its input at the multiplier of
+    ``_least_multiplier``, cut by the budget: E c(X) = gamma when it binds
+    (solver multiplier > 0), else E c(X) + s = gamma with a slack s >= 0.  Its
+    vertices are the basic solutions over rank-sized column subsets; one is
     kept when it is nonnegative within ``DEFAULT_KT_TOL`` and achieves the
     capacity within ``DEFAULT_TOL``.  The solver's q* may miss the span of S*
-    by its tolerance, so each basic solution is a least-squares one, which is
-    then tilted (``_tilt``) onto the budget's face: a binding budget left
-    unspent by t costs about the multiplier times t of information.  Raises
-    ``EnumerationCapError`` when the number of subsets exceeds ``ENUM_CAP``.
+    by its tolerance, so each basic solution is a least-squares one, tilted
+    (``_tilt``) back onto the budget.  Raises ``EnumerationCapError`` when the
+    number of subsets exceeds ``ENUM_CAP``.
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
     base = constrained_capacity(w, cost)
     p_star = base.optimal_input.probs
     q_star = p_star @ w.rows
-    support, _ = _optimal_letters(w, p_star, cost.costs, base.multiplier)
+    support, _ = _optimal_letters(w, p_star, cost.costs, _least_multiplier(w, p_star, cost))
     letters = np.flatnonzero(support)
     a, b = w.rows[letters].T, q_star
     budget = cost.costs[letters]
@@ -330,10 +346,7 @@ def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchi
         p = np.zeros(w.num_inputs)
         p[letters[chosen]] = np.clip(coef[:len(chosen)], 0.0, None)
         p /= p.sum()
-        # round-off and the solver's stray mass off S* can move p off the budget's face
-        p = _tilt(p, cost.costs, cost.budget)[0]
-        if base.multiplier > 0.0:  # the face is E c = gamma: tilt onto E (-c) <= -gamma too
-            p = _tilt(p, -cost.costs, -cost.gamma)[0]
+        p = _tilt(p, cost.costs, cost.budget)[0]  # round-off can move p over the budget
         vertex = InputDist(p)
         if mutual_information(vertex, w) < base.capacity - DEFAULT_TOL:
             continue
@@ -344,12 +357,3 @@ def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchi
     if not vertices:
         raise ConvergenceError("no basic solution over the optimal letters achieves the capacity")
     return CapacityAchievingSet(tuple(vertices), q_star, DEFAULT_TOL, base)
-
-
-def _binary_feasible_interval(cost: CostSpec):
-    """Feasible range of the first letter's mass for |X| = 2, a budget and unequal costs."""
-    c0, c1 = cost.costs
-    gamma = float(cost.gamma)
-    if c0 > c1:
-        return 0.0, min(max((gamma - c1) / (c0 - c1), 0.0), 1.0)
-    return max(min((gamma - c1) / (c0 - c1), 1.0), 0.0), 1.0

@@ -436,8 +436,8 @@ def test_validate_lemmas_expurgates_once_per_n(monkeypatch):
 
 def test_debug_log_explains_eps_capacity_on_stderr_only():
     """MIXCAP_LOG=DEBUG reports each atom set's bracket and the final one on stderr, and
-    each capacity solve its path, iterations, certified gap and multiplier; the primary
-    output stays byte-identical."""
+    each capacity solve its path, alternating iterations, Newton steps, certified gap and
+    multiplier; the primary output stays byte-identical."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(GOLDEN), "..", "src"))
     stderr = {}
     for spec in ("zbsc.json", "binding3.json"):  # binding3: a binding budget on 3 inputs
@@ -452,9 +452,11 @@ def test_debug_log_explains_eps_capacity_on_stderr_only():
         assert "oracle solves: [" in loud.stderr
         assert "eps-capacity: pruned []; bracket [" in loud.stderr
         stderr[spec] = loud.stderr
-    assert "constrained_capacity (binary polish): " in stderr["zbsc.json"]
+    # binary inputs take the same solve as any other alphabet
+    assert "constrained_capacity (Newton on the optimal face): " in stderr["zbsc.json"]
     solves = [line for line in stderr["binding3.json"].splitlines() if "constrained_capacity" in line]
     oracle = int(re.search(r"(\d+) oracle solves", stderr["binding3.json"]).group(1))
     assert len(solves) == 2 + oracle > 2  # one line per component solve and per oracle solve
-    assert all(re.search(r"constrained_capacity \(alternating maximization\): \d+ iterations, "
+    assert all(re.search(r"constrained_capacity \((alternating maximization|Newton on the "
+                         r"optimal face)\): \d+ alternating iterations, \d+ Newton steps, "
                          r"certified gap \S+, multiplier 0\.\d+$", line) for line in solves)

@@ -22,7 +22,7 @@ from mixcap import (
 from mixcap.cli import load_spec
 from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _polish, build_quantile_curve,
                                 informations)
-from mixcap.optimizer import DEFAULT_TOL
+from mixcap.optimizer import DEFAULT_TOL, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
 from conftest import bsc, bsc_capacity, random_dmc, random_mixture
 
@@ -224,18 +224,36 @@ def _grid_rate_quantiles(mix, eps, cost=None, denom=64):
     return np.where(below <= eps, infos, -np.inf).max(axis=1)
 
 
+def _ternary_capacity(w, cost):
+    """max I((a, 1 - a), W) over the budget's segment of a, by 200 ternary-search steps."""
+    lo, hi = 0.0, 1.0
+    if cost is not None and cost.costs[0] != cost.costs[1]:
+        edge = (cost.gamma - cost.costs[1]) / (cost.costs[0] - cost.costs[1])
+        lo, hi = (lo, min(hi, edge)) if cost.costs[0] > cost.costs[1] else (max(lo, edge), hi)
+
+    def info(a):
+        return mutual_information(InputDist([a, 1.0 - a]), w)
+
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        lo, hi = (a, hi) if info(a) < info(b) else (lo, b)
+    return info(0.5 * (lo + hi))
+
+
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), num_inputs=st.sampled_from([3, 4]),
+@given(seed=st.integers(0, 2**32 - 1), num_inputs=st.sampled_from([2, 3, 4]),
        eps=st.floats(0.0, 0.9), budget=st.sampled_from([None, "slack", "binding"]))
 def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, eps, budget):
     """value <= upper_bound, value >= the best feasible 1/64-grid input, value >= every
-    component optimum.
+    component optimum, and each component solve is certified.
 
     The slack budget (gamma at the dearest letter) admits every input; the
     binding one (gamma halfway from the cheapest to the mean letter cost) cuts
     the grid.  A component optimum is beaten only up to the solver tolerance,
     because a set settled at an optimal-polytope vertex reads that vertex, which
-    is within DEFAULT_TOL of the capacity.
+    is within DEFAULT_TOL of the capacity.  Each solve's dual bound is within
+    DEFAULT_TOL of its value; on two inputs the value matches a ternary search
+    of the feasible segment within 1e-12.
     """
     rng = np.random.default_rng(seed)
     mix = MixedChannel(tuple((float(w), random_dmc(rng, num_inputs, 3))
@@ -247,8 +265,13 @@ def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, eps, budge
     assert res.capacity <= res.upper_bound <= res.capacity + 2e-9
     assert res.capacity >= _grid_rate_quantiles(mix, eps, cost).max() - 1e-12
     for comp in mix.components:
-        p = constrained_capacity(comp, cost).optimal_input
+        solve = constrained_capacity(comp, cost)
+        p = solve.optimal_input
         assert res.capacity >= rate_quantile(mix, p, eps) - DEFAULT_TOL
+        bound = _dual_bound(comp, p.probs, cost or CostSpec.free(num_inputs), solve.multiplier)
+        assert bound - solve.capacity <= DEFAULT_TOL
+        if num_inputs == 2:
+            assert solve.capacity == pytest.approx(_ternary_capacity(comp, cost), abs=1e-12)
 
 
 # the benchmark's 3-input search spec "s3b" at workload seed 0: the optimum sits on

@@ -48,6 +48,12 @@ CASES = {
     "check-well-ordered-binding3": ["check-well-ordered", "binding3.json"],
     "eps-capacity-binding3": ["eps-capacity", "binding3.json", "--eps", "0.3"],
     "check-well-ordered-zbsc": ["check-well-ordered", "zbsc.json"],
+    # near-degenerate faces: a near-duplicate row, a letter 1.2e-5 below the Kuhn-Tucker
+    # level under a binding budget, and a budget 1e-9 above the cheapest cost
+    "capacity-neardup4": ["capacity", "neardup4.json"],
+    "check-well-ordered-neardup4": ["check-well-ordered", "neardup4.json"],
+    "capacity-slowletter3": ["capacity", "slowletter3.json"],
+    "check-well-ordered-lowbudget3": ["check-well-ordered", "lowbudget3.json"],
     "fbl-feinstein-bsc3": _fbl("bsc3.json", 100, 0.3, "feinstein"),
     "fbl-hn-bsc3": _fbl("bsc3.json", 100, 0.3, "hn"),
     "fbl-mixed-converse-bsc3": _fbl("bsc3.json", 100, 0.3, "mixed-converse"),

@@ -20,7 +20,7 @@ from mixcap import (
     output_distribution,
 )
 from mixcap.cli import load_spec
-from mixcap.optimizer import DEFAULT_TOL, _dual_bound, _tilt
+from mixcap.optimizer import DEFAULT_TOL, WARM_MAX_ITER, _dual_bound, _tilt
 from conftest import bsc, bsc_capacity, random_dmc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -41,8 +41,9 @@ def test_bsc_capacity_oracle():
     res = constrained_capacity(bsc(0.11))
     assert res.capacity == pytest.approx(bsc_capacity(0.11), abs=1e-12)
     assert np.allclose(res.optimal_input.probs, [0.5, 0.5], atol=1e-9)
-    assert res.iterations == 54  # bisection steps until the bracket stops shrinking
-    passed, slack = kt_verify(bsc(0.11), res.optimal_input, None, res.multiplier)
+    w, p = bsc(0.11), res.optimal_input.probs
+    assert _dual_bound(w, p, CostSpec.free(2), res.multiplier) - res.capacity <= 1e-15
+    passed, slack = kt_verify(w, res.optimal_input, None, res.multiplier)
     assert passed
 
 
@@ -131,12 +132,13 @@ def test_capacity_achieving_set_two_vertex_segment():
 
 
 def test_capacity_achieving_set_drops_a_letter_left_with_vanishing_mass():
-    # the solver leaves ~1.6e-7 on letter 1 of this component although its
-    # divergence is 6.1e-3 below capacity: the optimal input is (1/2, 0, 1/2)
+    # alternating maximization alone leaves ~1.6e-7 on letter 1 of this component
+    # although its divergence is 6.1e-3 below capacity; the face step returns the
+    # optimal input (1/2, 0, 1/2) itself
     mixed, cost = load_spec(os.path.join(GOLDEN, "cost3.json"))
     w = mixed.components[1]
     reps = capacity_achieving_set(w, cost)
-    assert reps.solve.optimal_input.probs[1] > 1e-7
+    assert np.array_equal(reps.solve.optimal_input.probs, [0.5, 0.0, 0.5])
     (p,) = reps.representatives
     assert p.probs[1] == 0.0
     assert np.allclose(p.probs, [0.5, 0.0, 0.5], atol=1e-12)
@@ -240,6 +242,23 @@ def test_binding_budget_that_stalled_the_multiplier_bisection():
     assert res.capacity == pytest.approx(0.0482350975, abs=1e-9)
     pts = _simplex_grid(3, 400)
     assert res.capacity >= _grid_informations(w.rows, pts[pts @ cost.costs <= cost.gamma]).max()
+
+
+@pytest.mark.parametrize("spec", ["neardup4.json", "slowletter3.json", "lowbudget3.json"])
+def test_near_degenerate_faces_solve_within_the_warm_cap(spec):
+    """Each spec has a letter near the Kuhn-Tucker level, which alternating maximization
+    starves only by a factor e^-gap per iteration: a near-duplicate row (gap ~1e-7), a
+    letter 1.2e-5 below the level under a binding budget, and a budget 1e-9 above the
+    cheapest cost, where S* depends on the multiplier.  Newton on the optimal face
+    finishes each within WARM_MAX_ITER alternating iterations and Newton steps,
+    certified within 1e-9, and the polytope over S* has a vertex."""
+    mixed, cost = load_spec(os.path.join(GOLDEN, spec))
+    w = mixed.components[0]
+    reps = capacity_achieving_set(w, cost)
+    res = reps.solve
+    assert res.iterations <= WARM_MAX_ITER
+    assert _dual_bound(w, res.optimal_input.probs, cost, res.multiplier) - res.capacity <= 1e-9
+    assert reps.representatives
 
 
 def test_tilt_is_the_i_projection_onto_the_budget():
