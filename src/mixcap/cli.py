@@ -269,7 +269,8 @@ def _parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--eta", type=float, default=None, help="slack (default 1/sqrt(n))")
     p.add_argument("--trials", type=int, default=None,
-                   help="Monte-Carlo trials (used when exact convolution is infeasible)")
+                   help="Monte-Carlo trials, used for a tail whose type count exceeds "
+                        "min(trials, ENUM_CAP = 10^6); smaller tails are exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input-probs", default=None, help="comma-separated input distribution")
     p.add_argument("--mc", action="store_true", help="force the Monte-Carlo path")

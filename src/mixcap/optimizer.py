@@ -116,8 +116,9 @@ def _newton_on_face(f, z: np.ndarray, row=None, lam: float = 0.0):
     unknowns are z there, the level t and, given ``row = (c, gamma)``, lam
     (starting at ``lam``), whose term lam c_i joins face coordinate i's equation.
     Each step solves the linearization by least squares; a coordinate it drives
-    negative leaves the face.  Stops when all equations hold within KINK_TOL or
-    after POLISH_STEPS steps; returns (z, lam, steps).
+    negative leaves the face.  Stops when the linear rows hold within KINK_TOL and
+    the equations' spread is within KINK_TOL max(1, |lam c_i|) (the rounding
+    scale of lam c_i), or after POLISH_STEPS steps; returns (z, lam, steps).
     """
     for steps in range(POLISH_STEPS + 1):
         face = z > 0.0
@@ -128,7 +129,9 @@ def _newton_on_face(f, z: np.ndarray, row=None, lam: float = 0.0):
             lin = np.vstack([np.ones(face.sum()), row[0][face]])
             border, resid = -lin.T, vals - lam * row[0][face]
         gap = np.append(1.0, [] if row is None else row[1]) - lin @ z[face]
-        if max(np.ptp(resid), np.abs(gap).max()) <= KINK_TOL or steps == POLISH_STEPS:
+        scale = 1.0 if row is None else max(1.0, float(np.abs(lam * row[0][face]).max()))
+        if (np.ptp(resid) <= KINK_TOL * scale and np.abs(gap).max() <= KINK_TOL
+                or steps == POLISH_STEPS):
             break
         a = np.block([[jac, border], [lin, np.zeros((len(lin), len(lin)))]])
         sol = np.linalg.lstsq(a, np.concatenate([resid.min() - resid, gap]), rcond=None)[0]

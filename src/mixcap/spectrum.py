@@ -1,15 +1,17 @@
 """Exact and Monte-Carlo evaluation of information-spectrum tails and bounds.
 
 The n-letter information density of a memoryless channel against a product
-reference is a sum of independent per-letter atoms, so its law is computed by
-exact n-fold convolution (binary powering with atom merging).  The
-achievability and converse bounds are evaluated from those tails; true
-mixtures, whose output law is not a product, get explicitly flagged
-upper-bound surrogates with logarithmic penalties.
+reference is a sum of per-letter atoms, so it depends only on how many letters
+land on each atom: its exact law is a sum over count vectors (the method of
+types), one per letter part (all n letters, or the letters of one input symbol
+of a fixed composition).  The achievability and converse bounds are evaluated
+from those tails; true mixtures, whose output law is not a product, get
+explicitly flagged upper-bound surrogates with logarithmic penalties.
 
-Past the convolution caps the tails are estimated by Monte Carlo: each trial
-draws, for each letter part, one multinomial vector that counts the letters
-on each atom, so its cost does not depend on n.
+Each tail picks its path up front from the type count T, the product of the
+parts' count-vector counts: exact when T <= min(K, ``ENUM_CAP``) for K
+Monte-Carlo trials, else sampled, each trial drawing one multinomial count
+vector per letter part, so its cost does not depend on n.
 
 Boundary convention: a tail at threshold z includes atoms within
 ``BOUNDARY_TOL`` of n z (absolute, on the total), and the Monte-Carlo sampler
@@ -28,11 +30,9 @@ import numpy as np
 from .channel import (DominationError, Dmc, InputDist, MixedChannel, SlackParams,
                       log_density, output_distribution)
 from .optimizer import ConvergenceError
-from .types_toolkit import TypeClass
+from .types_toolkit import ENUM_CAP, TypeClass, count_types, enumerate_types
 
 BOUNDARY_TOL = 1e-9
-ATOM_CAP = 10**6
-PAIR_CAP = 4 * 10**7
 MC_CHUNK = 4096
 
 KIND_FEINSTEIN = "feinstein"
@@ -182,42 +182,23 @@ def per_letter_spectrum(x_source, w: Dmc, q, numer: np.ndarray | None = None) ->
     return merge_atoms(values, probs[reach], 0.0)
 
 
-def _convolve_pair(a: AtomDist, b: AtomDist, merge_tol: float) -> AtomDist:
-    if len(a.values) * len(b.values) > PAIR_CAP:
-        raise ConvergenceError(
-            f"convolution would form {len(a.values) * len(b.values)} atom pairs; "
-            "use the Monte-Carlo path")
-    values = (a.values[:, None] + b.values[None, :]).ravel()
-    probs = (a.probs[:, None] * b.probs[None, :]).ravel()
-    out = merge_atoms(values, probs, merge_tol)
-    if len(out.values) > ATOM_CAP:
-        raise ConvergenceError(
-            f"{len(out.values)} atoms exceed the cap {ATOM_CAP}; "
-            "use the Monte-Carlo path")
-    return out
-
-
 def default_merge_tol(atoms: AtomDist, n: int) -> float:
     scale = max(1.0, float(np.max(np.abs(atoms.values))) if len(atoms.values) else 1.0)
     return 1e-12 * n * scale
 
 
 def convolve_n(atoms: AtomDist, n: int, merge_tol: float | None = None) -> AtomDist:
-    """Exact distribution of the sum of n i.i.d. copies, by binary powering."""
+    """Exact distribution of the sum of n i.i.d. copies, as a sum over count vectors:
+    each count vector c gives the value c @ values with its multinomial probability."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if merge_tol is None:
         merge_tol = default_merge_tol(atoms, n)
-    result = None
-    base = atoms
-    m = n
-    while m > 0:
-        if m & 1:
-            result = base if result is None else _convolve_pair(result, base, merge_tol)
-        m >>= 1
-        if m:
-            base = _convolve_pair(base, base, merge_tol)
-    return result
+    live = atoms.probs > 0.0  # a massless atom would put 0 * log 0 into every count vector
+    counts = enumerate_types(int(live.sum()), n)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])  # log k!
+    log_probs = log_fact[n] - log_fact[counts].sum(axis=1) + counts @ np.log(atoms.probs[live])
+    return merge_atoms(counts @ atoms.values[live], np.exp(log_probs), merge_tol)
 
 
 def _letter_parts(w: Dmc, input_spec, q, n: int, numer: np.ndarray | None = None):
@@ -230,18 +211,30 @@ def _letter_parts(w: Dmc, input_spec, q, n: int, numer: np.ndarray | None = None
     return [(per_letter_spectrum(input_spec, w, q, numer), n)]
 
 
+def _type_count(parts) -> int:
+    """Count vectors behind the n-letter law: the product over letter parts."""
+    return math.prod(count_types(len(a.values), cnt) for a, cnt in parts)
+
+
 def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
                        numer: np.ndarray | None = None) -> SpectrumCdf:
     """Exact n-letter spectrum for an i.i.d. input or a fixed composition.
 
-    ``numer`` is passed on to ``per_letter_spectrum``.
+    Parts are joined by outer sums; past ``ENUM_CAP`` types it raises
+    ``ConvergenceError``.  ``numer`` is passed on to ``per_letter_spectrum``.
     """
     parts = _letter_parts(w, input_spec, q, n, numer)
+    types = _type_count(parts)
+    if types > ENUM_CAP:
+        raise ConvergenceError(f"the exact tail needs {types} types, past the cap {ENUM_CAP}; "
+                               "use the Monte-Carlo path")
     tol = max(default_merge_tol(a, n) for a, _ in parts)
     agg = None
     for atoms_x, cnt in parts:
         powered = convolve_n(atoms_x, cnt, tol)
-        agg = powered if agg is None else _convolve_pair(agg, powered, tol)
+        agg = powered if agg is None else merge_atoms(
+            (agg.values[:, None] + powered.values).ravel(),
+            (agg.probs[:, None] * powered.probs).ravel(), tol)
     return SpectrumCdf(n, agg)
 
 
@@ -346,7 +339,7 @@ def mixed_converse_bound(
     """Mixture converse: weighted per-component tails minus exp(-n eta).
 
     Each component is compared against its own product reference, so every
-    tail is an exact convolution (no surrogate needed); for a singleton this
+    tail is an exact n-letter law (no surrogate needed); for a singleton this
     coincides with the plain converse bound.
     """
     mixed = _as_mixed(mixed)
@@ -398,18 +391,16 @@ def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n,
 
 def _tail_or_mc(w: Dmc, input_spec, q, n, z, mc_trials, seed, threads,
                 numer: np.ndarray | None = None, force_mc: bool = False):
-    """Exact tail via convolution, falling back to MC when atoms blow up.
+    """Exact tail when the type count is at most ``ENUM_CAP`` and ``mc_trials``, else MC.
 
-    ``force_mc`` skips the convolution; ``numer`` substitutes the matrix
-    inside the log while sampling still follows ``w``.
+    The exact path never has more points than the Monte-Carlo run asked for.
+    Without ``mc_trials`` the tail is exact or raises ``ConvergenceError``.
+    ``force_mc`` skips the exact path; ``numer`` substitutes the matrix inside
+    the log while sampling still follows ``w``.
     """
-    if not force_mc:
-        try:
-            spec = aggregate_spectrum(w, input_spec, q, n, numer=numer)
-            return spec.tail_leq(z), 0.0, 0
-        except ConvergenceError:
-            if mc_trials is None:
-                raise
+    if not force_mc and (mc_trials is None or _type_count(
+            _letter_parts(w, input_spec, q, n, numer)) <= min(ENUM_CAP, mc_trials)):
+        return aggregate_spectrum(w, input_spec, q, n, numer).tail_leq(z), 0.0, 0
     est = mc_tail(w, input_spec, q, n, z, mc_trials, seed, threads=threads, numer=numer)
     return est.value, est.stderr, est.trials
 

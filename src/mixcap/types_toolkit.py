@@ -285,7 +285,7 @@ def mixture_converse_enumeration(mixed: MixedChannel, composition: TypeClass,
     """Brute-force value of the mixture converse bound over all output words.
 
     Enumerates every y-sequence; intended for desk-scale cross-checks of the
-    convolution path.
+    exact spectrum tails.
     """
     n = composition.n
     ky = mixed.num_outputs

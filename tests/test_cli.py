@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixcap.optimizer
+import mixcap.spectrum
 from mixcap.cli import load_spec, main, run_command
 from conftest import bsc_capacity, z_channel_matching
 
@@ -308,6 +309,55 @@ FUZZ_BASE = {
     "generator": {"family": "bsc", "params": [{"p": 0.1, "weight": 0.5}]},
 }
 OPTIONAL_KEYS = {("num_inputs",), ("num_outputs",), ("gamma",)}
+
+
+def _count_convolutions(monkeypatch):
+    calls = []
+    original = mixcap.spectrum.convolve_n
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mixcap.spectrum, "convolve_n", counted)
+    return calls
+
+
+def test_fbl_trials_below_the_type_count_sample_without_convolving(monkeypatch):
+    """A 2-atom 2x2 mixture at n = 100 has 176,851 types per component, more than the
+    40,000 trials asked for: the path is Monte Carlo before any law is built, and the
+    bytes are those of the sampler alone."""
+    calls = _count_convolutions(monkeypatch)
+    code, out, _ = run_command(["fbl", os.path.join(GOLDEN, "mix2x2.json"), "--n", "100",
+                                "--rate", "0.3", "--bound", "mixed-converse",
+                                "--trials", "40000", "--seed", "7"])
+    assert code == 0 and calls == []
+    assert out.splitlines()[1] == ("mixed-converse,0.19712460007023752,probability,mc,100,"
+                                   "0.3,nats,0.1,0.0014044847053279006,80000,7,")
+
+
+def test_fbl_is_exact_up_to_the_type_cap(tmp_path, monkeypatch, capsys):
+    """A generic 2x2 at n = 150 has 585,276 types, under ENUM_CAP: exact without
+    --trials, and within 4 stderr of 200,000 Monte-Carlo trials.  At n = 400 its
+    10,827,401 types exit 2 on one line naming the count, before any law is built."""
+    spec = write_spec(tmp_path, {"atoms": [{"weight": 1.0, "rows": [[0.9, 0.1], [0.25, 0.75]]}]})
+    argv = ["fbl", spec, "--n", "150", "--rate", "0.25", "--bound", "mixed-converse"]
+    rows = []
+    for extra in ([], ["--mc", "--trials", "200000", "--seed", "1"]):
+        assert main(argv + extra) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        rows.append(dict(zip(header.split(","), row.split(","))))
+    exact, mc = rows
+    assert exact["method"] == "exact" and mc["method"] == "mc"
+    assert abs(float(exact["value"]) - float(mc["value"])) <= 4 * float(mc["stderr"])
+    calls = _count_convolutions(monkeypatch)
+    argv[argv.index("150")] = "400"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and calls == []
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+    assert "10827401 types" in lines[0]
 
 
 def _paths(node, prefix=()):

@@ -20,7 +20,7 @@ from mixcap import (
     output_distribution,
 )
 from mixcap.cli import load_spec
-from mixcap.optimizer import DEFAULT_TOL, WARM_MAX_ITER, _dual_bound, _tilt
+from mixcap.optimizer import DEFAULT_TOL, WARM_MAX_ITER, _ba_tilted, _dual_bound, _tilt
 from conftest import bsc, bsc_capacity, random_dmc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -259,6 +259,20 @@ def test_near_degenerate_faces_solve_within_the_warm_cap(spec):
     assert res.iterations <= WARM_MAX_ITER
     assert _dual_bound(w, res.optimal_input.probs, cost, res.multiplier) - res.capacity <= 1e-9
     assert reps.representatives
+
+
+def test_newton_stops_on_a_binding_face_with_a_large_multiplier():
+    """Costs 0.7828 and 0.7755 make the multiplier 86.4, so the tilted divergences
+    D_x - lam c(x) carry terms near 68 whose rounding alone spreads them by more
+    than an absolute 1e-14: the spread is measured against max |lam c_x|, and the
+    face stops within 4 Newton steps instead of running all 20."""
+    w = Dmc([[0.21145746081572697, 0.7885425391842731],
+             [0.9488282955342473, 0.05117170446575271]])
+    cost = CostSpec([0.7828, 0.7755], 0.7771460257534711)
+    p, value, lam, _, steps, path = _ba_tilted(w, cost)
+    assert path == "Newton on the optimal face" and steps <= 4
+    assert lam == pytest.approx(86.36, abs=0.01)
+    assert _dual_bound(w, p, cost, lam) - value <= DEFAULT_TOL
 
 
 def test_tilt_is_the_i_projection_onto_the_budget():

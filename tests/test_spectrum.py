@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcap import (
     AtomDist,
@@ -96,10 +98,55 @@ def test_convolve_single_atom():
 
 
 def test_convolve_binomial():
-    atoms = AtomDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-    agg = convolve_n(atoms, 3)
-    assert np.allclose(agg.values, [0, 1, 2, 3])
-    assert np.allclose(agg.probs, np.array([1, 3, 3, 1]) / 8)
+    # a massless atom adds no value and no mass
+    for values, probs in (([0.0, 1.0], [0.5, 0.5]), ([0.0, 1.0, 5.0], [0.5, 0.5, 0.0])):
+        agg = convolve_n(AtomDist(np.array(values), np.array(probs)), 3)
+        assert np.allclose(agg.values, [0, 1, 2, 3])
+        assert np.allclose(agg.probs, np.array([1, 3, 3, 1]) / 8)
+
+
+def _outer_sum_law(parts):
+    """Law of a sum of independent draws by one outer sum per draw, values merged at 1e-9."""
+    v, p = np.zeros(1), np.ones(1)
+    for values, probs, cnt in parts:
+        for _ in range(cnt):
+            v, p = (v[:, None] + values).ravel(), (p[:, None] * probs).ravel()
+            _, first, inv = np.unique(np.round(v, 9), return_index=True, return_inverse=True)
+            v, p = v[first], np.bincount(inv, p)
+    return v, p
+
+
+def _assert_tails_agree(law: AtomDist, v, p):
+    """Tails at midpoints of the reference's gaps over 1e-7, and past both ends."""
+    order = np.argsort(v)
+    v, cum = v[order], np.cumsum(p[order])
+    gaps = np.flatnonzero(np.diff(v) > 1e-7)
+    cuts = np.concatenate(([v[0] - 1.0], 0.5 * (v[gaps] + v[gaps + 1]), [v[-1] + 1.0]))
+    want = np.concatenate(([0.0], cum[gaps], [cum[-1]]))
+    pick = np.linspace(0, len(cuts) - 1, min(len(cuts), 60)).astype(int)
+    got = np.array([law.cdf_at(c) for c in cuts[pick]])
+    assert np.abs(got - want[pick]).max() <= 1e-13
+
+
+@given(st.integers(1, 4), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_convolve_n_matches_outer_sums(k, n, lattice, seed):
+    """Sums over count vectors give the law of repeated outer sums, on generic atoms and
+    on lattice atoms, where many count vectors share a value and merge."""
+    rng = np.random.default_rng(seed)
+    values = (0.3 * rng.integers(-3, 4, size=k) if lattice else rng.normal(size=k))
+    probs = rng.dirichlet(np.ones(k))
+    _assert_tails_agree(convolve_n(AtomDist(values, probs), n),
+                        *_outer_sum_law([(values, probs, n)]))
+
+
+def test_composition_spectrum_matches_outer_sums():
+    """A fixed composition: one count-vector law per input letter, joined by outer sums."""
+    w = random_dmc(np.random.default_rng(41), 2, 3)
+    comp = TypeClass(np.array([7, 11]), 18)
+    q = output_distribution(InputDist(comp.fractions), w)
+    parts = [(a.values, a.probs, cnt) for a, cnt in _letter_parts(w, comp, q, 18)]
+    _assert_tails_agree(aggregate_spectrum(w, comp, q, 18).aggregate, *_outer_sum_law(parts))
 
 
 def test_convolution_matches_mc(uniform2):
