@@ -4,7 +4,8 @@ The n-letter information density of a memoryless channel against a product
 reference is a sum of per-letter atoms, so it depends only on how many letters
 land on each atom: its exact law is a sum over count vectors (the method of
 types), one per letter part (all n letters, or the letters of one input symbol
-of a fixed composition).  The achievability and converse bounds are evaluated
+of a fixed composition).  Each count vector is one atom of that law; only the
+per-letter atoms group equal values.  The achievability and converse bounds are evaluated
 from those tails; true mixtures, whose output law is not a product, get
 explicitly flagged upper-bound surrogates with logarithmic penalties.
 
@@ -30,7 +31,7 @@ import numpy as np
 from .channel import (DominationError, Dmc, InputDist, MixedChannel, SlackParams,
                       log_density, output_distribution)
 from .optimizer import ConvergenceError
-from .types_toolkit import ENUM_CAP, TypeClass, count_types, enumerate_types
+from .types_toolkit import ENUM_CAP, TypeClass, count_types, enumerate_types, log_factorials
 
 BOUNDARY_TOL = 1e-9
 MC_CHUNK = 4096
@@ -136,34 +137,7 @@ class BoundEstimate:
             raise ValueError("exact estimates must have zero stderr")
 
 
-PROB_FLOOR = 1e-300  # atoms below this carry no representable mass
-
-
-def merge_atoms(values: np.ndarray, probs: np.ndarray, merge_tol: float) -> AtomDist:
-    """Sort and merge atoms whose values are within merge_tol of a neighbor.
-
-    Merged atoms take the probability-weighted mean value, so exact lattice
-    spectra stay on the lattice up to rounding noise.  Atoms whose mass falls
-    below PROB_FLOOR are dropped: subnormal weights would otherwise poison the
-    weighted means and break the lattice structure.
-    """
-    keep = probs > PROB_FLOOR
-    values, probs = values[keep], probs[keep]
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    p = probs[order]
-    if len(v) == 0:
-        return AtomDist(v, p)
-    if merge_tol > 0.0:
-        breaks = np.flatnonzero(np.diff(v) > merge_tol)
-    else:
-        breaks = np.flatnonzero(np.diff(v) > 0.0)
-    starts = np.concatenate(([0], breaks + 1))
-    mass = np.add.reduceat(p, starts)
-    weighted = np.add.reduceat(v * p, starts)
-    merged_v = weighted / mass
-    keep = mass > PROB_FLOOR
-    return AtomDist(merged_v[keep], mass[keep])
+PROB_FLOOR = 1e-300  # per-letter atoms at or below this carry no representable mass
 
 
 def per_letter_spectrum(x_source, w: Dmc, q, numer: np.ndarray | None = None) -> AtomDist:
@@ -173,32 +147,27 @@ def per_letter_spectrum(x_source, w: Dmc, q, numer: np.ndarray | None = None) ->
     fixed input letter.  The reference q must dominate every reachable output;
     a violation is reported with the offending (x, y) pair.  ``numer``
     replaces W inside the log while the probabilities still follow W (used by
-    the mixture surrogates).
+    the mixture surrogates).  Pairs of exactly equal value are one atom, and
+    masses at or below ``PROB_FLOOR`` are dropped: this is the only place the
+    atom count, and with it every type count, is set.
     """
     px = x_source.probs if isinstance(x_source, InputDist) else np.eye(w.num_inputs)[int(x_source)]
     probs = px[:, None] * w.rows
-    reach = probs > 0.0
-    values = log_density(px, w, q, numer)[reach]
-    return merge_atoms(values, probs[reach], 0.0)
+    reach = probs > PROB_FLOOR
+    values, of = np.unique(log_density(px, w, q, numer)[reach], return_inverse=True)
+    return AtomDist(values, np.bincount(of, probs[reach]))
 
 
-def default_merge_tol(atoms: AtomDist, n: int) -> float:
-    scale = max(1.0, float(np.max(np.abs(atoms.values))) if len(atoms.values) else 1.0)
-    return 1e-12 * n * scale
-
-
-def convolve_n(atoms: AtomDist, n: int, merge_tol: float | None = None) -> AtomDist:
+def convolve_n(atoms: AtomDist, n: int) -> AtomDist:
     """Exact distribution of the sum of n i.i.d. copies, as a sum over count vectors:
-    each count vector c gives the value c @ values with its multinomial probability."""
+    each count vector c is one atom, of value c @ values and multinomial probability."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if merge_tol is None:
-        merge_tol = default_merge_tol(atoms, n)
     live = atoms.probs > 0.0  # a massless atom would put 0 * log 0 into every count vector
     counts = enumerate_types(int(live.sum()), n)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])  # log k!
-    log_probs = log_fact[n] - log_fact[counts].sum(axis=1) + counts @ np.log(atoms.probs[live])
-    return merge_atoms(counts @ atoms.values[live], np.exp(log_probs), merge_tol)
+    log_probs = (math.lgamma(n + 1) - log_factorials(counts).sum(axis=1)
+                 + counts @ np.log(atoms.probs[live]))
+    return AtomDist(counts @ atoms.values[live], np.exp(log_probs))
 
 
 def _letter_parts(w: Dmc, input_spec, q, n: int, numer: np.ndarray | None = None):
@@ -220,7 +189,8 @@ def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
                        numer: np.ndarray | None = None) -> SpectrumCdf:
     """Exact n-letter spectrum for an i.i.d. input or a fixed composition.
 
-    Parts are joined by outer sums; past ``ENUM_CAP`` types it raises
+    Parts are joined by outer sums, so the law has one atom per combination of
+    the parts' count vectors; past ``ENUM_CAP`` of them it raises
     ``ConvergenceError``.  ``numer`` is passed on to ``per_letter_spectrum``.
     """
     parts = _letter_parts(w, input_spec, q, n, numer)
@@ -228,13 +198,11 @@ def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
     if types > ENUM_CAP:
         raise ConvergenceError(f"the exact tail needs {types} types, past the cap {ENUM_CAP}; "
                                "use the Monte-Carlo path")
-    tol = max(default_merge_tol(a, n) for a, _ in parts)
     agg = None
     for atoms_x, cnt in parts:
-        powered = convolve_n(atoms_x, cnt, tol)
-        agg = powered if agg is None else merge_atoms(
-            (agg.values[:, None] + powered.values).ravel(),
-            (agg.probs[:, None] * powered.probs).ravel(), tol)
+        law = convolve_n(atoms_x, cnt)
+        agg = law if agg is None else AtomDist((agg.values[:, None] + law.values).ravel(),
+                                               (agg.probs[:, None] * law.probs).ravel())
     return SpectrumCdf(n, agg)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .channel import CostSpec, Dmc, InputDist, MixedChannel, SlackParams, log_density
 
 ENUM_CAP = 10**6
+CELL_CAP = 3 * 10**7  # entries of one type table, rows times symbols
 
 
 class EnumerationCapError(RuntimeError):
@@ -97,15 +98,28 @@ def enumerate_types(num_symbols: int, n: int) -> np.ndarray:
     Stars and bars: the positions of num_symbols - 1 bars among n + num_symbols - 1
     slots come from ``itertools.combinations`` and the parts are the gaps
     between them.  Lexicographic order, first part slowest.  The count is
-    checked against ``ENUM_CAP`` before anything is allocated.
+    checked against ``ENUM_CAP``, and the table's size against ``CELL_CAP``,
+    before anything is allocated.
     """
     total = count_types(num_symbols, n)
     if total > ENUM_CAP:
         raise EnumerationCapError(f"{total} types exceed the cap {ENUM_CAP}")
+    if total * num_symbols > CELL_CAP:
+        raise EnumerationCapError(f"{total} types of {num_symbols} symbols exceed the "
+                                  f"cap of {CELL_CAP} table cells")
+    if num_symbols == 1:  # combinations would still copy its pool of n slots
+        return np.array([[n]])
     bars = num_symbols - 1
     pos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + bars), bars)),
                       dtype=int, count=total * bars)
     return np.diff(pos.reshape(total, bars), axis=1, prepend=-1, append=n + bars) - 1
+
+
+def log_factorials(counts: np.ndarray) -> np.ndarray:
+    """log k! at every entry of a nonnegative int array, from one lgamma per integer
+    between its smallest and largest entry (for a count table, the counts that occur)."""
+    lo, hi = int(counts.min()), int(counts.max())
+    return np.array([math.lgamma(k + 1) for k in range(lo, hi + 1)])[counts - lo]
 
 
 def _counts_log(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
@@ -168,7 +182,10 @@ def expurgated_space(mixed: MixedChannel, q_list, n: int) -> ExpurgationReport:
     member &= _dominated(mixed.weights, np.stack([comp.log_rows for comp in mixed.components]),
                          enumerate_types(kx * ky, n), slack)
     mass = float(np.sum(mixed.weights[member]))
-    bound = 1.0 - 2.0 * (n + 1) ** (kx * ky) * math.exp(-slack)
+    try:
+        bound = 1.0 - 2.0 * (n + 1) ** (kx * ky) * math.exp(-slack)
+    except OverflowError:  # (n + 1)^(kx ky) past the float range: the bound is vacuous
+        bound = -math.inf
     return ExpurgationReport(tuple(bool(b) for b in member), mass, bound, n)
 
 
@@ -231,14 +248,13 @@ def decomposition_check(
     members = [i for i, m in enumerate(expur.member_mask) if m]
     m_counts = composition.counts
     refs = _reference_laws(mixed, q_list)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])  # log k!
 
     # the joint types with the composition as row sums: the rows' types, crossed
     rows = [enumerate_types(mixed.num_outputs, int(m)) for m in m_counts]
     picks = np.indices([len(r) for r in rows]).reshape(len(rows), -1)
     joints = np.stack([r[i] for r, i in zip(rows, picks)], axis=1)  # joint x input x output
     flat = joints.reshape(len(joints), -1)
-    log_fact_joint = log_fact[flat].sum(axis=1)
+    log_fact_joint = log_factorials(flat).sum(axis=1)
     out_types, of = np.unique(joints.sum(axis=1), axis=0, return_inverse=True)
     of = of.reshape(-1)  # numpy 2.0.0 returns it 2-D
 
@@ -250,11 +266,12 @@ def decomposition_check(
         log_density(m_counts, comp, q).reshape(-1)
         for comp, q in zip(mixed.components, refs.rows)]))
     # probability that the joint type of (x, Y_k) is J
-    log_pr = log_fact[m_counts].sum() - log_fact_joint[:, None] + log_wn
+    log_fact_comp = log_factorials(m_counts).sum()
+    log_pr = log_fact_comp - log_fact_joint[:, None] + log_wn
     # per output type and atom: log P_{Y_k^n}(y) for y of that type, the
     # multinomial of the columns counting the x-sequences of the composition
-    log_col = log_fact[out_types].sum(axis=1)[of] - log_fact_joint
-    log_t_size = log_fact[n] - log_fact[m_counts].sum()
+    log_col = log_factorials(out_types).sum(axis=1)[of] - log_fact_joint
+    log_t_size = math.lgamma(n + 1) - log_fact_comp
     log_py = _logsumexp(log_col[:, None] + log_wn, of, len(out_types)) - log_t_size
     log_py_mix = _logsumexp((np.log(mixed.weights) + log_py).T)[0]
     _, log_qn_mix = _log_laws(refs.log_rows, out_types, mixed.weights)

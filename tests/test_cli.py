@@ -205,6 +205,17 @@ def test_validate_lemmas_zero_entries_raise_no_warning(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_validate_lemmas_reports_a_vacuous_expurgation_bound(tmp_path, capsys):
+    """On a 32x32 channel 2 (n + 1)^(|X| |Y|) passes the float range at n = 1: the bound
+    is reported as -inf, not raised as an OverflowError."""
+    rows = np.random.default_rng(32).dirichlet(np.ones(32), size=32)
+    spec = tmp_path / "wide32.json"
+    spec.write_text(json.dumps({"atoms": [{"weight": 0.5, "rows": rows.tolist()},
+                                          {"weight": 0.5, "rows": np.eye(32).tolist()}]}))
+    assert main(["validate-lemmas", str(spec), "--n", "1"]) == 0
+    assert "bound=-inf" in capsys.readouterr().out
+
+
 ONE_ATOM = [{"weight": 1.0, "rows": [[0.9, 0.1], [0.2, 0.8]]}]
 
 # malformed spec files, each run as "capacity {name}"

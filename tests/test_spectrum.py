@@ -29,7 +29,7 @@ from mixcap import (
     per_letter_spectrum,
 )
 from mixcap.spectrum import MC_CHUNK, _letter_parts
-from mixcap.types_toolkit import TypeClass
+from mixcap.types_toolkit import TypeClass, count_types
 from conftest import bsc, random_dmc
 
 
@@ -90,11 +90,32 @@ def test_per_letter_spectrum_domination(uniform2):
         per_letter_spectrum(uniform2, w, np.array([1.0, 0.0]))
 
 
-def test_convolve_single_atom():
+def test_convolve_single_atom(monkeypatch):
+    """One atom has one count vector: at n = 10^7 a handful of lgamma calls, not n + 1."""
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
     atoms = AtomDist(np.array([0.7]), np.array([1.0]))
     agg = convolve_n(atoms, 10)
     assert len(agg.values) == 1
     assert agg.values[0] == pytest.approx(7.0, abs=1e-12)
+    calls.clear()
+    agg = convolve_n(atoms, 10**7)
+    assert agg.values.tolist() == [7e6] and agg.probs.tolist() == [1.0]
+    assert len(calls) <= 3
+
+
+@given(st.integers(1, 5), st.integers(1, 25), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_convolve_n_keeps_one_atom_per_count_vector(k, n, seed):
+    """Nothing is merged: generic atoms give exactly count_types(k, n) atoms, lattice
+    atoms as many, with a total mass of 1."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(k))
+    for values in (rng.normal(size=k), 0.5 * np.arange(k)):
+        law = convolve_n(AtomDist(values, probs), n)
+        assert len(law.values) == count_types(k, n)
+        assert law.total_mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_convolve_binomial():
@@ -132,7 +153,7 @@ def _assert_tails_agree(law: AtomDist, v, p):
 @settings(max_examples=40, deadline=None)
 def test_convolve_n_matches_outer_sums(k, n, lattice, seed):
     """Sums over count vectors give the law of repeated outer sums, on generic atoms and
-    on lattice atoms, where many count vectors share a value and merge."""
+    on lattice atoms, where many count vectors share a value and each stays its own atom."""
     rng = np.random.default_rng(seed)
     values = (0.3 * rng.integers(-3, 4, size=k) if lattice else rng.normal(size=k))
     probs = rng.dirichlet(np.ones(k))

@@ -80,6 +80,14 @@ def test_enumerate_types_cap():
         enumerate_types(9, 60)
 
 
+def test_enumerate_types_refuses_a_table_past_the_cell_cap():
+    """The joint types of a 33x33 channel at n = 2: 593,505 rows, under ENUM_CAP, but
+    6.5e8 cells (about 5 GB), refused before allocation."""
+    assert count_types(1089, 2) <= types_toolkit.ENUM_CAP
+    with pytest.raises(EnumerationCapError, match="table cells"):
+        enumerate_types(1089, 2)
+
+
 def test_expurgation_singleton_and_duplicates(uniform2):
     single = MixedChannel.singleton(bsc(0.11))
     q = [output_distribution(uniform2, bsc(0.11))]
