@@ -6,7 +6,6 @@ from .channel import (
     Dmc,
     DominationError,
     InfeasibleCostError,
-    InfoStats,
     InputDist,
     MixedChannel,
     SlackParams,
@@ -15,10 +14,8 @@ from .channel import (
     divergence,
     gaussian_cdf,
     gaussian_inv,
-    info_stats,
     mutual_information,
     output_distribution,
-    psi,
     psi_from_variance,
 )
 from .optimizer import (
@@ -37,10 +34,8 @@ from .first_order import (
     rate_quantile,
 )
 from .second_order import (
-    CanonicalSandwichError,
     SecondOrderResult,
     SolveResult,
-    canonical_solution,
     gw,
     second_order_lb,
     second_order_well_ordered,

@@ -204,28 +204,6 @@ class MixedChannel:
 
 
 @dataclass(frozen=True)
-class InfoStats:
-    """Single-letter statistics of the information density log(W(y|x)/q(y)).
-
-    ``mutual_info`` and ``dispersion`` are taken at the input distribution with
-    its own output as reference; ``comp_variance`` and ``third_abs_moment`` may
-    use a separate composition and reference output (see ``info_stats``).
-    """
-
-    mutual_info: float
-    dispersion: float
-    comp_variance: float
-    third_abs_moment: float
-
-    def __post_init__(self):
-        for name in ("mutual_info", "dispersion", "comp_variance", "third_abs_moment"):
-            v = float(getattr(self, name))
-            if v < -1e-9:
-                raise ValueError(f"{name} = {v:g} is negative")
-            object.__setattr__(self, name, max(v, 0.0))
-
-
-@dataclass(frozen=True)
 class SlackParams:
     """Slack knobs of the non-asymptotic bounds: eta and gamma."""
 
@@ -303,51 +281,20 @@ def mutual_information(p: InputDist, w: Dmc) -> float:
     return max(float(p.probs[active] @ d[active]), 0.0)
 
 
-def _conditional_moments(weights_x: np.ndarray, w: Dmc, q: np.ndarray):
-    """Average conditional variance / third absolute moment of log(W(y|x)/q(y)).
+def channel_dispersion(p: InputDist, w: Dmc) -> float:
+    """Per-letter variance of the information density at (P, PW), in nats^2.
 
-    Per letter x the density is centered at D(W(.|x) || q); the averages are
-    taken with the composition ``weights_x`` over inputs.
+    Per letter x the density is centered at D(W(.|x) || PW); the conditional
+    variances are averaged under P.
     """
-    dens = log_density(weights_x, w, q)
-    var = third = 0.0
-    for x in np.flatnonzero(weights_x > 0.0):
+    dens = log_density(p.probs, w, output_distribution(p, w))
+    var = 0.0
+    for x in np.flatnonzero(p.probs > 0.0):
         support = w.rows[x] > 0.0
         row, d = w.rows[x][support], dens[x][support]
         centered = d - float(row @ d)
-        var += weights_x[x] * float(row @ (centered**2))
-        third += weights_x[x] * float(row @ (np.abs(centered) ** 3))
-    return max(var, 0.0), max(third, 0.0)
-
-
-def channel_dispersion(p: InputDist, w: Dmc) -> float:
-    """Per-letter variance of the information density at (P, PW), in nats^2."""
-    pw = output_distribution(p, w)
-    var, _ = _conditional_moments(p.probs, w, pw)
-    return var
-
-
-def info_stats(
-    p: InputDist,
-    w: Dmc,
-    composition: InputDist | None = None,
-    ref_output: np.ndarray | None = None,
-) -> InfoStats:
-    """Bundle the single-letter statistics of (P, W).
-
-    ``composition`` and ``ref_output`` default to P and PW; passing a codeword
-    composition plus a fixed reference output gives the composition-dependent
-    variance used by the finite-blocklength normal approximation.
-    """
-    pw = output_distribution(p, w)
-    mi = mutual_information(p, w)
-    if mi > math.log(min(w.num_inputs, w.num_outputs)) + 1e-9:
-        raise ValueError("mutual information exceeds the alphabet bound")
-    disp, _ = _conditional_moments(p.probs, w, pw)
-    comp = composition.probs if composition is not None else p.probs
-    q = np.asarray(ref_output, dtype=float) if ref_output is not None else pw
-    comp_var, third = _conditional_moments(comp, w, q)
-    return InfoStats(mi, disp, comp_var, third)
+        var += p.probs[x] * float(row @ (centered**2))
+    return max(var, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +356,3 @@ def psi_from_variance(v: float, s: float) -> float:
     if v == 0.0:
         return 1.0 if s >= 0.0 else 0.0
     return gaussian_cdf(s / math.sqrt(v))
-
-
-def psi(theta_stats: InfoStats, s: float) -> float:
-    """Variance-indexed Gaussian cdf of a component, evaluated at s."""
-    return psi_from_variance(theta_stats.dispersion, s)

@@ -202,10 +202,13 @@ def _jsonable(obj):
 
 
 def _input_dist(args, k: int) -> InputDist:
-    if getattr(args, "input_probs", None):
-        probs = [float(t) for t in args.input_probs.split(",")]
-        return InputDist(np.asarray(probs))
-    return InputDist.uniform(k)
+    text = getattr(args, "input_probs", None)
+    if text is None:
+        return InputDist.uniform(k)
+    probs = [float(t) for t in text.split(",")] if text.strip() else []
+    if len(probs) != k:
+        raise ValueError(f"--input-probs has {len(probs)} entries, the channel has {k} inputs")
+    return InputDist(np.asarray(probs))
 
 
 def _output_flags(p: argparse.ArgumentParser, top: bool) -> None:

@@ -30,14 +30,11 @@ from .first_order import eps_capacity, eps_capacity_well_ordered, informations
 from .well_ordered import require_well_ordered
 
 DEFAULT_TIE_TOL = 1e-9
+RATE_TOL = 1e-9  # second_order_lb: a rate this close to the eps-capacity counts as on it
 REFINE_STEPS = 60  # rounds of pair moves when a vertex climbs its barycentric weights
 
 METHOD_LOWER_BOUND = "lower-bound"
 METHOD_EXACT = "exact-formula"
-
-
-class CanonicalSandwichError(ValueError):
-    """The input is not admissible for the canonical equation at this rate."""
 
 
 class SolveResult(NamedTuple):
@@ -182,26 +179,6 @@ def solve_s(mixed: MixedChannel, p: InputDist, r: float, eps: float,
     return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
 
 
-def canonical_solution(mixed: MixedChannel, p: InputDist, eps: float,
-                       capacity: float, tie_tol: float = DEFAULT_TIE_TOL) -> SolveResult:
-    """Solve sum over at-capacity atoms of w_k Psi_k(S) = eps - w{I < capacity}.
-
-    Requires the admissibility sandwich w{I < C} <= eps <= w{I <= C} at the
-    given input; +inf when no atom sits at the capacity (non-unique solution).
-    """
-    values = informations(mixed.components, p.probs)
-    base, at = _classify(values, mixed.weights, capacity, tie_tol)
-    mass_at = sum(w for w, _ in at)
-    if base > eps + 1e-12 or base + mass_at < eps - 1e-12:
-        raise CanonicalSandwichError(
-            f"input is not admissible at this rate: w{{I<C}}={base:.12g}, "
-            f"w{{I<=C}}={base + mass_at:.12g}, eps={eps:.12g}"
-        )
-    if mass_at == 0.0:
-        return SolveResult(math.inf, False)
-    return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
-
-
 def _extended_key(res: SolveResult):
     """Ordering key for extended reals: closed boundaries beat open ones at ties."""
     return (res.s_value, not res.open_boundary)
@@ -239,12 +216,11 @@ def second_order_lb(
     r: float | None = None,
     eps: float = 0.0,
     tie_tol: float = DEFAULT_TIE_TOL,
-    rate_tol: float = 1e-9,
 ) -> SecondOrderResult:
     """Direct-part second-order rate at rate r: sup of solve_s over the eps-capacity optima.
 
     A LOWER BOUND for general mixtures (no converse is available); +-inf when the
-    rate is off the first-order capacity by more than ``rate_tol``.  The sup runs over
+    rate is off the first-order capacity by more than ``RATE_TOL``.  The sup runs over
     the ``winners`` of ``eps_capacity``; an input with an atom in the band snap_tol <
     |I - r| <= tie_tol scores -inf, so no climb trades dispersion for slack.
     """
@@ -252,7 +228,7 @@ def second_order_lb(
     cap_res = eps_capacity(mixed, cost, eps)
     if r is None:
         r = cap_res.capacity
-    if abs(r - cap_res.capacity) > rate_tol:  # S = +inf below the capacity, -inf above
+    if abs(r - cap_res.capacity) > RATE_TOL:  # S = +inf below the capacity, -inf above
         below = r < cap_res.capacity
         return SecondOrderResult(math.inf if below else -math.inf, r, cap_res.argmax_input,
                                  0.0 if below else 1.0, 0.0, METHOD_LOWER_BOUND)

@@ -7,7 +7,9 @@ types), one per letter part (all n letters, or the letters of one input symbol
 of a fixed composition).  Each count vector is one atom of that law; only the
 per-letter atoms group equal values.  The achievability and converse bounds are evaluated
 from those tails; true mixtures, whose output law is not a product, get
-explicitly flagged upper-bound surrogates with logarithmic penalties.
+explicitly flagged upper-bound surrogates with logarithmic penalties.  Every
+input is an ``input_spec``: an ``InputDist`` (i.i.d. letters) or a
+``TypeClass`` (one fixed composition); Feinstein's bound takes only the former.
 
 Each tail picks its path up front from the type count T, the product of the
 parts' count-vector counts: exact when T <= min(K, ``ENUM_CAP``) for K
@@ -95,30 +97,18 @@ class SpectrumCdf:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Blocklength, code size and rate; the rate is log(m)/n in nats."""
+    """Blocklength and rate; the rate is log(M)/n in nats for a code of M codewords."""
 
     n: int
     rate: float
-    m: int | None = None
-    composition: TypeClass | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("blocklength must be at least 1")
-        if self.m is not None:
-            if self.m < 1:
-                raise ValueError("need at least one codeword")
-            if abs(self.rate - math.log(self.m) / self.n) > 1e-12:
-                raise ValueError("rate must equal log(m)/n within 1e-12")
 
     @staticmethod
-    def from_codewords(n: int, m: int, composition: TypeClass | None = None) -> "CodeParams":
-        return CodeParams(n, math.log(m) / n, m, composition)
-
-    @staticmethod
-    def from_rate(n: int, rate: float, composition: TypeClass | None = None) -> "CodeParams":
-        # rate sweeps keep the rate primary; no integer size is attached
-        return CodeParams(n, rate, None, composition)
+    def from_rate(n: int, rate: float) -> "CodeParams":
+        return CodeParams(n, rate)
 
 
 @dataclass(frozen=True)
@@ -264,7 +254,7 @@ def hayashi_nagaoka_bound(
     code: CodeParams,
     q,
     slack: SlackParams,
-    input_spec=None,
+    input_spec,
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -279,7 +269,6 @@ def hayashi_nagaoka_bound(
     """
     mixed = _as_mixed(channel)
     n, eta = code.n, slack.eta
-    input_spec = _input_spec(code, input_spec)
     z = code.rate - eta
     note = "mixed-law surrogate: max-envelope numerator" if mixed.num_atoms > 1 else ""
     # pointwise maximum of the component laws: not stochastic, used only as
@@ -298,7 +287,7 @@ def mixed_converse_bound(
     code: CodeParams,
     q_list,
     slack: SlackParams,
-    input_spec=None,
+    input_spec,
     mc_trials: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -312,7 +301,6 @@ def mixed_converse_bound(
     """
     mixed = _as_mixed(mixed)
     n, eta = code.n, slack.eta
-    input_spec = _input_spec(code, input_spec)
     if len(q_list) != mixed.num_atoms:
         raise ValueError("need one reference output per component")
     total, stderr, trials = _weighted_tail(mixed, input_spec, q_list,
@@ -322,21 +310,12 @@ def mixed_converse_bound(
                          stderr, trials, seed)
 
 
-def exact_tail_bound(mixed, code: CodeParams, q_list, input_spec=None) -> BoundEstimate:
+def exact_tail_bound(mixed, code: CodeParams, q_list, input_spec) -> BoundEstimate:
     """Weighted exact spectrum tail at the code rate (no slack terms)."""
     mixed = _as_mixed(mixed)
-    input_spec = _input_spec(code, input_spec)
     total, _, _ = _weighted_tail(mixed, input_spec, q_list, [code.rate] * mixed.num_atoms,
                                  code.n, None, 0, 1, False)
     return BoundEstimate(_clip01(total), KIND_EXACT_TAIL)
-
-
-def _input_spec(code: CodeParams, input_spec):
-    """The explicit input spec, else the code's composition."""
-    input_spec = input_spec if input_spec is not None else code.composition
-    if input_spec is None:
-        raise ValueError("need an input spec: pass input_spec or set code.composition")
-    return input_spec
 
 
 def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n,

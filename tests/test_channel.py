@@ -9,20 +9,17 @@ from mixcap import (
     CostSpec,
     Dmc,
     DominationError,
-    InfoStats,
     InputDist,
     MixedChannel,
     channel_dispersion,
     divergence,
     gaussian_cdf,
     gaussian_inv,
-    info_stats,
     mutual_information,
     output_distribution,
-    psi,
     psi_from_variance,
 )
-from mixcap.channel import row_divergences
+from mixcap.channel import log_density, row_divergences
 from conftest import bsc, binary_entropy, random_dmc
 
 
@@ -114,16 +111,16 @@ def test_divergence_is_the_row_kernel():
             assert (d == math.inf) == bool(np.any((p > 0.0) & (q <= 0.0)))
 
 
-def test_info_stats_reference_must_dominate():
+def test_log_density_reference_must_dominate():
     w = Dmc([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
     q = np.array([0.5, 0.5, 0.0])  # misses y=2, reachable from x=1
     with pytest.raises(DominationError, match=r"y=2, reachable from x=1") as err:
-        info_stats(InputDist([0.5, 0.5]), w, ref_output=q)
+        log_density([0.5, 0.5], w, q)
     assert isinstance(err.value, ValueError)
-    # a letter left out of the composition reaches nothing
-    stats = info_stats(InputDist([0.5, 0.5]), w, composition=InputDist([1.0, 0.0]),
-                       ref_output=q)
-    assert stats.comp_variance == 0.0
+    # a zero-weight input letter reaches nothing
+    dens = log_density([1.0, 0.0], w, q)
+    assert dens[0, 0] == pytest.approx(math.log(2.0))
+    assert np.all(dens[0, 1:] == -np.inf) and np.all(dens[1] == -np.inf)
 
 
 def test_dispersion_examples(uniform2):
@@ -191,11 +188,9 @@ def test_slack_params_validation():
 
 
 def test_psi_examples():
-    stats = InfoStats(0.1, 1.0, 1.0, 1.0)
-    assert psi(stats, 0.0) == pytest.approx(0.5)
-    step = InfoStats(0.1, 0.0, 0.0, 0.0)
-    assert psi(step, -0.01) == 0.0
-    assert psi(step, 0.0) == 1.0
+    assert psi_from_variance(1.0, 0.0) == pytest.approx(0.5)
+    assert psi_from_variance(0.0, -0.01) == 0.0
+    assert psi_from_variance(0.0, 0.0) == 1.0
     assert psi_from_variance(4.0, 2.0) == pytest.approx(gaussian_cdf(1.0))
 
 
@@ -205,20 +200,3 @@ def test_psi_examples():
 def test_psi_nondecreasing_in_s(v, a, b):
     lo, hi = min(a, b), max(a, b)
     assert psi_from_variance(v, lo) <= psi_from_variance(v, hi) + 1e-15
-
-
-def test_info_stats_bundle(uniform2):
-    w = bsc(0.11)
-    stats = info_stats(uniform2, w)
-    assert stats.mutual_info == pytest.approx(mutual_information(uniform2, w))
-    assert stats.dispersion == pytest.approx(channel_dispersion(uniform2, w))
-    assert stats.comp_variance == pytest.approx(stats.dispersion)
-    assert stats.third_abs_moment > 0
-    # composition and reference output override (asymmetric channel, so the
-    # per-letter conditional variances differ across inputs)
-    w2 = Dmc([[0.9, 0.1], [0.4, 0.6]])
-    comp = InputDist([0.25, 0.75])
-    q = output_distribution(uniform2, w2)
-    s_unif = info_stats(uniform2, w2)
-    s_comp = info_stats(uniform2, w2, composition=comp, ref_output=q)
-    assert s_comp.comp_variance != pytest.approx(s_unif.comp_variance)

@@ -279,6 +279,10 @@ BAD_SPECS = {
       "--input-probs", "nan,1"], "input distribution"),
     (["validate-lemmas", "{mix2x2}", "--n", "6", "--input-probs", "nan,1"],
      "input distribution"),
+    (["fbl", "{mix2x2}", "--n", "20", "--rate", "0.2", "--bound", "feinstein",
+      "--input-probs="], "--input-probs"),
+    (["validate-lemmas", "{mix2x2}", "--n", "6", "--input-probs", "0.2,0.3,0.5"],
+     "--input-probs"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")

@@ -12,7 +12,6 @@ from mixcap import (
     InputDist,
     MixedChannel,
     SlackParams,
-    canonical_solution,
     channel_dispersion,
     eps_capacity,
     eps_capacity_well_ordered,
@@ -93,13 +92,6 @@ def test_solve_s_step_and_gaussian_mixture_all_branches():
     assert high.s_value == pytest.approx(
         math.sqrt(v) * gaussian_inv((0.85 - 0.4) / 0.6), abs=1e-8)
 
-    # the canonical 1-D equation sees the same feasibility boundary
-    for eps in (0.2, 0.5, 0.85):
-        canon = canonical_solution(mix, p3, eps, r)
-        direct = solve_s(mix, p3, r, eps)
-        assert canon.s_value == pytest.approx(direct.s_value, abs=1e-9)
-        assert canon.open_boundary == direct.open_boundary
-
 
 def test_solve_s_gaussian_below_step(uniform2):
     # positive-variance atom at the rate with eps below one half: the sup is a
@@ -115,12 +107,6 @@ def test_solve_s_step_infeasible_above_jump(uniform2):
     # noiseless atom at the rate with eps below the jump: sup is the open 0
     mix = MixedChannel.singleton(noiseless())
     res = solve_s(mix, uniform2, math.log(2), eps=0.99)
-    assert res.s_value == 0.0 and res.open_boundary
-
-
-def test_canonical_solution_step_case(uniform2):
-    mix = MixedChannel.singleton(noiseless())
-    res = canonical_solution(mix, uniform2, eps=0.4, capacity=math.log(2))
     assert res.s_value == 0.0 and res.open_boundary
 
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from mixcap import (
-    CanonicalSandwichError,
     Dmc,
     InputDist,
     MixedChannel,
     NotWellOrderedError,
-    canonical_solution,
     channel_dispersion,
     constrained_capacity,
     gaussian_inv,
@@ -102,12 +100,16 @@ def test_solve_s_grid_scan_agreement(uniform2):
         assert abs(res.s_value - oracle) <= 1e-3
 
 
+# The paper's canonical equation: at r = C, sum over the at-capacity atoms of
+# w_k Psi_k(S) = eps - w{I < C}, whose solution is solve_s at the capacity.
+
+
 def test_canonical_singleton(uniform2):
     mix = MixedChannel.singleton(bsc(0.11))
     cap = mutual_information(uniform2, bsc(0.11))
     v = channel_dispersion(uniform2, bsc(0.11))
     for eps in (0.1, 0.5, 0.8):
-        res = canonical_solution(mix, uniform2, eps, cap)
+        res = solve_s(mix, uniform2, cap, eps)
         assert res.s_value == pytest.approx(math.sqrt(v) * gaussian_inv(eps), abs=1e-9)
 
 
@@ -115,37 +117,14 @@ def test_canonical_empty_theta2(uniform2, bsc_pair):
     # capacity strictly between the two atom informations: no atom at the rate
     a = mutual_information(uniform2, bsc(0.2))
     b = mutual_information(uniform2, bsc(0.05))
-    res = canonical_solution(bsc_pair, uniform2, eps=0.5, capacity=0.5 * (a + b))
+    res = solve_s(bsc_pair, uniform2, 0.5 * (a + b), eps=0.5)
     assert res.s_value == math.inf
 
 
 def test_canonical_pair_example(uniform2, bsc_pair):
     cap = mutual_information(uniform2, bsc(0.05))
-    res = canonical_solution(bsc_pair, uniform2, eps=0.75, capacity=cap)
+    res = solve_s(bsc_pair, uniform2, cap, eps=0.75)
     assert res.s_value == pytest.approx(0.0, abs=1e-9)
-
-
-def test_canonical_sandwich_violation(uniform2, bsc_pair):
-    low_rate = mutual_information(uniform2, bsc(0.2)) - 0.05
-    with pytest.raises(CanonicalSandwichError):
-        canonical_solution(bsc_pair, uniform2, eps=0.9, capacity=low_rate)
-
-
-def test_canonical_agrees_with_solve_s(uniform2):
-    rng = np.random.default_rng(59)
-    for _ in range(10):
-        mix = MixedChannel(
-            tuple((float(wt), random_dmc(rng)) for wt in rng.dirichlet(np.ones(2))))
-        infos = [mutual_information(uniform2, c) for c in mix.components]
-        cap = max(infos)
-        eps = float(rng.uniform(0.5, 0.95))
-        base = sum(w for w, i in zip(mix.weights, infos) if i < cap - 1e-9)
-        if base > eps:
-            continue
-        direct = solve_s(mix, uniform2, cap, eps)
-        canon = canonical_solution(mix, uniform2, eps, cap)
-        if math.isfinite(direct.s_value) and math.isfinite(canon.s_value):
-            assert abs(direct.s_value - canon.s_value) <= 1e-6
 
 
 def test_second_order_lb_singleton_matches_formula():
@@ -229,8 +208,6 @@ def test_second_order_well_ordered_ties_search_the_polytope():
 
 def test_second_order_theta2_empty_plus_infinity():
     mix = MixedChannel(((0.5, bsc(0.05)), (0.5, bsc(0.2))))
-    # eps = 0.4: rate pins the weaker atom; stronger atom is strictly above,
-    # weaker atom is at the rate, so theta2 mass is positive here.  To make the
-    # theta2 mass vanish use a rate strictly between the capacities instead.
-    res = second_order_lb(mix, r=0.3, eps=0.5, rate_tol=1.0)
+    # a rate strictly between the capacities: no atom at the rate, below C_eps
+    res = second_order_lb(mix, r=0.3, eps=0.5)
     assert res.s_value == math.inf

@@ -20,7 +20,6 @@ from mixcap import (
     feinstein_bound,
     gaussian_cdf,
     hayashi_nagaoka_bound,
-    info_stats,
     mc_tail,
     mixed_converse_bound,
     mutual_information,
@@ -233,7 +232,7 @@ def test_hayashi_nagaoka_above_capacity(uniform2):
 def test_hayashi_nagaoka_zero_rate(uniform2):
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
-    est = hayashi_nagaoka_bound(MixedChannel.singleton(w), CodeParams.from_codewords(1, 1),
+    est = hayashi_nagaoka_bound(MixedChannel.singleton(w), CodeParams.from_rate(1, 0.0),
                                 q, SlackParams(eta=0.2), input_spec=uniform2)
     brute = 0.0
     for x, y in itertools.product(range(2), repeat=2):
@@ -417,18 +416,21 @@ def test_mc_tail_cost_does_not_grow_with_n(uniform2):
 
 
 def test_berry_esseen_consistency(uniform2):
+    """Exact i.i.d. tails sit within Shevtsova's Berry-Esseen bound of the Gaussian,
+    with the letter's own mean, variance and third absolute central moment."""
     rng = np.random.default_rng(61)
     for _ in range(10):
         w = random_dmc(rng)
         q = output_distribution(uniform2, w)
-        stats = info_stats(uniform2, w)
-        v, rho = stats.comp_variance, stats.third_abs_moment
+        a = per_letter_spectrum(uniform2, w, q)
+        mean = a.mean()
+        v = float(a.probs @ (a.values - mean) ** 2)
+        rho = float(a.probs @ np.abs(a.values - mean) ** 3)
         if v < 1e-6:
             continue
         n = int(rng.integers(10, 60))
         spec = aggregate_spectrum(w, uniform2, q, n)
-        budget = 0.56 * rho / (v**1.5 * math.sqrt(n))
-        mean = stats.mutual_info
+        budget = 0.4748 * rho / (v**1.5 * math.sqrt(n))
         for t in (-1.5, -0.5, 0.0, 0.8, 2.0):
             thresh = mean + t * math.sqrt(v / n)
             gap = abs(spec.tail_leq(thresh) - gaussian_cdf(t))
@@ -466,8 +468,6 @@ def test_composition_input_spec(uniform2):
     q = output_distribution(uniform2, w)
     comp = TypeClass(np.array([3, 5]), 8)
     spec = aggregate_spectrum(w, comp, q, 8)
-    d = mutual_information  # compose expected mean per letter from counts
-    stats = info_stats(InputDist(comp.fractions), w, ref_output=q)
     # mean of the aggregate equals n times the composition-weighted density mean
     expected = sum(
         comp.counts[x] * sum(w.rows[x, y] * math.log(w.rows[x, y] / q[y])
@@ -527,7 +527,7 @@ def test_hn_mixture_matches_output_word_enumeration(rate):
         _brute_hn_mixture(mixed, x_words, x_probs, q, n, rate, 0.1), abs=1e-12)
     # fixed composition: one input word of that type
     comp = TypeClass(np.array([3, 5]), 8)
-    est = hayashi_nagaoka_bound(mixed, CodeParams.from_rate(8, rate, comp), q, slack)
+    est = hayashi_nagaoka_bound(mixed, CodeParams.from_rate(8, rate), q, slack, input_spec=comp)
     assert est.value == pytest.approx(
         _brute_hn_mixture(mixed, [comp.canonical_word()], [1.0], q, 8, rate, 0.1), abs=1e-12)
 
