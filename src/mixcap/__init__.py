@@ -1,6 +1,12 @@
 """Coding rates of mixed memoryless channels: capacities to second order,
 well-orderedness checks, and finite-blocklength cross-validation."""
 
+import os
+# Every matrix here is small, so OpenBLAS's worker threads only burn CPU: start
+# one unless the user set a count. A caller that imported numpy first keeps its default.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .channel import (
     CostSpec,
     Dmc,

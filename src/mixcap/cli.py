@@ -202,10 +202,14 @@ def _jsonable(obj):
 
 
 def _input_dist(args, k: int) -> InputDist:
-    text = getattr(args, "input_probs", None)
-    if text is None:
+    if (text := args.input_probs) is None:
         return InputDist.uniform(k)
-    probs = [float(t) for t in text.split(",")] if text.strip() else []
+    probs = []
+    for t in text.split(",") if text.strip() else []:
+        try:
+            probs.append(float(t))
+        except ValueError:
+            raise ValueError(f"--input-probs entry {t.strip()!r} is not a number") from None
     if len(probs) != k:
         raise ValueError(f"--input-probs has {len(probs)} entries, the channel has {k} inputs")
     return InputDist(np.asarray(probs))

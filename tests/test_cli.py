@@ -283,6 +283,8 @@ BAD_SPECS = {
       "--input-probs="], "--input-probs"),
     (["validate-lemmas", "{mix2x2}", "--n", "6", "--input-probs", "0.2,0.3,0.5"],
      "--input-probs"),
+    (["fbl", "{mix2x2}", "--n", "20", "--rate", "0.2", "--bound", "feinstein",
+      "--input-probs", "a,b"], "--input-probs entry 'a' is not a number"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
@@ -525,3 +527,34 @@ def test_debug_log_explains_eps_capacity_on_stderr_only():
     assert all(re.search(r"constrained_capacity \((alternating maximization|Newton on the "
                          r"optimal face)\): \d+ alternating iterations, \d+ Newton steps, "
                          r"certified gap \S+, multiplier 0\.\d+$", line) for line in solves)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _threads_and_blas_vars(first_import, preset):
+    """Import first_import in a fresh process with only preset of BLAS_VARS set; return
+    its OS thread count and the two variables ('-' when unset) as strings."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=os.path.join(os.path.dirname(GOLDEN), "..", "src"))
+    code = (f"import {first_import}, os; print(len(os.listdir('/proc/self/task')), "
+            f"*(os.environ.get(v, '-') for v in {BLAS_VARS!r}))")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset, blas_vars", [
+    ({}, ["1", "-"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "-"]),
+    ({"OMP_NUM_THREADS": "2"}, ["-", "2"]),
+], ids=["unset", "openblas-2", "omp-2"])
+def test_blas_starts_on_one_thread_unless_the_user_set_a_count(preset, blas_vars):
+    """Loading mixcap first starts numpy's BLAS on one OS thread; a count the user set
+    in either variable is left as set, and numpy then starts as many threads as alone."""
+    threads, *seen = _threads_and_blas_vars("mixcap.cli", preset)
+    assert seen == blas_vars
+    if preset:
+        assert threads == _threads_and_blas_vars("numpy", preset)[0]
+    else:
+        assert threads == "1"

@@ -8,12 +8,15 @@ of the contract this test pins.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
 from mixcap.cli import run_command
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _fbl(spec, n, rate, bound, *extra):
@@ -87,3 +90,25 @@ def test_golden_output(name):
     assert code == 0
     with open(os.path.join(GOLDEN, name + ".csv"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+# Cases whose numbers pass through BLAS products (count tables times letter values
+# or log tables), run the way a user runs them: a fresh process, where mixcap is
+# what loads numpy and so sets its BLAS thread count.
+SUBPROCESS_CASES = ["fbl-exact-bsc3", "fbl-exact-zbsc", "validate-lemmas-cost3",
+                    "eps-capacity-multi5", "second-order-cost3"]
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["default", "openblas-2"])
+@pytest.mark.parametrize("name", SUBPROCESS_CASES)
+def test_golden_output_as_subprocess(name, blas_threads):
+    """The output bytes do not depend on how many threads BLAS runs."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-m", "mixcap.cli", *resolve(CASES[name])],
+                          capture_output=True, env=env, check=True)
+    with open(os.path.join(GOLDEN, name + ".csv"), "rb") as fh:
+        assert proc.stdout == fh.read()
