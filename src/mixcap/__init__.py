@@ -34,7 +34,6 @@ from .optimizer import (
 )
 from .first_order import (
     EpsCapacityResult,
-    QuantileCurve,
     eps_capacity,
     eps_capacity_well_ordered,
     rate_quantile,

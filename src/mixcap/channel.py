@@ -307,46 +307,12 @@ def gaussian_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-_INV_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-          1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_INV_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-          6.680131188771972e01, -1.328068155288572e01)
-_INV_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-          -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_INV_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-          3.754408661907416e00)
-
-
 def gaussian_inv(eps: float) -> float:
-    """Inverse standard normal cdf, absolute error well below 1e-9.
-
-    Rational initial guess refined by one Halley step against ``gaussian_cdf``.
-    """
+    """Inverse standard normal cdf."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"gaussian_inv requires an argument strictly in (0, 1), got {eps!r}")
-    p_low = 0.02425
-    if eps < p_low:
-        u = math.sqrt(-2.0 * math.log(eps))
-        x = ((((((_INV_C[0] * u + _INV_C[1]) * u + _INV_C[2]) * u + _INV_C[3]) * u
-               + _INV_C[4]) * u + _INV_C[5])
-             / ((((_INV_D[0] * u + _INV_D[1]) * u + _INV_D[2]) * u + _INV_D[3]) * u + 1.0))
-    elif eps <= 1.0 - p_low:
-        u = eps - 0.5
-        r = u * u
-        x = ((((((_INV_A[0] * r + _INV_A[1]) * r + _INV_A[2]) * r + _INV_A[3]) * r
-               + _INV_A[4]) * r + _INV_A[5]) * u
-             / (((((_INV_B[0] * r + _INV_B[1]) * r + _INV_B[2]) * r + _INV_B[3]) * r
-                 + _INV_B[4]) * r + 1.0))
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - eps))
-        x = -((((((_INV_C[0] * u + _INV_C[1]) * u + _INV_C[2]) * u + _INV_C[3]) * u
-                + _INV_C[4]) * u + _INV_C[5])
-              / ((((_INV_D[0] * u + _INV_D[1]) * u + _INV_D[2]) * u + _INV_D[3]) * u + 1.0))
-    # Halley refinement against the erfc-based cdf.
-    err = gaussian_cdf(x) - eps
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    x -= u / (1.0 + 0.5 * x * u)
-    return x
+    import statistics  # here, not at the top: no command needs it, and it is slow to import
+    return statistics.NormalDist().inv_cdf(eps)
 
 
 def psi_from_variance(v: float, s: float) -> float:

@@ -54,6 +54,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
+INT64_MAX = 2**63 - 1  # --n reaches numpy's int64 counts
+SEED_MAX = 2**64 - 1  # Philox keys seed + (k << 64) stay below 2**128
+Z_POINTS_MAX = 10**6  # keeps each per-threshold array of validate-lemmas within 8 MB
+
 
 def _fmt(v) -> str:
     if isinstance(v, (np.floating, np.integer)):
@@ -199,6 +203,13 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonable(float(obj))
     return obj
+
+
+def _check_range(value: int, flag: str, lo: int, hi: int) -> None:
+    if value < lo:
+        raise ValueError(f"{flag} must be at least {lo}")
+    if value > hi:
+        raise ValueError(f"{flag} must be at most {hi}")
 
 
 def _input_dist(args, k: int) -> InputDist:
@@ -391,12 +402,10 @@ def _cmd_check_well_ordered(args, mixed, cost, em: Emitter):
 
 
 def _cmd_fbl(args, mixed, cost, em: Emitter):
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
+    _check_range(args.n, "--n", 1, INT64_MAX)
     if args.trials is not None and args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
+    _check_range(args.seed, "--seed", 0, SEED_MAX)
     eta = args.eta if args.eta is not None else 1.0 / math.sqrt(args.n)
     slack = SlackParams(eta=eta)
     code = CodeParams.from_rate(args.n, args.rate)
@@ -424,10 +433,9 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
 
 
 def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
-    if min(args.n) < 1:
-        raise ValueError("--n must be at least 1")
-    if args.z_points < 1:
-        raise ValueError("--z-points must be at least 1")
+    for n in args.n:
+        _check_range(n, "--n", 1, INT64_MAX)
+    _check_range(args.z_points, "--z-points", 1, Z_POINTS_MAX)
     p = _input_dist(args, mixed.num_inputs)
     slack = SlackParams(eta=1.0, gamma_slack=args.gamma_slack)
     for n in args.n:

@@ -9,7 +9,6 @@ capacity-ordered components it is the quantile over component capacities.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -30,61 +29,20 @@ MAX_ROUNDS, LP_TOL = 60, 1e-12
 KINK_BAND = 1e-7
 
 
-@dataclass(frozen=True)
-class QuantileCurve:
-    """Step function R -> mass strictly below R, for a weighted value list.
-
-    ``breakpoints`` is a sorted tuple of (value, mass_strictly_below); the
-    mass at each value is the jump to the next breakpoint.
-    """
-
-    breakpoints: tuple
-
-    def __post_init__(self):
-        vals = [v for v, _ in self.breakpoints]
-        masses = [m for _, m in self.breakpoints]
-        if any(a >= b for a, b in zip(vals, vals[1:])):
-            raise ValueError("breakpoint values must be strictly increasing")
-        if any(a > b for a, b in zip(masses, masses[1:])) or (
-                masses and not 0.0 <= masses[0]):
-            raise ValueError("strictly-below masses must be nondecreasing from 0")
-
-    def masses(self, r: float) -> tuple:
-        """(w{value < r}, w{value <= r}), values within the merge rounding equal.
-
-        The mass at a breakpoint is the jump to the next one (to 1 after the
-        last); the mass below r is taken through the last breakpoint under r.
-        """
-        vals = [v for v, _ in self.breakpoints]
-        i = bisect.bisect_left(vals, r)
-        below = 0.0 if i == 0 else self.breakpoints[i - 1][1] + self._jump(i - 1)
-        r_round = round(r, VALUE_DECIMALS)
-        j = bisect.bisect_left(vals, r_round)
-        if j < len(vals) and vals[j] == r_round:
-            return below, below + self._jump(j)
-        return below, below
-
-    def _jump(self, i: int) -> float:
-        nxt = self.breakpoints[i + 1][1] if i + 1 < len(self.breakpoints) else 1.0
-        return nxt - self.breakpoints[i][1]
-
-    def quantile(self, eps: float):
-        """Largest breakpoint value whose strictly-below mass is <= eps."""
-        i = bisect.bisect_right([m for _, m in self.breakpoints], eps)
-        return self.breakpoints[i - 1][0] if i else None
+def rate_spectrum(values, weights) -> tuple:
+    """(sorted distinct values, mass strictly below each), values rounded to VALUE_DECIMALS."""
+    distinct, inverse = np.unique(np.round(np.asarray(values, dtype=float), VALUE_DECIMALS),
+                                  return_inverse=True)
+    mass = np.bincount(inverse, weights)
+    return distinct, np.concatenate(([0.0], np.cumsum(mass)[:-1]))
 
 
-def build_quantile_curve(values, weights) -> QuantileCurve:
-    vals = np.round(np.asarray(values, dtype=float), VALUE_DECIMALS)
-    order = np.argsort(vals, kind="stable")
-    masses = {}  # value -> summed weight, in increasing value order
-    for v, w in zip(vals[order], np.asarray(weights, dtype=float)[order]):
-        masses[float(v)] = masses.get(float(v), 0.0) + w
-    breakpoints, below = [], 0.0
-    for v, mass in masses.items():
-        breakpoints.append((v, below))
-        below += mass
-    return QuantileCurve(tuple(breakpoints))
+def _quantile(values, weights, eps: float) -> tuple:
+    """(q, w{value < q}, w{value <= q}), q the largest value whose strictly-below mass is <= eps."""
+    distinct, below = rate_spectrum(values, weights)
+    k = int(np.searchsorted(below, eps, side="right")) - 1
+    at = float(below[k + 1]) if k + 1 < len(below) else 1.0
+    return float(distinct[k]), float(below[k]), at
 
 
 @dataclass(frozen=True)
@@ -99,15 +57,15 @@ class EpsCapacityResult:
 
 
 def informations(comps, p: np.ndarray) -> np.ndarray:
-    return np.array([mutual_information(InputDist(p), w) for w in comps])
+    dist = InputDist(p)
+    return np.array([mutual_information(dist, w) for w in comps])
 
 
 def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
     """sup{R : w{theta : I(P, W_theta) < R} <= eps} for a fixed input P."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    curve = build_quantile_curve(informations(mixed.components, p.probs), mixed.weights)
-    return curve.quantile(eps)
+    return _quantile(informations(mixed.components, p.probs), mixed.weights, eps)[0]
 
 
 def _master_lp(g: np.ndarray) -> np.ndarray:
@@ -209,12 +167,11 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None,
             verts, how = (p,), f"cutting planes, {solves + 1} rounds, {solves} oracle solves"
         log.debug("eps-capacity set %s by %s: [%.12g, %.12g]", s, how, s_lo, s_hi)
         best_lo, hi = max(best_lo, s_lo), max(hi, s_hi)
-        found.append((rate_quantile(mixed, p, eps), p, verts))
-    value, p, _ = max(found, key=lambda f: f[0])  # the first set at the largest value
+        found.append((_quantile(informations(comps, p.probs), weights, eps), p, verts))
+    (value, below, at), p, _ = max(found, key=lambda f: f[0][0])  # the first set at the max
     log.debug("eps-capacity: pruned %s; bracket [%.12g, %.12g]", pruned, value, hi)
-    below, at = build_quantile_curve(informations(comps, p.probs), weights).masses(value)
     return EpsCapacityResult(value, p, None, below, at, max(hi, value),
-                             tuple(verts for v, _, verts in found if v == value))
+                             tuple(verts for (v, _, _), _, verts in found if v == value))
 
 
 def eps_capacity_well_ordered(
@@ -236,11 +193,9 @@ def eps_capacity_well_ordered(
     cost.check_feasible()
     if optima is None:
         optima = [constrained_capacity(comp, cost) for comp in mixed.components]
-    curve = build_quantile_curve([res.capacity for res in optima], mixed.weights)
-    value = curve.quantile(eps)
-    # the first component whose capacity the curve rounded to the quantile
+    value, below, at = _quantile([res.capacity for res in optima], mixed.weights, eps)
+    # the first component whose capacity rounds to the quantile
     achieving = next(i for i, res in enumerate(optima)
                      if np.round(res.capacity, VALUE_DECIMALS) == value)
-    below, at = curve.masses(value)
     return EpsCapacityResult(value, optima[achieving].optimal_input, achieving, below, at,
                              value + DEFAULT_TOL)

@@ -58,61 +58,42 @@ def _check_tie_tol(tie_tol: float) -> None:
         raise ValueError("tie_tol must be finite and nonnegative")
 
 
-def _classify(values, weights, r: float, tie_tol: float):
-    """Split atom mass into strictly-below / at-rate buckets."""
+def _at_rate(mixed: MixedChannel, p: InputDist, values, r: float, tie_tol: float):
+    """(w{value < r - tie_tol}, [(w_theta, V_theta at p)] for |value - r| <= tie_tol)."""
     _check_tie_tol(tie_tol)
-    base = 0.0
-    at = []  # (weight, index)
-    for idx, (v, w) in enumerate(zip(values, weights)):
+    base, at = 0.0, []
+    for v, w, comp in zip(values, mixed.weights, mixed.components):
         if v < r - tie_tol:
             base += w
         elif abs(v - r) <= tie_tol:
-            at.append((w, idx))
+            at.append((w, channel_dispersion(p, comp)))
     return base, at
+
+
+def _gw(base: float, at: list, s: float) -> float:
+    """G_w(R, S | P) from ``_at_rate``'s split; at S = +-inf its limits, base or base + mass."""
+    if not math.isfinite(s):
+        return base if s < 0 else base + sum(w for w, _ in at)
+    total = base
+    for w, v in at:
+        total += w * psi_from_variance(v, s)
+    return total
 
 
 def gw(mixed: MixedChannel, p: InputDist, r: float, s: float,
        tie_tol: float = DEFAULT_TIE_TOL) -> float:
     """G_w(R, S | P): strictly-below mass plus Gaussian mass of at-rate atoms."""
-    return _gw_and_mass(mixed, p, informations(mixed.components, p.probs), r, s, tie_tol)[0]
+    return _gw(*_at_rate(mixed, p, informations(mixed.components, p.probs), r, tie_tol), s)
 
 
-def _gw_and_mass(mixed: MixedChannel, p: InputDist, values, r: float, s: float,
-                 tie_tol: float):
-    """(G_w(R, S | P), at-rate mass), atoms classified by ``values`` against r.
+def _sup_feasible(base: float, at: list, eps: float) -> SolveResult:
+    """sup{S : G_w <= eps} for G_w = base + sum over ``at``'s (weight, variance) pairs.
 
-    S may be +-inf, where G_w takes its limits: the strictly-below mass, or
-    that plus the at-rate mass.
+    Zero-variance atoms add a step at S = 0: the supremum may then be an open
+    boundary, reported via the flag.
     """
-    base, at = _classify(values, mixed.weights, r, tie_tol)
-    mass_at = sum(w for w, _ in at)
-    if not math.isfinite(s):
-        return (base if s < 0 else base + mass_at), mass_at
-    total = base
-    for w_k, idx in at:
-        total += w_k * psi_from_variance(channel_dispersion(p, mixed.components[idx]), s)
-    return total, mass_at
-
-
-def _split_at_rate(mixed: MixedChannel, p: InputDist, at):
-    """At-rate atoms as Gaussian (weight, variance) terms plus zero-variance step mass."""
-    gauss, step_mass = [], 0.0
-    for w_k, idx in at:
-        v = channel_dispersion(p, mixed.components[idx])
-        if v > 0.0:
-            gauss.append((w_k, v))
-        else:
-            step_mass += w_k
-    return gauss, step_mass
-
-
-def _sup_feasible(base: float, gauss: list, step_mass: float, eps: float) -> SolveResult:
-    """sup{S : base + step_mass 1{S>=0} + sum w G(S/sqrt(V)) <= eps}.
-
-    ``gauss`` holds (weight, variance) pairs with variance > 0.  Resolves the
-    jump at S = 0 contributed by zero-variance atoms: the supremum may then be
-    an open boundary, reported via the flag.
-    """
+    gauss = [(w, v) for w, v in at if v > 0.0]
+    step_mass = sum(w for w, v in at if not v > 0.0)
     pos_mass = sum(w for w, _ in gauss)
     total = base + step_mass + pos_mass
 
@@ -175,8 +156,7 @@ def solve_s(mixed: MixedChannel, p: InputDist, r: float, eps: float,
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     values = informations(mixed.components, p.probs)
-    base, at = _classify(values, mixed.weights, r, tie_tol)
-    return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
+    return _sup_feasible(*_at_rate(mixed, p, values, r, tie_tol), eps)
 
 
 def _extended_key(res: SolveResult):
@@ -241,10 +221,9 @@ def second_order_lb(
 
     sups = [_sup_over_vertices(solve_at, verts, True) for verts in cap_res.winners]
     best_p, best_res = max(sups, key=lambda pair: (_extended_key(pair[1]), tuple(pair[0].probs)))
-    g_at, mass_at = _gw_and_mass(mixed, best_p, informations(mixed.components, best_p.probs), r,
-                                 best_res.s_value, tie_tol)
-    return SecondOrderResult(best_res.s_value, r, best_p, g_at, mass_at, METHOD_LOWER_BOUND,
-                             best_res.open_boundary)
+    base, at = _at_rate(mixed, best_p, informations(mixed.components, best_p.probs), r, tie_tol)
+    return SecondOrderResult(best_res.s_value, r, best_p, _gw(base, at, best_res.s_value),
+                             sum(w for w, _ in at), METHOD_LOWER_BOUND, best_res.open_boundary)
 
 
 def second_order_well_ordered(
@@ -267,13 +246,13 @@ def second_order_well_ordered(
     cap_res = eps_capacity_well_ordered(mixed, cost, eps, optima)
     r = cap_res.capacity
     caps = [res.capacity for res in optima]
-    base, at = _classify(caps, mixed.weights, r, tie_tol)
 
     def solve_at(p: InputDist) -> SolveResult:
-        return _sup_feasible(base, *_split_at_rate(mixed, p, at), eps)
+        return _sup_feasible(*_at_rate(mixed, p, caps, r, tie_tol), eps)
 
     vertices = report.rep_sets[cap_res.achieving_component].representatives
-    best_p, best_res = _sup_over_vertices(solve_at, vertices, len(at) > 1)
-    g_at, mass_at = _gw_and_mass(mixed, best_p, caps, r, best_res.s_value, tie_tol)
-    return SecondOrderResult(best_res.s_value, r, best_p, g_at, mass_at,
-                             METHOD_EXACT, best_res.open_boundary)
+    ties = sum(abs(c - r) <= tie_tol for c in caps)
+    best_p, best_res = _sup_over_vertices(solve_at, vertices, ties > 1)
+    base, at = _at_rate(mixed, best_p, caps, r, tie_tol)
+    return SecondOrderResult(best_res.s_value, r, best_p, _gw(base, at, best_res.s_value),
+                             sum(w for w, _ in at), METHOD_EXACT, best_res.open_boundary)

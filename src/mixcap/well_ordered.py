@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import CostSpec, InputDist, MixedChannel, mutual_information
-from .first_order import build_quantile_curve
+from .first_order import rate_spectrum
 from .optimizer import capacity_achieving_set
 
 DEFAULT_ORDER_TOL = 1e-7
@@ -89,8 +89,8 @@ def check_well_ordered(
                         violations.append(OrderViolation(
                             i, j, p, info,
                             f"I > {caps[i]:.9g} + {tol:g} (larger capacity)"))
-    curve = build_quantile_curve([res.capacity for res in optima], mixed.weights)
-    cum = tuple((v, curve.masses(v)[1]) for v, _ in curve.breakpoints)
+    values, below = rate_spectrum(caps, mixed.weights)
+    cum = tuple(zip(values.tolist(), below[1:].tolist() + [1.0]))
     n_vertices = sum(len(r.representatives) for r in rep_sets)
     coverage = (
         f"checked {n_vertices} vertices of the optimal-input polytopes (opt tol "

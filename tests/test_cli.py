@@ -285,6 +285,12 @@ BAD_SPECS = {
      "--input-probs"),
     (["fbl", "{mix2x2}", "--n", "20", "--rate", "0.2", "--bound", "feinstein",
       "--input-probs", "a,b"], "--input-probs entry 'a' is not a number"),
+    (["fbl", "{bsc3}", "--n", str(10**20), "--rate", "0.3", "--bound", "feinstein",
+      "--trials", "100", "--mc"], "--n"),
+    (["validate-lemmas", "{mix2x2}", "--n", str(10**20)], "--n"),
+    (["validate-lemmas", "{mix2x2}", "--n", "6", "--z-points", str(10**12)], "--z-points"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--mc",
+      "--trials", "100", "--seed", str(10**41)], "--seed"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")

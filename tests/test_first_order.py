@@ -20,8 +20,8 @@ from mixcap import (
     second_order_lb,
 )
 from mixcap.cli import load_spec
-from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _polish, build_quantile_curve,
-                                informations)
+from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _polish, _quantile, informations,
+                                rate_spectrum)
 from mixcap.optimizer import DEFAULT_TOL, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
 from conftest import bsc, bsc_capacity, random_dmc, random_mixture
@@ -147,22 +147,24 @@ def test_quantile_reports_both_masses(bsc_pair, uniform2):
     assert res.mass_at_or_below == pytest.approx(1.0, abs=1e-12)
 
 
-def test_quantile_curve_masses_match_brute_sums():
+def test_rate_spectrum_masses_match_brute_sums():
     rng = np.random.default_rng(21)
     for _ in range(200):
         k = int(rng.integers(1, 8))
         values = rng.integers(0, 4, size=k) / 8.0  # few distinct values: ties
         weights = rng.dirichlet(np.ones(k))
-        curve = build_quantile_curve(values, weights)
-        distinct = np.unique(values)
-        probes = np.concatenate([distinct, distinct + 0.0625, [values.min() - 1.0]])
-        for r in probes:
-            below, at = curve.masses(float(r))
-            assert below == pytest.approx(weights[values < r].sum(), abs=1e-12)
-            assert at == pytest.approx(weights[values <= r].sum(), abs=1e-12)
+        distinct, below = rate_spectrum(values, weights)
+        assert distinct.tolist() == np.unique(values).tolist()
+        for v, m in zip(distinct, below):
+            assert m == pytest.approx(weights[values < v].sum(), abs=1e-12)
         for eps in (0.0, 0.2, 0.5, 0.9):
             feasible = [v for v in distinct if weights[values < v].sum() <= eps + 1e-12]
-            assert curve.quantile(eps) == pytest.approx(max(feasible), abs=1e-12)
+            q, q_below, q_at = _quantile(values, weights, eps)
+            assert q == pytest.approx(max(feasible), abs=1e-12)
+            assert q_below == pytest.approx(weights[values < q].sum(), abs=1e-12)
+            assert q_at == pytest.approx(weights[values <= q].sum(), abs=1e-12)
+        # the mass at or below the largest value is exactly 1
+        assert _quantile(values, weights, below[-1]) == (distinct[-1], below[-1], 1.0)
 
 
 def _degraded_family(rng, num_inputs: int) -> MixedChannel:

@@ -8,6 +8,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixcap"
 ALLOWED = {
     "gw": "the paper's G_w map",
+    "rate_quantile": "the paper's eps-quantile at a fixed input; imported by the acceptance tests",
     "normal_approx": "imported by the acceptance tests",
     "gaussian_inv": "imported by the acceptance tests",
     "mixture_converse_enumeration": "imported by the acceptance tests",

@@ -43,6 +43,9 @@ def test_gw_monotone_and_limits(uniform2, bsc_pair):
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert gw(bsc_pair, uniform2, r, -1e6) == pytest.approx(0.5, abs=1e-12)
     assert gw(bsc_pair, uniform2, r, 1e6) == pytest.approx(1.0, abs=1e-12)
+    # at S = -inf and +inf, G_w is the strictly-below mass, then plus the at-rate mass
+    assert gw(bsc_pair, uniform2, r, -math.inf) == 0.5
+    assert gw(bsc_pair, uniform2, r, math.inf) == 0.5 + 0.5
 
 
 def test_solve_s_singleton_gaussian(uniform2):
