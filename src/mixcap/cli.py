@@ -57,6 +57,7 @@ EXIT_NUMERIC = 2
 INT64_MAX = 2**63 - 1  # --n reaches numpy's int64 counts
 SEED_MAX = 2**64 - 1  # Philox keys seed + (k << 64) stay below 2**128
 Z_POINTS_MAX = 10**6  # keeps each per-threshold array of validate-lemmas within 8 MB
+THREADS_MAX = 256  # Monte-Carlo worker threads; each one is an OS thread
 
 
 def _fmt(v) -> str:
@@ -309,8 +310,7 @@ def run_command(argv, args: argparse.Namespace | None = None) -> tuple[int, str,
     """
     if args is None:
         args = _parser().parse_args(argv)
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
+    _check_range(args.threads, "--threads", 1, THREADS_MAX)
     if getattr(args, "grid", 1) < 1:
         raise ValueError("--grid must be at least 1")
     rate = getattr(args, "rate", None)

@@ -19,13 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    CostSpec,
-    InputDist,
-    MixedChannel,
-    channel_dispersion,
-    psi_from_variance,
-)
+from .channel import CostSpec, InputDist, MixedChannel, channel_dispersion, psi_from_variance
 from .first_order import eps_capacity, eps_capacity_well_ordered, informations
 from .well_ordered import require_well_ordered
 
@@ -115,30 +109,26 @@ def _sup_feasible(base: float, at: list, eps: float) -> SolveResult:
 
     if g_cont(0.0) + step_mass <= eps:
         # supremum on [0, +inf): continuous and strictly increasing there
-        target = eps - step_mass
-        lo, hi = 0.0, 1.0
-        while g_cont(hi) <= target:
-            hi *= 2.0
-            if hi > 1e12:
-                return SolveResult(math.inf, False)
-        return SolveResult(_bisect_nondecreasing(g_cont, target, lo, hi), False)
+        return SolveResult(_edge_sup(g_cont, eps - step_mass, 1.0), False)
 
     if g_cont(0.0) <= eps:
         # every S < 0 is feasible, S = 0 is not: open boundary at the jump
         return SolveResult(0.0, True)
 
     # supremum on (-inf, 0): continuous and strictly increasing
-    hi = 0.0
-    lo = -1.0
-    while g_cont(lo) > eps:
-        lo *= 2.0
-        if lo < -1e12:
-            return SolveResult(-math.inf, False)
-    return SolveResult(_bisect_nondecreasing(g_cont, eps, lo, hi), False)
+    return SolveResult(_edge_sup(g_cont, eps, -1.0), False)
 
 
-def _bisect_nondecreasing(fn, target: float, lo: float, hi: float) -> float:
-    """Largest s in [lo, hi] with fn(s) <= target, for nondecreasing fn."""
+def _edge_sup(fn, target: float, step: float) -> float:
+    """sup{s : fn(s) <= target} for nondecreasing fn, on the side of 0 that ``step`` (+-1)
+    names: the edge doubles from ``step`` until it brackets the crossing (+-inf past
+    1e12), then bisection keeps the feasible end."""
+    edge = step
+    while fn(edge) <= target if step > 0 else fn(edge) > target:
+        edge *= 2.0
+        if abs(edge) > 1e12:
+            return math.copysign(math.inf, step)
+    lo, hi = (0.0, edge) if step > 0 else (edge, 0.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if fn(mid) <= target:
@@ -159,21 +149,28 @@ def solve_s(mixed: MixedChannel, p: InputDist, r: float, eps: float,
     return _sup_feasible(*_at_rate(mixed, p, values, r, tie_tol), eps)
 
 
-def _extended_key(res: SolveResult):
-    """Ordering key for extended reals: closed boundaries beat open ones at ties."""
-    return (res.s_value, not res.open_boundary)
+def _candidate(mixed: MixedChannel, p: InputDist, values, r: float, eps: float,
+               tie_tol: float, method: str, snapped: bool = False) -> SecondOrderResult:
+    """The result at input p from one split of ``values``; a ``snapped`` p scores -inf."""
+    base, at = _at_rate(mixed, p, values, r, tie_tol)
+    res = SolveResult(-math.inf, False) if snapped else _sup_feasible(base, at, eps)
+    return SecondOrderResult(res.s_value, r, p, _gw(base, at, res.s_value),
+                             sum(w for w, _ in at), method, res.open_boundary)
 
 
-def _sup_over_vertices(solve_at, vertices, refine: bool):
-    """(input, SolveResult): the best vertex (the largest on ties); with ``refine``
-    and several vertices, it then climbs its barycentric weights by pair moves.
-    """
-    results = [solve_at(p) for p in vertices]
-    best = max(range(len(vertices)),
-               key=lambda i: (_extended_key(results[i]), tuple(vertices[i].probs)))
-    best_p, best_res = vertices[best], results[best]
+def _key(res: SecondOrderResult):
+    """Larger is better: the value, then closed boundaries over open ones, then the input."""
+    return res.s_value, not res.open_boundary, tuple(res.input.probs)
+
+
+def _sup_over_vertices(evaluate, vertices, refine: bool) -> SecondOrderResult:
+    """The best vertex's result by ``_key``; with ``refine`` and several vertices,
+    the best vertex then climbs its barycentric weights by pair moves."""
+    results = [evaluate(p) for p in vertices]
+    best = max(range(len(vertices)), key=lambda i: _key(results[i]))
+    best_res = results[best]
     if not refine or len(vertices) < 2 or best_res.s_value == -math.inf:
-        return best_p, best_res
+        return best_res
     corners = np.array([p.probs for p in vertices])
     t, delta = np.eye(len(vertices))[best], 0.25
     for _ in range(REFINE_STEPS):
@@ -181,13 +178,13 @@ def _sup_over_vertices(solve_at, vertices, refine: bool):
         for i, j in itertools.permutations(range(len(t)), 2):
             if t[i] >= delta:
                 cand = t + delta * (np.eye(len(t))[j] - np.eye(len(t))[i])
-                res = solve_at(InputDist(cand @ corners))
+                res = evaluate(InputDist(cand @ corners))
                 if res.s_value > best_res.s_value + 1e-15:
                     t, best_res, moved = cand, res, True
         delta *= 1.0 if moved else 0.5
         if delta < 1e-7:
             break
-    return InputDist(t @ corners), best_res
+    return best_res
 
 
 def second_order_lb(
@@ -197,7 +194,7 @@ def second_order_lb(
     eps: float = 0.0,
     tie_tol: float = DEFAULT_TIE_TOL,
 ) -> SecondOrderResult:
-    """Direct-part second-order rate at rate r: sup of solve_s over the eps-capacity optima.
+    """Direct-part second-order rate at rate r: the best candidate among the eps-capacity optima.
 
     A LOWER BOUND for general mixtures (no converse is available); +-inf when the
     rate is off the first-order capacity by more than ``RATE_TOL``.  The sup runs over
@@ -214,16 +211,13 @@ def second_order_lb(
                                  0.0 if below else 1.0, 0.0, METHOD_LOWER_BOUND)
     snap_tol = max(1e-12, tie_tol * 1e-3)
 
-    def solve_at(p: InputDist) -> SolveResult:
-        if any(snap_tol < abs(v - r) <= tie_tol for v in informations(mixed.components, p.probs)):
-            return SolveResult(-math.inf, False)
-        return solve_s(mixed, p, r, eps, tie_tol)
+    def evaluate(p: InputDist) -> SecondOrderResult:
+        values = informations(mixed.components, p.probs)
+        snapped = any(snap_tol < abs(v - r) <= tie_tol for v in values)
+        return _candidate(mixed, p, values, r, eps, tie_tol, METHOD_LOWER_BOUND, snapped)
 
-    sups = [_sup_over_vertices(solve_at, verts, True) for verts in cap_res.winners]
-    best_p, best_res = max(sups, key=lambda pair: (_extended_key(pair[1]), tuple(pair[0].probs)))
-    base, at = _at_rate(mixed, best_p, informations(mixed.components, best_p.probs), r, tie_tol)
-    return SecondOrderResult(best_res.s_value, r, best_p, _gw(base, at, best_res.s_value),
-                             sum(w for w, _ in at), METHOD_LOWER_BOUND, best_res.open_boundary)
+    return max((_sup_over_vertices(evaluate, verts, True) for verts in cap_res.winners),
+               key=_key)
 
 
 def second_order_well_ordered(
@@ -246,13 +240,7 @@ def second_order_well_ordered(
     cap_res = eps_capacity_well_ordered(mixed, cost, eps, optima)
     r = cap_res.capacity
     caps = [res.capacity for res in optima]
-
-    def solve_at(p: InputDist) -> SolveResult:
-        return _sup_feasible(*_at_rate(mixed, p, caps, r, tie_tol), eps)
-
     vertices = report.rep_sets[cap_res.achieving_component].representatives
     ties = sum(abs(c - r) <= tie_tol for c in caps)
-    best_p, best_res = _sup_over_vertices(solve_at, vertices, ties > 1)
-    base, at = _at_rate(mixed, best_p, caps, r, tie_tol)
-    return SecondOrderResult(best_res.s_value, r, best_p, _gw(base, at, best_res.s_value),
-                             sum(w for w, _ in at), METHOD_EXACT, best_res.open_boundary)
+    return _sup_over_vertices(
+        lambda p: _candidate(mixed, p, caps, r, eps, tie_tol, METHOD_EXACT), vertices, ties > 1)

@@ -32,8 +32,8 @@ import numpy as np
 # DominationError is re-exported: callers import it from here too
 from .channel import (DominationError, Dmc, InputDist, MixedChannel, SlackParams,
                       log_density, output_distribution)
-from .optimizer import ConvergenceError
-from .types_toolkit import ENUM_CAP, TypeClass, count_types, enumerate_types, log_factorials
+from .types_toolkit import (ENUM_CAP, EnumerationCapError, TypeClass, count_types,
+                            enumerate_types, log_factorials)
 
 BOUNDARY_TOL = 1e-9
 MC_CHUNK = 4096
@@ -181,13 +181,12 @@ def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
 
     Parts are joined by outer sums, so the law has one atom per combination of
     the parts' count vectors; past ``ENUM_CAP`` of them it raises
-    ``ConvergenceError``.  ``numer`` is passed on to ``per_letter_spectrum``.
+    ``EnumerationCapError``.  ``numer`` is passed on to ``per_letter_spectrum``.
     """
     parts = _letter_parts(w, input_spec, q, n, numer)
     types = _type_count(parts)
     if types > ENUM_CAP:
-        raise ConvergenceError(f"the exact tail needs {types} types, past the cap {ENUM_CAP}; "
-                               "use the Monte-Carlo path")
+        raise EnumerationCapError(f"the exact tail needs {types} types, past the cap {ENUM_CAP}")
     agg = None
     for atoms_x, cnt in parts:
         law = convolve_n(atoms_x, cnt)
@@ -208,16 +207,12 @@ def normal_approx(n: int, c_first: float, d_second: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_mixed(channel) -> MixedChannel:
-    return channel if isinstance(channel, MixedChannel) else MixedChannel.singleton(channel)
-
-
 def _clip01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
 def feinstein_bound(
-    channel,
+    mixed: MixedChannel,
     p: InputDist,
     code: CodeParams,
     slack: SlackParams,
@@ -235,7 +230,6 @@ def feinstein_bound(
     That surrogate upper-bounds the original expression and is flagged.  With
     one component the penalties vanish and the envelope is the output law.
     """
-    mixed = _as_mixed(channel)
     n, eta = code.n, slack.eta
     z = code.rate + eta
     q_max = np.array([output_distribution(p, comp) for comp in mixed.components]).max(axis=0)
@@ -250,7 +244,7 @@ def feinstein_bound(
 
 
 def hayashi_nagaoka_bound(
-    channel,
+    mixed: MixedChannel,
     code: CodeParams,
     q,
     slack: SlackParams,
@@ -267,7 +261,6 @@ def hayashi_nagaoka_bound(
     (flagged), which keeps the converse direction; with one component the
     maximum is the channel itself.
     """
-    mixed = _as_mixed(channel)
     n, eta = code.n, slack.eta
     z = code.rate - eta
     note = "mixed-law surrogate: max-envelope numerator" if mixed.num_atoms > 1 else ""
@@ -299,7 +292,6 @@ def mixed_converse_bound(
     tail is an exact n-letter law (no surrogate needed); for a singleton this
     coincides with the plain converse bound.
     """
-    mixed = _as_mixed(mixed)
     n, eta = code.n, slack.eta
     if len(q_list) != mixed.num_atoms:
         raise ValueError("need one reference output per component")
@@ -310,9 +302,8 @@ def mixed_converse_bound(
                          stderr, trials, seed)
 
 
-def exact_tail_bound(mixed, code: CodeParams, q_list, input_spec) -> BoundEstimate:
+def exact_tail_bound(mixed: MixedChannel, code: CodeParams, q_list, input_spec) -> BoundEstimate:
     """Weighted exact spectrum tail at the code rate (no slack terms)."""
-    mixed = _as_mixed(mixed)
     total, _, _ = _weighted_tail(mixed, input_spec, q_list, [code.rate] * mixed.num_atoms,
                                  code.n, None, 0, 1, False)
     return BoundEstimate(_clip01(total), KIND_EXACT_TAIL)
@@ -341,7 +332,7 @@ def _tail_or_mc(w: Dmc, input_spec, q, n, z, mc_trials, seed, threads,
     """Exact tail when the type count is at most ``ENUM_CAP`` and ``mc_trials``, else MC.
 
     The exact path never has more points than the Monte-Carlo run asked for.
-    Without ``mc_trials`` the tail is exact or raises ``ConvergenceError``.
+    Without ``mc_trials`` the tail is exact or raises ``EnumerationCapError``.
     ``force_mc`` skips the exact path; ``numer`` substitutes the matrix inside
     the log while sampling still follows ``w``.
     """
@@ -375,10 +366,12 @@ def mc_tail(
     letter part and sums counts times atom values: cost and memory do not
     depend on n.  Each chunk of ``MC_CHUNK`` trials has its own
     counter-based generator stream, so results are bit-identical for any
-    ``threads`` value.
+    ``threads``: each of min(threads, chunks) workers runs one span of chunks.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if threads < 1:
+        raise ValueError("need at least one thread")
     if threshold == math.inf:
         return BoundEstimate(1.0, KIND_MC, 0.0, 0, seed)
     if threshold == -math.inf:
@@ -398,11 +391,13 @@ def mc_tail(
         return int(np.count_nonzero(sums <= cut))
 
     n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_chunk, range(n_chunks)))
+    workers = min(threads, n_chunks)
+    spans = [range(k * n_chunks // workers, (k + 1) * n_chunks // workers) for k in range(workers)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(lambda span: sum(map(run_chunk, span)), spans))
     else:
-        hits = sum(run_chunk(c) for c in range(n_chunks))
+        hits = sum(map(run_chunk, spans[0]))
     p_hat = hits / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return BoundEstimate(p_hat, KIND_MC, stderr, trials, seed)

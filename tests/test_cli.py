@@ -291,6 +291,8 @@ BAD_SPECS = {
     (["validate-lemmas", "{mix2x2}", "--n", "6", "--z-points", str(10**12)], "--z-points"),
     (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--mc",
       "--trials", "100", "--seed", str(10**41)], "--seed"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--mc",
+      "--trials", "100", "--threads", "257"], "--threads"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
@@ -379,8 +381,9 @@ def test_fbl_is_exact_up_to_the_type_cap(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and calls == []
-    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
-    assert "10827401 types" in lines[0]
+    # T and the cap, and no advice: the same error reaches --bound exact, which has no
+    # Monte-Carlo path
+    assert lines == ["numerical failure: the exact tail needs 10827401 types, past the cap 1000000"]
 
 
 def _paths(node, prefix=()):

@@ -8,6 +8,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixcap"
 ALLOWED = {
     "gw": "the paper's G_w map",
+    "solve_s": "the paper's sup{S : G_w <= eps} at a fixed input; the second-order tests scan it",
     "rate_quantile": "the paper's eps-quantile at a fixed input; imported by the acceptance tests",
     "normal_approx": "imported by the acceptance tests",
     "gaussian_inv": "imported by the acceptance tests",

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import mixcap.first_order
+import mixcap.optimizer
+import mixcap.second_order
 from mixcap import (
     Dmc,
     InputDist,
@@ -10,6 +13,7 @@ from mixcap import (
     NotWellOrderedError,
     channel_dispersion,
     constrained_capacity,
+    eps_capacity,
     gaussian_inv,
     gw,
     mutual_information,
@@ -154,6 +158,31 @@ def test_second_order_lb_off_capacity(uniform2):
     above = second_order_lb(mix, r=cap + 0.01, eps=0.2)
     assert below.s_value == math.inf
     assert above.s_value == -math.inf
+
+
+def test_second_order_lb_reads_each_candidate_once(monkeypatch):
+    """mix2x2 at eps = 0.3 has one optimal input and two atoms: after its
+    eps_capacity, second_order_lb computes I(P, W_theta) once per atom, and
+    gw_at_solution comes from that same split."""
+    mix = MixedChannel(((0.4, Dmc([[0.9, 0.1], [0.25, 0.75]])),
+                        (0.6, Dmc([[0.7, 0.3], [0.05, 0.95]]))))
+    calls, at_capacity = [], []
+
+    def counted(p, w):
+        calls.append(w)
+        return mutual_information(p, w)
+
+    def counted_capacity(*args):
+        res = eps_capacity(*args)
+        at_capacity.append(len(calls))
+        return res
+
+    for module in (mixcap.first_order, mixcap.optimizer):
+        monkeypatch.setattr(module, "mutual_information", counted)
+    monkeypatch.setattr(mixcap.second_order, "eps_capacity", counted_capacity)
+    res = second_order_lb(mix, eps=0.3)
+    assert [len(calls) - at for at in at_capacity] == [2]
+    assert res.gw_at_solution == gw(mix, res.input, res.rate, res.s_value)
 
 
 def test_second_order_well_ordered_pair(bsc_pair, uniform2):

@@ -1,11 +1,13 @@
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixcap.spectrum
 from mixcap import (
     AtomDist,
     CodeParams,
@@ -28,7 +30,7 @@ from mixcap import (
     per_letter_spectrum,
 )
 from mixcap.spectrum import MC_CHUNK, _letter_parts
-from mixcap.types_toolkit import TypeClass, count_types
+from mixcap.types_toolkit import ENUM_CAP, EnumerationCapError, TypeClass, count_types
 from conftest import bsc, random_dmc
 
 
@@ -398,6 +400,34 @@ def test_mc_tail_is_identical_across_threads():
                           for t in (1, 3))
             assert (one.value, one.stderr, one.trials) == (three.value, three.stderr, three.trials)
             assert one.trials == trials
+
+
+def test_mc_tail_submits_one_task_per_worker(monkeypatch, uniform2):
+    """20 chunks on 2 threads are 2 tasks of 10 chunks each, not 20 tasks; the
+    estimate is the serial one, and a thread count below 1 is refused."""
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(mixcap.spectrum, "ThreadPoolExecutor", CountingPool)
+    w = bsc(0.11)
+    q = output_distribution(uniform2, w)
+    one, two = (mc_tail(w, uniform2, q, 20, 0.3, trials=20 * MC_CHUNK, seed=5, threads=t)
+                for t in (1, 2))
+    assert len(submitted) == 2
+    assert (one.value, one.stderr) == (two.value, two.stderr)
+    with pytest.raises(ValueError, match="thread"):
+        mc_tail(w, uniform2, q, 20, 0.3, trials=100, seed=5, threads=0)
+
+
+def test_aggregate_spectrum_past_the_type_cap_raises_the_cap_error(uniform2):
+    """A 2x2 channel at n = 400 has four letter atoms and C(403, 3) count vectors."""
+    w = Dmc([[0.9, 0.1], [0.25, 0.75]])
+    with pytest.raises(EnumerationCapError, match=f"10827401 types, past the cap {ENUM_CAP}"):
+        aggregate_spectrum(w, uniform2, output_distribution(uniform2, w), 400)
 
 
 def test_mc_tail_cost_does_not_grow_with_n(uniform2):
