@@ -1,8 +1,8 @@
 """Channel, distribution and cost types plus single-letter information measures.
 
-All information quantities are in nats.  Every type is frozen after
-construction (numpy arrays are made read-only), and every function is pure,
-so everything here is safe to share across threads.
+All information quantities are in nats.  Every type validates its fields on
+construction and keeps its numpy arrays read-only, and every function is
+pure, so everything here is safe to share across threads.
 
 Conventions:
   * 0 * log 0 = 0 throughout.
@@ -17,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,22 +51,20 @@ def _check_prob_vector(v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} sums to {s:.17g}, not 1 within {SUM_TOL:g}")
 
 
-@dataclass(frozen=True)
 class Dmc:
     """A discrete memoryless channel, ``rows[x, y] = W(y|x)``; ``log_rows`` is log W."""
 
-    rows: np.ndarray
-    log_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "log_rows")
 
-    def __post_init__(self):
-        rows = _frozen_array(self.rows)
+    def __init__(self, rows):
+        rows = _frozen_array(rows)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ValueError("channel matrix must be 2-D with at least one row and column")
         for x in range(rows.shape[0]):
             _check_prob_vector(rows[x], f"channel row {x}")
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows
         with np.errstate(divide="ignore"):  # -inf where W(y|x) = 0
-            object.__setattr__(self, "log_rows", _frozen_array(np.log(rows)))
+            self.log_rows = _frozen_array(np.log(rows))
 
     @property
     def num_inputs(self) -> int:
@@ -78,16 +75,15 @@ class Dmc:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
 class InputDist:
     """A probability vector on the input alphabet."""
 
-    probs: np.ndarray
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        probs = _frozen_array(self.probs)
+    def __init__(self, probs):
+        probs = _frozen_array(probs)
         _check_prob_vector(probs, "input distribution")
-        object.__setattr__(self, "probs", probs)
+        self.probs = probs
 
     @property
     def size(self) -> int:
@@ -98,7 +94,6 @@ class InputDist:
         return InputDist(np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True)
 class CostSpec:
     """Per-letter input costs c(x) >= 0 and a finite budget gamma.
 
@@ -107,21 +102,20 @@ class CostSpec:
     cheapest letter.
     """
 
-    costs: np.ndarray
-    gamma: float | None = UNCONSTRAINED
+    __slots__ = ("costs", "gamma")
 
-    def __post_init__(self):
-        costs = _frozen_array(self.costs)
+    def __init__(self, costs, gamma: float | None = UNCONSTRAINED):
+        costs = _frozen_array(costs)
         if costs.ndim != 1 or costs.size < 1:
             raise ValueError("costs must be a non-empty vector")
         if np.any(costs < 0.0):
             raise ValueError("costs must be nonnegative")
-        object.__setattr__(self, "costs", costs)
-        if self.gamma is not None:
-            gamma = float(self.gamma)
+        self.costs = costs
+        if gamma is not None:
+            gamma = float(gamma)
             if not math.isfinite(gamma):
                 raise ValueError(f"gamma must be a finite number, got {gamma}")
-            object.__setattr__(self, "gamma", gamma)
+        self.gamma = gamma
 
     @property
     def gamma_zero(self) -> float:
@@ -157,14 +151,13 @@ class CostSpec:
         return CostSpec(np.zeros(num_inputs), UNCONSTRAINED)
 
 
-@dataclass(frozen=True)
 class MixedChannel:
     """A finite mixture of DMCs sharing one input and one output alphabet."""
 
-    atoms: tuple
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
-        atoms = tuple((float(w), comp) for w, comp in self.atoms)
+    def __init__(self, atoms: tuple):
+        atoms = tuple((float(w), comp) for w, comp in atoms)
         if not atoms:
             raise ValueError("mixed channel needs at least one atom")
         shape = atoms[0][1].rows.shape
@@ -176,7 +169,7 @@ class MixedChannel:
         total = sum(w for w, _ in atoms)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"atom weights sum to {total:.17g}, not 1 within {SUM_TOL:g}")
-        object.__setattr__(self, "atoms", atoms)
+        self.atoms = atoms
 
     @property
     def num_atoms(self) -> int:
@@ -203,18 +196,16 @@ class MixedChannel:
         return MixedChannel(((1.0, w),))
 
 
-@dataclass(frozen=True)
 class SlackParams:
     """Slack knobs of the non-asymptotic bounds: eta and gamma."""
 
-    eta: float
-    gamma_slack: float = 1.0
+    __slots__ = ("eta", "gamma_slack")
 
-    def __post_init__(self):
-        for name in ("eta", "gamma_slack"):
-            value = getattr(self, name)
+    def __init__(self, eta: float, gamma_slack: float = 1.0):
+        for name, value in (("eta", eta), ("gamma_slack", gamma_slack)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value}")
+        self.eta, self.gamma_slack = eta, gamma_slack
 
 
 # ---------------------------------------------------------------------------

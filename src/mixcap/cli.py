@@ -403,6 +403,8 @@ def _cmd_check_well_ordered(args, mixed, cost, em: Emitter):
 
 def _cmd_fbl(args, mixed, cost, em: Emitter):
     _check_range(args.n, "--n", 1, INT64_MAX)
+    if not 0.0 <= args.rate < math.inf:  # log(M)/n of a code with 1 <= M < inf codewords
+        raise ValueError(f"--rate must be a finite number >= 0, got {args.rate}")
     if args.trials is not None and args.trials < 1:
         raise ValueError("--trials must be at least 1")
     _check_range(args.seed, "--seed", 0, SEED_MAX)

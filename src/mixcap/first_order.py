@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def _quantile(values, weights, eps: float) -> tuple:
     return float(distinct[k]), float(below[k]), at
 
 
-@dataclass(frozen=True)
-class EpsCapacityResult:
+class EpsCapacityResult(NamedTuple):
     capacity: float
     argmax_input: InputDist
     achieving_component: int | None = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative solve fails to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     """Capacity of one component under a cost budget.
 
     ``kt_slack`` is the worst signed violation of the Kuhn-Tucker condition at
@@ -57,8 +56,7 @@ class CapacityResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class CapacityAchievingSet:
+class CapacityAchievingSet(NamedTuple):
     """The vertices of the capacity-achieving input polytope.
 
     Every capacity-achieving input is a convex combination of the
@@ -257,7 +255,7 @@ def _least_multiplier(w: Dmc, p: np.ndarray, cost: CostSpec) -> float:
         return math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         lams = (d[:, None] - d) / (slope - slope[:, None])
-    lams = np.unique(np.append(0.0, lams[np.isfinite(lams) & (lams > 0.0)]))
+    lams = np.sort(np.append(0.0, lams[np.isfinite(lams) & (lams > 0.0)]))
     return float(lams[np.argmin((d + lams[:, None] * slope).max(axis=1))])
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +35,7 @@ class SolveResult(NamedTuple):
     open_boundary: bool      # True when the feasible set excludes its supremum
 
 
-@dataclass(frozen=True)
-class SecondOrderResult:
+class SecondOrderResult(NamedTuple):
     s_value: float
     rate: float
     input: InputDist

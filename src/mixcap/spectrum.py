@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +44,14 @@ KIND_EXACT_TAIL = "exact_tail"
 KIND_MC = "mc"
 
 
-@dataclass(frozen=True)
 class AtomDist:
     """A finite distribution on the reals: sorted values with probabilities."""
 
-    values: np.ndarray
-    probs: np.ndarray
+    __slots__ = ("values", "probs")
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, values, probs):
+        v = np.asarray(values, dtype=float)
+        p = np.asarray(probs, dtype=float)
         if v.shape != p.shape or v.ndim != 1:
             raise ValueError("values and probs must be equal-length vectors")
         if np.any(~np.isfinite(v)):
@@ -63,8 +60,7 @@ class AtomDist:
         v, p = v[order].copy(), p[order].copy()
         v.setflags(write=False)
         p.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
+        self.values, self.probs = v, p
 
     @property
     def total_mass(self) -> float:
@@ -79,52 +75,47 @@ class AtomDist:
         return float(self.probs[:idx].sum())
 
 
-@dataclass(frozen=True)
 class SpectrumCdf:
     """Exact law of the n-letter information density (sum of per-letter atoms)."""
 
-    n: int
-    aggregate: AtomDist
+    __slots__ = ("n", "aggregate")
 
-    def __post_init__(self):
-        if abs(self.aggregate.total_mass - 1.0) > 1e-9:
+    def __init__(self, n: int, aggregate: AtomDist):
+        if abs(aggregate.total_mass - 1.0) > 1e-9:
             raise ValueError("aggregate mass drifted beyond 1e-9")
+        self.n, self.aggregate = n, aggregate
 
     def tail_leq(self, z_per_letter: float) -> float:
         """P{(1/n) sum <= z}, boundary handled at BOUNDARY_TOL on the total."""
         return self.aggregate.cdf_at(z_per_letter * self.n)
 
 
-@dataclass(frozen=True)
 class CodeParams:
     """Blocklength and rate; the rate is log(M)/n in nats for a code of M codewords."""
 
-    n: int
-    rate: float
+    __slots__ = ("n", "rate")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, rate: float):
+        if n < 1:
             raise ValueError("blocklength must be at least 1")
+        self.n, self.rate = n, rate
 
     @staticmethod
     def from_rate(n: int, rate: float) -> "CodeParams":
         return CodeParams(n, rate)
 
 
-@dataclass(frozen=True)
 class BoundEstimate:
-    value: float
-    kind: str
-    stderr: float = 0.0
-    trials: int = 0
-    seed: int = 0
-    note: str = ""
+    __slots__ = ("value", "kind", "stderr", "trials", "seed", "note")
 
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
+    def __init__(self, value: float, kind: str, stderr: float = 0.0, trials: int = 0,
+                 seed: int = 0, note: str = ""):
+        if not 0.0 <= value <= 1.0:
             raise ValueError("bound value must lie in [0, 1]")
-        if self.trials == 0 and self.stderr != 0.0:
+        if trials == 0 and stderr != 0.0:
             raise ValueError("exact estimates must have zero stderr")
+        self.value, self.kind, self.stderr = value, kind, stderr
+        self.trials, self.seed, self.note = trials, seed, note
 
 
 PROB_FLOOR = 1e-300  # per-letter atoms at or below this carry no representable mass

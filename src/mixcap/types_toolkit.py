@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,21 +29,19 @@ class EnumerationCapError(RuntimeError):
     """Raised when a type enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
 class TypeClass:
     """Integer composition of a blocklength over the input alphabet."""
 
-    counts: np.ndarray
-    n: int
+    __slots__ = ("counts", "n")
 
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=int)
+    def __init__(self, counts, n: int):
+        counts = np.array(counts, dtype=int)
         counts.setflags(write=False)
         if counts.ndim != 1 or np.any(counts < 0):
             raise ValueError("counts must be a nonnegative integer vector")
-        if int(counts.sum()) != self.n:
-            raise ValueError(f"counts sum to {int(counts.sum())}, expected n = {self.n}")
-        object.__setattr__(self, "counts", counts)
+        if int(counts.sum()) != n:
+            raise ValueError(f"counts sum to {int(counts.sum())}, expected n = {n}")
+        self.counts, self.n = counts, n
 
     @property
     def fractions(self) -> np.ndarray:
@@ -54,16 +52,13 @@ class TypeClass:
         return np.repeat(np.arange(len(self.counts)), self.counts)
 
 
-@dataclass(frozen=True)
 class ExpurgationReport:
-    member_mask: tuple
-    mass: float
-    bound: float
-    n: int
+    __slots__ = ("member_mask", "mass", "bound", "n")
 
-    def __post_init__(self):
-        if self.mass < self.bound - 1e-12:
+    def __init__(self, member_mask: tuple, mass: float, bound: float, n: int):
+        if mass < bound - 1e-12:
             raise ValueError("expurgated mass below its guaranteed bound")
+        self.member_mask, self.mass, self.bound, self.n = member_mask, mass, bound, n
 
 
 def quantized_type(p0: InputDist, n: int, cost: CostSpec | None = None) -> TypeClass:
@@ -196,8 +191,7 @@ def _tails(stat: np.ndarray, probs: np.ndarray, thresholds: np.ndarray) -> np.nd
     return cum[np.searchsorted(stat[order], thresholds, side="right")]
 
 
-@dataclass(frozen=True)
-class DecompositionFailure:
+class DecompositionFailure(NamedTuple):
     inequality: str  # "upper" or "lower"
     atom: int
     z: float
@@ -205,8 +199,7 @@ class DecompositionFailure:
     rhs: float
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     passed: bool
     failures: tuple
     n: int

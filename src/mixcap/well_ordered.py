@@ -12,7 +12,7 @@ up to the stated tolerance, and any recorded violation refutes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import CostSpec, InputDist, MixedChannel, mutual_information
 from .first_order import rate_spectrum
@@ -25,8 +25,7 @@ class NotWellOrderedError(RuntimeError):
     """Raised when the exact path is requested but the ordering check failed."""
 
 
-@dataclass(frozen=True)
-class OrderViolation:
+class OrderViolation(NamedTuple):
     theta: int
     theta_prime: int
     rep_input: InputDist
@@ -38,18 +37,18 @@ class OrderViolation:
                 f"{self.observed_info:.9g}, required {self.required}")
 
 
-@dataclass(frozen=True)
 class WellOrderReport:
-    is_well_ordered: bool
-    violations: tuple
-    capacity_spectrum: tuple  # sorted (capacity, cumulative weight)
-    tolerance: float
-    coverage: str
-    rep_sets: tuple  # one CapacityAchievingSet per component, in atom order
+    __slots__ = ("is_well_ordered", "violations", "capacity_spectrum", "tolerance", "coverage",
+                 "rep_sets")
 
-    def __post_init__(self):
-        if self.is_well_ordered != (len(self.violations) == 0):
+    def __init__(self, is_well_ordered: bool, violations: tuple, capacity_spectrum: tuple,
+                 tolerance: float, coverage: str, rep_sets: tuple):
+        if is_well_ordered != (len(violations) == 0):
             raise ValueError("report inconsistent: violations must be empty iff well-ordered")
+        self.is_well_ordered, self.violations = is_well_ordered, violations
+        self.capacity_spectrum = capacity_spectrum  # sorted (capacity, cumulative weight)
+        self.tolerance, self.coverage = tolerance, coverage
+        self.rep_sets = rep_sets  # one CapacityAchievingSet per component, in atom order
 
 
 def check_well_ordered(

@@ -293,6 +293,8 @@ BAD_SPECS = {
       "--trials", "100", "--seed", str(10**41)], "--seed"),
     (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--mc",
       "--trials", "100", "--threads", "257"], "--threads"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "-0.3", "--bound", "feinstein"], "--rate"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "inf", "--bound", "feinstein"], "--rate"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
