@@ -251,24 +251,23 @@ def _parser() -> argparse.ArgumentParser:
     )
     _output_flags(ap, top=True)
     sub = ap.add_subparsers(dest="command", required=True)
+    # every subcommand copies these actions: cheaper than adding them to each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("spec", help="channel spec file (JSON)")
+    common.add_argument("--gamma", type=float, default=None)
+    common.add_argument("--unconstrained", action="store_true")
+    _output_flags(common, top=False)
 
-    def common(p):
-        p.add_argument("spec", help="channel spec file (JSON)")
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--unconstrained", action="store_true")
-        _output_flags(p, top=False)
+    sub.add_parser("capacity", help="per-component constrained capacities", parents=[common])
 
-    p = sub.add_parser("capacity", help="per-component constrained capacities")
-    common(p)
-
-    p = sub.add_parser("eps-capacity", help="first-order capacity at a given eps")
-    common(p)
+    p = sub.add_parser("eps-capacity", help="first-order capacity at a given eps",
+                       parents=[common])
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--well-ordered", action="store_true")
     p.add_argument("--grid", type=int, default=32, help="accepted and ignored")
 
-    p = sub.add_parser("second-order", help="second-order rate at the eps-capacity")
-    common(p)
+    p = sub.add_parser("second-order", help="second-order rate at the eps-capacity",
+                       parents=[common])
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--tie-tol", type=float, default=None,
@@ -276,12 +275,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--well-ordered", action="store_true")
     p.add_argument("--grid", type=int, default=32, help="accepted and ignored")
 
-    p = sub.add_parser("check-well-ordered", help="test the capacity ordering of components")
-    common(p)
+    p = sub.add_parser("check-well-ordered", help="test the capacity ordering of components",
+                       parents=[common])
     p.add_argument("--tol", type=float, default=1e-7)
 
-    p = sub.add_parser("fbl", help="finite-blocklength bounds")
-    common(p)
+    p = sub.add_parser("fbl", help="finite-blocklength bounds", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--bound", choices=("feinstein", "hn", "mixed-converse", "exact"),
@@ -294,8 +292,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input-probs", default=None, help="comma-separated input distribution")
     p.add_argument("--mc", action="store_true", help="force the Monte-Carlo path")
 
-    p = sub.add_parser("validate-lemmas", help="decomposition and expurgation checks")
-    common(p)
+    p = sub.add_parser("validate-lemmas", help="decomposition and expurgation checks",
+                       parents=[common])
     p.add_argument("--n", type=int, nargs="+", default=[8, 12])
     p.add_argument("--z-points", type=int, default=50)
     p.add_argument("--gamma-slack", type=float, default=1.0)
@@ -461,22 +459,41 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         code, out, manifest = run_command(argv, args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+            with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+                json.dump(_jsonable(manifest), fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        else:
+            sys.stdout.write(out)
     except (ValueError, OSError) as exc:  # includes InfeasibleCostError, DominationError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, EnumerationCapError, NotWellOrderedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(manifest), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
-        sys.stdout.write(out)
     return code
 
 
+def console_main():
+    """Process entry point: ``main``, then exit without interpreter teardown.
+
+    Teardown (clearing modules, a last garbage collection over numpy's objects)
+    costs about 25 ms and saves nothing: ``main`` closes every ``--out`` file in
+    its ``with`` blocks, and mixcap registers no ``atexit`` work; keep it so.
+    ``SystemExit`` (``--help``) and uncaught exceptions take the normal exit.
+    """
+    code = main()
+    logging.shutdown()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # buffered output to a closed pipe fails here, not in main
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -24,7 +24,6 @@ applies the same rule, so the two paths agree on lattice spectra.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,6 +97,8 @@ class CodeParams:
     def __init__(self, n: int, rate: float):
         if n < 1:
             raise ValueError("blocklength must be at least 1")
+        if not 0.0 <= rate < math.inf:  # 1 <= M < inf codewords
+            raise ValueError(f"rate must be a finite number >= 0, got {rate}")
         self.n, self.rate = n, rate
 
     @staticmethod
@@ -385,6 +386,8 @@ def mc_tail(
     workers = min(threads, n_chunks)
     spans = [range(k * n_chunks // workers, (k + 1) * n_chunks // workers) for k in range(workers)]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only here: every command loads spectrum
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(lambda span: sum(map(run_chunk, span)), spans))
     else:

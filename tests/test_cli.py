@@ -295,6 +295,7 @@ BAD_SPECS = {
       "--trials", "100", "--threads", "257"], "--threads"),
     (["fbl", "{bsc3}", "--n", "20", "--rate", "-0.3", "--bound", "feinstein"], "--rate"),
     (["fbl", "{bsc3}", "--n", "20", "--rate", "inf", "--bound", "feinstein"], "--rate"),
+    (["capacity", "{bsc3}", "--out", "{bsc3}/out.csv"], "out.csv"),  # a file as directory
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
@@ -538,6 +539,63 @@ def test_debug_log_explains_eps_capacity_on_stderr_only():
     assert all(re.search(r"constrained_capacity \((alternating maximization|Newton on the "
                          r"optimal face)\): \d+ alternating iterations, \d+ Newton steps, "
                          r"certified gap \S+, multiplier 0\.\d+$", line) for line in solves)
+
+
+def _cli_process(argv, unbuffered, env=(), **kwargs):
+    """Run ``python -m mixcap.cli`` with PYTHONUNBUFFERED set or removed: buffered
+    output reaches its file only if the process flushes it before it exits."""
+    env = dict({k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "MIXCAP_LOG")},
+               **dict(env), PYTHONPATH=os.path.join(os.path.dirname(GOLDEN), "..", "src"))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "mixcap.cli", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_process_exit_codes_streams_and_out_files(unbuffered, tmp_path, monkeypatch):
+    """The process exits without interpreter teardown; its exit code, stderr lines and
+    --out files are those of main in process (the manifest's wall time aside)."""
+    bsc3, binding3 = (os.path.join(GOLDEN, name) for name in ("bsc3.json", "binding3.json"))
+    bad = write_spec(tmp_path, {"atoms": [{"weight": 1.0, "rows": [[0.5, 0.6], [0.5, 0.5]]}]})
+    for argv, code, first in [
+        (["capacity", bad], 1, "error: "),
+        (["eps-capacity", binding3, "--eps", "0.3", "--well-ordered"], 2, "numerical failure: "),
+    ]:
+        proc = _cli_process(argv, unbuffered, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(first)
+    proc = _cli_process(["--help"], unbuffered, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: mixcap")
+
+    argv = ["eps-capacity", bsc3, "--eps", "0.35", "--out", "out.csv"]
+    (tmp_path / "sub").mkdir()
+    proc = _cli_process(argv, unbuffered, capture_output=True, text=True,
+                        cwd=tmp_path / "sub", env={"MIXCAP_LOG": "DEBUG"})
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert "DEBUG:mixcap:loaded 3 atoms" in proc.stderr
+    assert "DEBUG:mixcap.optimizer:constrained_capacity" in proc.stderr
+    (tmp_path / "in").mkdir()
+    monkeypatch.chdir(tmp_path / "in")
+    assert main(argv) == 0
+    for name in ("out.csv", "out.csv.manifest.json"):
+        sub, inproc = ((tmp_path / d / name).read_text() for d in ("sub", "in"))
+        assert re.sub(r'"wall_time_s": \S+', "", sub) == re.sub(r'"wall_time_s": \S+', "", inproc)
+    assert '"wall_time_s": ' in sub
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_one_error_line(unbuffered):
+    """With the reader of stdout gone, the write (unbuffered) or the flush before the
+    exit (buffered) fails: exit 1 with one error line, never a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(["check-well-ordered", os.path.join(GOLDEN, "bsc3.json")],
+                            unbuffered, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

@@ -168,7 +168,7 @@ def test_mc_fallback_only_when_needed(uniform2):
     w2 = random_dmc(rng)
     mid = mutual_information(uniform2, w2)
     est2 = feinstein_bound(MixedChannel.singleton(w2), uniform2,
-                           CodeParams.from_rate(150, mid - 0.05), SlackParams(eta=0.01),
+                           CodeParams.from_rate(150, mid - 0.01), SlackParams(eta=0.01),
                            mc_trials=10_000, seed=5)
     assert est2.trials == 10_000 and est2.stderr > 0.0
 

@@ -99,15 +99,18 @@ SUBPROCESS_CASES = ["fbl-exact-bsc3", "fbl-exact-zbsc", "validate-lemmas-cost3",
                     "eps-capacity-multi5", "second-order-cost3"]
 
 
-@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["default", "openblas-2"])
+@pytest.mark.parametrize("preset, unset", [
+    ({}, ()),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ()),
+    ({}, ("PYTHONUNBUFFERED",)),
+], ids=["default", "openblas-2", "buffered"])
 @pytest.mark.parametrize("name", SUBPROCESS_CASES)
-def test_golden_output_as_subprocess(name, blas_threads):
-    """The output bytes do not depend on how many threads BLAS runs."""
+def test_golden_output_as_subprocess(name, preset, unset):
+    """The output bytes do not depend on how many threads BLAS runs, nor on whether
+    stdout is buffered (the process must flush it before it exits without teardown)."""
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = SRC
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", *unset)}
+    env.update(preset, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "mixcap.cli", *resolve(CASES[name])],
                           capture_output=True, env=env, check=True)
     with open(os.path.join(GOLDEN, name + ".csv"), "rb") as fh:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mixcap.spectrum
 from mixcap import (
     AtomDist,
     CodeParams,
@@ -214,6 +213,13 @@ def test_feinstein_n1_enumeration(uniform2):
     assert est.value == pytest.approx(min(brute + math.exp(-eta), 1.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("rate", [-0.3, math.inf, -math.inf, math.nan])
+def test_code_params_refuse_a_rate_no_code_has(rate):
+    """log(M)/n of a code with 1 <= M < inf codewords is finite and >= 0."""
+    with pytest.raises(ValueError, match="rate must be a finite number >= 0"):
+        CodeParams(20, rate)
+
+
 def test_feinstein_useless_channel(uniform2):
     est = feinstein_bound(MixedChannel.singleton(bsc(0.5)), uniform2,
                           CodeParams.from_rate(50, 0.2), SlackParams(eta=0.1))
@@ -412,7 +418,7 @@ def test_mc_tail_submits_one_task_per_worker(monkeypatch, uniform2):
             submitted.append(fn)
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(mixcap.spectrum, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
     one, two = (mc_tail(w, uniform2, q, 20, 0.3, trials=20 * MC_CHUNK, seed=5, threads=t)

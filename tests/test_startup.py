@@ -3,9 +3,10 @@
 Every CLI job is a new interpreter, so each module the package loads is paid
 for by every job.  The layer modules stay eager: perfbench/tracer.py wraps
 the functions it finds in sys.modules right after ``import mixcap.cli``.
-Two imports stay out: ``dataclasses``, whose decorator generates and compiles
-code for every record type on each import, and ``numpy.ma``, which numpy 2.x
-loads from ``np.unique`` when it is asked for the unique values alone.
+Three imports stay out: ``dataclasses``, whose decorator generates and compiles
+code for every record type on each import; ``numpy.ma``, which numpy 2.x
+loads from ``np.unique`` when it is asked for the unique values alone; and
+``concurrent.futures``, whose thread pool only Monte-Carlo tails use.
 """
 
 import os
@@ -38,7 +39,7 @@ print(*(m for m in WATCHED if m in sys.modules))
 @pytest.fixture(scope="module")
 def loaded():
     """The watched modules loaded after ``import mixcap.cli``, and after the RUNS."""
-    watched = LAYERS + ("dataclasses", "numpy.ma")
+    watched = LAYERS + ("dataclasses", "numpy.ma", "concurrent.futures")
     env = dict(os.environ, PYTHONPATH=SRC)
     lines = subprocess.run([sys.executable, "-c", SCRIPT.format(watched=watched, runs=RUNS)],
                            capture_output=True, text=True, env=env, check=True).stdout.splitlines()
@@ -56,3 +57,7 @@ def test_import_leaves_dataclasses_unloaded(loaded):
 
 def test_commands_leave_numpy_ma_unloaded(loaded):
     assert "numpy.ma" not in loaded["runs"]
+
+
+def test_thread_pool_stays_unloaded_off_the_monte_carlo_path(loaded):
+    assert "concurrent.futures" not in loaded["import"] | loaded["runs"]
