@@ -58,6 +58,8 @@ INT64_MAX = 2**63 - 1  # --n reaches numpy's int64 counts
 SEED_MAX = 2**64 - 1  # Philox keys seed + (k << 64) stay below 2**128
 Z_POINTS_MAX = 10**6  # keeps each per-threshold array of validate-lemmas within 8 MB
 THREADS_MAX = 256  # Monte-Carlo worker threads; each one is an OS thread
+# MIXCAP_LOG's values, in any case (logging.getLevelNamesMapping needs Python 3.11)
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _fmt(v) -> str:
@@ -160,14 +162,6 @@ def load_spec(path: str):
     return mixed, CostSpec(np.asarray(costs), None if gamma == "unconstrained" else gamma)
 
 
-def _apply_gamma_flags(cost: CostSpec, args) -> CostSpec:
-    if getattr(args, "unconstrained", False):
-        return CostSpec(cost.costs, None)
-    if getattr(args, "gamma", None) is not None:
-        return CostSpec(cost.costs, float(args.gamma))
-    return cost
-
-
 class Emitter:
     """Accumulates rows and renders CSV or JSON deterministically."""
 
@@ -206,25 +200,41 @@ def _jsonable(obj):
     return obj
 
 
-def _check_range(value: int, flag: str, lo: int, hi: int) -> None:
-    if value < lo:
-        raise ValueError(f"{flag} must be at least {lo}")
-    if value > hi:
-        raise ValueError(f"{flag} must be at most {hi}")
-
-
-def _input_dist(args, k: int) -> InputDist:
+def _input_dist(args, cost: CostSpec) -> InputDist:
+    """The --input-probs distribution (uniform when absent), within the budget."""
+    k = len(cost.costs)
     if (text := args.input_probs) is None:
-        return InputDist.uniform(k)
-    probs = []
-    for t in text.split(",") if text.strip() else []:
-        try:
-            probs.append(float(t))
-        except ValueError:
-            raise ValueError(f"--input-probs entry {t.strip()!r} is not a number") from None
-    if len(probs) != k:
-        raise ValueError(f"--input-probs has {len(probs)} entries, the channel has {k} inputs")
-    return InputDist(np.asarray(probs))
+        p = InputDist.uniform(k)
+    else:
+        probs = []
+        for t in text.split(",") if text.strip() else []:
+            try:
+                probs.append(float(t))
+            except ValueError:
+                raise ValueError(f"--input-probs entry {t.strip()!r} is not a number") from None
+        if len(probs) != k:
+            raise ValueError(f"--input-probs has {len(probs)} entries, the channel has {k} inputs")
+        p = InputDist(np.asarray(probs))
+    if not cost.admits(p):
+        which = "--input-probs" if text is not None else "the uniform input (no --input-probs)"
+        raise ValueError(f"{which} costs {cost.expected_cost(p):g} per letter, above the budget "
+                         f"gamma = {cost.gamma:g} (--unconstrained lifts it)")
+    return p
+
+
+def _ranged(convert, lo, hi=math.inf):
+    """An argparse type: ``convert(text)`` within [lo, hi]; NaN lies in no range."""
+    def parse(text):
+        value = convert(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
+        if value != value:
+            raise argparse.ArgumentTypeError("must be a number, got nan")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
 
 
 def _output_flags(p: argparse.ArgumentParser, top: bool) -> None:
@@ -236,7 +246,7 @@ def _output_flags(p: argparse.ArgumentParser, top: bool) -> None:
     p.add_argument("--out", metavar="PATH",
                    help="write primary output to PATH (manifest sidecar at PATH.manifest.json)",
                    **(d or {"default": None}))
-    p.add_argument("--threads", type=int, **(d or {"default": 1}))
+    p.add_argument("--threads", type=_ranged(int, 1, THREADS_MAX), **(d or {"default": 1}))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,48 +264,55 @@ def _parser() -> argparse.ArgumentParser:
     # every subcommand copies these actions: cheaper than adding them to each
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("spec", help="channel spec file (JSON)")
-    common.add_argument("--gamma", type=float, default=None)
-    common.add_argument("--unconstrained", action="store_true")
+    budget = common.add_mutually_exclusive_group()
+    budget.add_argument("--gamma", type=float, default=None)
+    budget.add_argument("--unconstrained", action="store_true")
     _output_flags(common, top=False)
 
-    sub.add_parser("capacity", help="per-component constrained capacities", parents=[common])
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("eps-capacity", help="first-order capacity at a given eps",
-                       parents=[common])
+    command("capacity", _cmd_capacity, "per-component constrained capacities")
+
+    grid = _ranged(int, 1)
+    p = command("eps-capacity", _cmd_eps_capacity, "first-order capacity at a given eps")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--well-ordered", action="store_true")
-    p.add_argument("--grid", type=int, default=32, help="accepted and ignored")
+    p.add_argument("--grid", type=grid, default=32, help="accepted and ignored")
 
-    p = sub.add_parser("second-order", help="second-order rate at the eps-capacity",
-                       parents=[common])
+    p = command("second-order", _cmd_second_order, "second-order rate at the eps-capacity")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rate", type=float, default=None)
+    at = p.add_mutually_exclusive_group()  # the exact path evaluates at the eps-capacity
+    at.add_argument("--rate", type=_ranged(float, -math.inf), default=None)
+    at.add_argument("--well-ordered", action="store_true")
     p.add_argument("--tie-tol", type=float, default=None,
                    help="at-rate classification width (default 1e-9; 1e-7 with --well-ordered)")
-    p.add_argument("--well-ordered", action="store_true")
-    p.add_argument("--grid", type=int, default=32, help="accepted and ignored")
+    p.add_argument("--grid", type=grid, default=32, help="accepted and ignored")
 
-    p = sub.add_parser("check-well-ordered", help="test the capacity ordering of components",
-                       parents=[common])
+    p = command("check-well-ordered", _cmd_check_well_ordered,
+                "test the capacity ordering of components")
     p.add_argument("--tol", type=float, default=1e-7)
 
-    p = sub.add_parser("fbl", help="finite-blocklength bounds", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rate", type=float, required=True)
+    n = _ranged(int, 1, INT64_MAX)
+    p = command("fbl", _cmd_fbl, "finite-blocklength bounds")
+    p.add_argument("--n", type=n, required=True)
+    # log(M)/n of a code with 1 <= M < inf codewords
+    p.add_argument("--rate", type=_ranged(float, 0.0, sys.float_info.max), required=True)
     p.add_argument("--bound", choices=("feinstein", "hn", "mixed-converse", "exact"),
                    required=True)
     p.add_argument("--eta", type=float, default=None, help="slack (default 1/sqrt(n))")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=_ranged(int, 1), default=None,
                    help="Monte-Carlo trials, used for a tail whose type count exceeds "
                         "min(trials, ENUM_CAP = 10^6); smaller tails are exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ranged(int, 0, SEED_MAX), default=0)
     p.add_argument("--input-probs", default=None, help="comma-separated input distribution")
     p.add_argument("--mc", action="store_true", help="force the Monte-Carlo path")
 
-    p = sub.add_parser("validate-lemmas", help="decomposition and expurgation checks",
-                       parents=[common])
-    p.add_argument("--n", type=int, nargs="+", default=[8, 12])
-    p.add_argument("--z-points", type=int, default=50)
+    p = command("validate-lemmas", _cmd_validate_lemmas, "decomposition and expurgation checks")
+    p.add_argument("--n", type=n, nargs="+", default=[8, 12])
+    p.add_argument("--z-points", type=_ranged(int, 1, Z_POINTS_MAX), default=50)
     p.add_argument("--gamma-slack", type=float, default=1.0)
     p.add_argument("--input-probs", default=None)
     return ap
@@ -308,30 +325,19 @@ def run_command(argv, args: argparse.Namespace | None = None) -> tuple[int, str,
     """
     if args is None:
         args = _parser().parse_args(argv)
-    _check_range(args.threads, "--threads", 1, THREADS_MAX)
-    if getattr(args, "grid", 1) < 1:
-        raise ValueError("--grid must be at least 1")
-    rate = getattr(args, "rate", None)
-    if rate is not None and math.isnan(rate):
-        raise ValueError("--rate must be a number, got nan")
-    level = os.environ.get("MIXCAP_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        stream=sys.stderr)
+    level = os.environ.get("MIXCAP_LOG") or "WARNING"
+    if level.upper() not in LOG_LEVELS:
+        raise ValueError(f"MIXCAP_LOG must be one of {', '.join(LOG_LEVELS)} (in any case), "
+                         f"got {level!r}")
+    logging.basicConfig(level=level.upper(), stream=sys.stderr)
     t0 = time.monotonic()
     emitter = Emitter(args.format)
     mixed, cost = load_spec(args.spec)
-    cost = _apply_gamma_flags(cost, args)
+    if args.unconstrained or args.gamma is not None:  # exclusive: --unconstrained leaves gamma None
+        cost = CostSpec(cost.costs, args.gamma)
     log.debug("loaded %d atoms (|X|=%d, |Y|=%d), gamma=%s", mixed.num_atoms,
               mixed.num_inputs, mixed.num_outputs, cost.gamma)
-    handler = {
-        "capacity": _cmd_capacity,
-        "eps-capacity": _cmd_eps_capacity,
-        "second-order": _cmd_second_order,
-        "check-well-ordered": _cmd_check_well_ordered,
-        "fbl": _cmd_fbl,
-        "validate-lemmas": _cmd_validate_lemmas,
-    }[args.command]
-    handler(args, mixed, cost, emitter)
+    args.handler(args, mixed, cost, emitter)
     manifest = {
         "command": args.command,
         "argv": list(argv),
@@ -369,16 +375,11 @@ def _cmd_eps_capacity(args, mixed, cost, em: Emitter):
 
 
 def _cmd_second_order(args, mixed, cost, em: Emitter):
+    tie = {} if args.tie_tol is None else {"tie_tol": args.tie_tol}  # else the library's default
     if args.well_ordered:
-        if args.rate is not None:
-            raise ValueError(
-                "--rate cannot be combined with --well-ordered; the exact path "
-                "evaluates at the eps-capacity")
-        tie = args.tie_tol if args.tie_tol is not None else 1e-7
-        res = second_order_well_ordered(mixed, cost, args.eps, tie_tol=tie)
+        res = second_order_well_ordered(mixed, cost, args.eps, **tie)
     else:
-        tie = args.tie_tol if args.tie_tol is not None else 1e-9
-        res = second_order_lb(mixed, cost, args.rate, args.eps, tie_tol=tie)
+        res = second_order_lb(mixed, cost, args.rate, args.eps, **tie)
     em.row(quantity="second_order", value=res.s_value, units="nats", method=res.method,
            eps=args.eps, rate=res.rate, theta2_mass=res.theta2_mass,
            gw_at_solution=res.gw_at_solution, open_boundary=res.open_boundary,
@@ -400,16 +401,10 @@ def _cmd_check_well_ordered(args, mixed, cost, em: Emitter):
 
 
 def _cmd_fbl(args, mixed, cost, em: Emitter):
-    _check_range(args.n, "--n", 1, INT64_MAX)
-    if not 0.0 <= args.rate < math.inf:  # log(M)/n of a code with 1 <= M < inf codewords
-        raise ValueError(f"--rate must be a finite number >= 0, got {args.rate}")
-    if args.trials is not None and args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    _check_range(args.seed, "--seed", 0, SEED_MAX)
     eta = args.eta if args.eta is not None else 1.0 / math.sqrt(args.n)
     slack = SlackParams(eta=eta)
     code = CodeParams.from_rate(args.n, args.rate)
-    p = _input_dist(args, mixed.num_inputs)
+    p = _input_dist(args, cost)
     outs = [output_distribution(p, comp) for comp in mixed.components]
     if args.mc and args.trials is None:
         raise ValueError("--mc requires --trials")
@@ -433,10 +428,7 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
 
 
 def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
-    for n in args.n:
-        _check_range(n, "--n", 1, INT64_MAX)
-    _check_range(args.z_points, "--z-points", 1, Z_POINTS_MAX)
-    p = _input_dist(args, mixed.num_inputs)
+    p = _input_dist(args, cost)
     slack = SlackParams(eta=1.0, gamma_slack=args.gamma_slack)
     for n in args.n:
         comp_type = quantized_type(p, n, cost)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mixcap.optimizer
 import mixcap.spectrum
-from mixcap.cli import load_spec, main, run_command
+from mixcap.cli import _parser, load_spec, main, run_command
 from conftest import bsc_capacity, z_channel_matching
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -296,11 +296,21 @@ BAD_SPECS = {
     (["fbl", "{bsc3}", "--n", "20", "--rate", "-0.3", "--bound", "feinstein"], "--rate"),
     (["fbl", "{bsc3}", "--n", "20", "--rate", "inf", "--bound", "feinstein"], "--rate"),
     (["capacity", "{bsc3}", "--out", "{bsc3}/out.csv"], "out.csv"),  # a file as directory
+    (["capacity", "{cost2}", "--gamma", "0.5", "--unconstrained"],
+     "not allowed with argument --gamma"),
+    (["capacity", "{cost2}", "--unconstrained", "--gamma", "0.5"],
+     "not allowed with argument --unconstrained"),
+    (["second-order", "{bsc3}", "--eps", "0.3", "--well-ordered", "--rate", "0.1"],
+     "not allowed with argument --well-ordered"),
+    (["fbl", "{binding3}", "--n", "30", "--rate", "0.1", "--bound", "feinstein",
+      "--input-probs", "0,0,1"], "--input-probs costs 2 per letter"),
+    (["validate-lemmas", "{binding3}", "--n", "4"], "--input-probs"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
              for name, doc in BAD_SPECS.items()}
     argv = [a.format(pair=pair_spec, bsc3=os.path.join(GOLDEN, "bsc3.json"),
+                     binding3=os.path.join(GOLDEN, "binding3.json"),
                      cost2=os.path.join(GOLDEN, "cost2.json"),
                      mix2x2=os.path.join(GOLDEN, "mix2x2.json"),
                      multi5=os.path.join(GOLDEN, "multi5.json"), **paths)
@@ -311,6 +321,85 @@ def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsy
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert names in lines[0]
+
+
+# each ranged flag: the argv around it ({flag} becomes FLAG=VALUE), and its lowest and
+# highest value (None: unbounded above); float bounds mark a float flag
+RANGED = [
+    ("capacity {spec} {flag}", "--threads", 1, 256),
+    ("{flag} capacity {spec}", "--threads", 1, 256),
+    ("fbl {spec} --rate 0.1 --bound hn {flag}", "--n", 1, 2**63 - 1),
+    ("validate-lemmas {spec} {flag}", "--n", 1, 2**63 - 1),
+    ("fbl {spec} --n 5 --rate 0.1 --bound hn {flag}", "--seed", 0, 2**64 - 1),
+    ("fbl {spec} --n 5 --rate 0.1 --bound hn {flag}", "--trials", 1, None),
+    ("validate-lemmas {spec} {flag}", "--z-points", 1, 10**6),
+    ("eps-capacity {spec} --eps 0.1 {flag}", "--grid", 1, None),
+    ("second-order {spec} --eps 0.1 {flag}", "--grid", 1, None),
+    ("fbl {spec} --n 5 --bound hn {flag}", "--rate", 0.0, sys.float_info.max),
+    ("second-order {spec} --eps 0.1 {flag}", "--rate", -math.inf, math.inf),
+]
+
+
+@pytest.mark.parametrize("template, flag, lo, hi", RANGED, ids=[
+    t.split()[0].replace("{flag}", "top") + flag for t, flag, _, _ in RANGED])
+def test_flag_domains_are_checked_at_parse_time(template, flag, lo, hi, tmp_path, capsys):
+    """The parser accepts both ends of a flag's domain and refuses one step outside
+    either end (and NaN); main refuses before it reads the spec file."""
+    missing = str(tmp_path / "missing.json")
+
+    def argv(value):
+        return template.format(spec=missing, flag=f"{flag}={value}").split()
+
+    def parses(value):
+        try:
+            args = _parser().parse_args(argv(value))
+        except ValueError:
+            return False
+        assert getattr(args, flag[2:].replace("-", "_")) in (value, [value])
+        return True
+
+    assert parses(lo) and parses(hi if hi is not None else 10**30)
+    if isinstance(lo, float):
+        outside = [math.nextafter(lo, -math.inf)] * math.isfinite(lo) + [
+            math.nextafter(hi, math.inf)] * math.isfinite(hi) + [math.nan]
+    else:
+        outside = [lo - 1] + ([hi + 1] if hi is not None else [])
+    assert not any(parses(v) for v in outside)
+    for value in outside:
+        assert main(argv(value)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: argument {flag}: must be ")
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["fbl", "binding3.json", "--n", "30", "--rate", "0.1", "--bound", "feinstein",
+      "--input-probs", "0,0,1"], ["--gamma", "2"]),
+    (["validate-lemmas", "binding3.json", "--n", "4"], ["--gamma", "1"]),
+])
+def test_an_input_over_the_budget_is_refused(argv, extra, capsys):
+    """binding3.json costs (0, 1, 2) against gamma 0.64: an input above that budget is
+    one error line naming the flag and gamma, unless --unconstrained or a wider --gamma."""
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--input-probs" in lines[0] and "gamma = 0.64" in lines[0]
+    for lift in (["--unconstrained"], extra):
+        assert main(argv + lift) == 0
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("level, code", [
+    ("verbose", 1), ("BASIC_FORMAT", 1), ("info", 0), ("Critical", 0), ("", 0)])
+def test_mixcap_log_takes_a_level_name_in_any_case(level, code, monkeypatch, capsys):
+    monkeypatch.setenv("MIXCAP_LOG", level)
+    assert main(["capacity", os.path.join(GOLDEN, "bsc3.json")]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == []
+    else:
+        assert len(err) == 1 and err[0].startswith("error: MIXCAP_LOG must be one of DEBUG, ")
 
 
 @pytest.mark.parametrize("bound", ["feinstein", "hn", "mixed-converse"])
