@@ -403,7 +403,7 @@ def _cmd_check_well_ordered(args, mixed, cost, em: Emitter):
 def _cmd_fbl(args, mixed, cost, em: Emitter):
     eta = args.eta if args.eta is not None else 1.0 / math.sqrt(args.n)
     slack = SlackParams(eta=eta)
-    code = CodeParams.from_rate(args.n, args.rate)
+    code = CodeParams(args.n, args.rate)
     p = _input_dist(args, cost)
     outs = [output_distribution(p, comp) for comp in mixed.components]
     if args.mc and args.trials is None:

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import CostSpec, Dmc, InputDist, MixedChannel, mutual_information, row_divergences
+from .channel import (SUM_TOL, CostSpec, Dmc, InputDist, MixedChannel, mutual_information,
+                      row_divergences)
 from .optimizer import (DEFAULT_TOL, CapacityResult, _basic_solutions, _dual_bound,
                         _newton_on_face, capacity_achieving_set, constrained_capacity)
 from .types_toolkit import ENUM_CAP, EnumerationCapError
@@ -38,9 +39,10 @@ def rate_spectrum(values, weights) -> tuple:
 
 
 def _quantile(values, weights, eps: float) -> tuple:
-    """(q, w{value < q}, w{value <= q}), q the largest value whose strictly-below mass is <= eps."""
+    """(q, w{value < q}, w{value <= q}), q the largest value whose strictly-below mass is
+    <= eps; a mass within ``SUM_TOL`` above eps counts as eps (0.1 + 0.2 against 0.3)."""
     distinct, below = rate_spectrum(values, weights)
-    k = int(np.searchsorted(below, eps, side="right")) - 1
+    k = int(np.searchsorted(below, eps + SUM_TOL, side="right")) - 1
     at = float(below[k + 1]) if k + 1 < len(below) else 1.0
     return float(distinct[k]), float(below[k]), at
 
@@ -123,6 +125,22 @@ def _compound(comps, cuts: np.ndarray, hi: float, cost: CostSpec):
     return min(lo, informations(comps, p).min()), hi, InputDist(p), solves
 
 
+def _minimal_sets(weights, eps: float) -> list:
+    """The minimal atom sets S with w(S^c) <= eps, as index tuples: dropping any atom of
+    S too passes eps.  Masses are compared with eps within ``SUM_TOL``.
+
+    Entry m of each table covers the atoms of bit mask m: their summed weight
+    (in index order) and their lightest weight.  Mask m drops its atoms and
+    keeps those of ~m; the last mask, which keeps none, is left out.
+    """
+    mass, light = np.zeros(1), np.full(1, math.inf)
+    for w in weights:
+        mass, light = np.append(mass, mass + w), np.append(light, np.minimum(light, w))
+    minimal = (mass <= eps + SUM_TOL) & (mass + light[::-1] > eps + SUM_TOL)
+    return [tuple(j for j in range(len(weights)) if not m >> j & 1)
+            for m in np.flatnonzero(minimal[:-1])]
+
+
 def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None,
                  eps: float = 0.0) -> EpsCapacityResult:
     """First-order capacity: the largest compound capacity of an atom set, bracketed.
@@ -145,11 +163,8 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None,
     caps = [rs.solve.capacity for rs in rep_sets]
     ubs = [_dual_bound(w, rs.solve.optimal_input.probs, cost, rs.solve.multiplier)
            for w, rs in zip(comps, rep_sets)]
-    drops = [[j for j in range(n) if mask >> j & 1] for mask in range(2 ** n)]
-    sets = [tuple(j for j in range(n) if j not in d) for d in drops if sum(weights[d]) <= eps
-            and all(sum(weights[d]) + weights[j] > eps for j in range(n) if j not in d)]
     best_lo, hi, found, pruned = -math.inf, -math.inf, [], []
-    for s in sorted(sets, key=lambda s: (-min(ubs[t] for t in s), s)):
+    for s in sorted(_minimal_sets(weights, eps), key=lambda s: (-min(ubs[t] for t in s), s)):
         s_hi, sub = min(ubs[t] for t in s), [comps[t] for t in s]
         if s_hi < best_lo:
             pruned.append(s)
@@ -181,17 +196,18 @@ def eps_capacity_well_ordered(
 ) -> EpsCapacityResult:
     """Capacity via the quantile over component capacities.
 
-    Valid when the component family is ordered by capacity (the caller
-    asserts or has checked this); no optimization over inputs is involved.
-    The solver capacities lie within ``DEFAULT_TOL`` below the true ones.
+    Valid when the component family is ordered by capacity: ``optima`` are the
+    component solves of a passed ordering check, and without them the check
+    runs here (``require_well_ordered``, which raises ``NotWellOrderedError``).
+    No optimization over inputs is involved.  The solver capacities lie within
+    ``DEFAULT_TOL`` below the true ones.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    if cost is None:
-        cost = CostSpec.free(mixed.num_inputs)
-    cost.check_feasible()
     if optima is None:
-        optima = [constrained_capacity(comp, cost) for comp in mixed.components]
+        from .well_ordered import require_well_ordered  # well_ordered imports this module
+
+        optima = [rs.solve for rs in require_well_ordered(mixed, cost).rep_sets]
     value, below, at = _quantile([res.capacity for res in optima], mixed.weights, eps)
     # the first component whose capacity rounds to the quantile
     achieving = next(i for i, res in enumerate(optima)

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import CostSpec, InputDist, MixedChannel, channel_dispersion, psi_from_variance
+from .channel import (SUM_TOL, CostSpec, InputDist, MixedChannel, channel_dispersion,
+                      psi_from_variance)
 from .first_order import eps_capacity, eps_capacity_well_ordered, informations
 from .well_ordered import require_well_ordered
 
@@ -82,16 +83,17 @@ def _sup_feasible(base: float, at: list, eps: float) -> SolveResult:
     """sup{S : G_w <= eps} for G_w = base + sum over ``at``'s (weight, variance) pairs.
 
     Zero-variance atoms add a step at S = 0: the supremum may then be an open
-    boundary, reported via the flag.
+    boundary, reported via the flag.  Atom masses within ``SUM_TOL`` above eps
+    count as eps, as in the eps-capacity's quantile.
     """
     gauss = [(w, v) for w, v in at if v > 0.0]
     step_mass = sum(w for w, v in at if not v > 0.0)
     pos_mass = sum(w for w, _ in gauss)
     total = base + step_mass + pos_mass
 
-    if total <= eps:
+    if total <= eps + SUM_TOL:
         return SolveResult(math.inf, False)
-    if base > eps:
+    if base > eps + SUM_TOL:
         return SolveResult(-math.inf, False)
 
     def g_cont(s: float) -> float:
@@ -101,7 +103,7 @@ def _sup_feasible(base: float, at: list, eps: float) -> SolveResult:
         # pure step: feasible exactly on S < 0 (base <= eps < base + step_mass)
         return SolveResult(0.0, True)
 
-    if base == eps:
+    if base >= eps:
         # Gaussian terms are strictly positive, so no S is feasible
         return SolveResult(-math.inf, False)
 

@@ -101,10 +101,6 @@ class CodeParams:
             raise ValueError(f"rate must be a finite number >= 0, got {rate}")
         self.n, self.rate = n, rate
 
-    @staticmethod
-    def from_rate(n: int, rate: float) -> "CodeParams":
-        return CodeParams(n, rate)
-
 
 class BoundEstimate:
     __slots__ = ("value", "kind", "stderr", "trials", "seed", "note")
@@ -199,20 +195,41 @@ def normal_approx(n: int, c_first: float, d_second: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _clip01(v: float) -> float:
-    return min(max(v, 0.0), 1.0)
+def _bound(kind: str, mixed: MixedChannel, input_spec, refs, thresholds, code: CodeParams,
+           offset: float, *, numer: np.ndarray | None = None, note: str = "",
+           mc_trials: int | None = None, seed: int = 0, threads: int = 1,
+           force_mc: bool = False) -> BoundEstimate:
+    """sum_k w_k P_k{density against refs[k] <= thresholds[k]} + offset, clipped to [0, 1].
+
+    Component k's tail is exact when its type count is at most ``ENUM_CAP`` and
+    ``mc_trials`` (the exact path never has more points than the Monte-Carlo run
+    asked for), else ``mc_tail`` samples it under Philox key ``seed + (k << 64)``:
+    the components' MC errors are independent, so they add in quadrature, and
+    component 0 (so every singleton) keeps the plain seed's stream.  Without
+    ``mc_trials`` every tail is exact or raises ``EnumerationCapError``;
+    ``force_mc`` skips the exact path.  ``numer`` substitutes the matrix inside
+    the log while sampling still follows each component.
+    """
+    if force_mc and mc_trials is None:
+        raise ValueError("force_mc needs mc_trials")
+    if len(refs) != mixed.num_atoms:
+        raise ValueError("need one reference output per component")
+    n, total, var, trials = code.n, 0.0, 0.0, 0
+    for k, ((w_k, comp), q, z) in enumerate(zip(mixed.atoms, refs, thresholds)):
+        if not force_mc and (mc_trials is None or _type_count(
+                _letter_parts(comp, input_spec, q, n, numer)) <= min(ENUM_CAP, mc_trials)):
+            total += w_k * aggregate_spectrum(comp, input_spec, q, n, numer).tail_leq(z)
+            continue
+        est = mc_tail(comp, input_spec, q, n, z, mc_trials, seed + (k << 64), threads, numer)
+        total += w_k * est.value
+        var += (w_k * est.stderr) ** 2
+        trials += est.trials
+    return BoundEstimate(min(max(total + offset, 0.0), 1.0), kind, math.sqrt(var), trials,
+                         seed, note)
 
 
-def feinstein_bound(
-    mixed: MixedChannel,
-    p: InputDist,
-    code: CodeParams,
-    slack: SlackParams,
-    mc_trials: int | None = None,
-    seed: int = 0,
-    threads: int = 1,
-    force_mc: bool = False,
-) -> BoundEstimate:
+def feinstein_bound(mixed: MixedChannel, p: InputDist, code: CodeParams, slack: SlackParams,
+                    **mc) -> BoundEstimate:
     """Achievability: P{density <= rate + eta} + exp(-n eta).
 
     Exact for a single component with i.i.d. input, where the output law is
@@ -221,118 +238,56 @@ def feinstein_bound(
     component output laws, with log(K)/n and log(1/w_k)/n threshold penalties.
     That surrogate upper-bounds the original expression and is flagged.  With
     one component the penalties vanish and the envelope is the output law.
+    ``mc`` holds the Monte-Carlo options of ``_bound``.
     """
     n, eta = code.n, slack.eta
     z = code.rate + eta
     q_max = np.array([output_distribution(p, comp) for comp in mixed.components]).max(axis=0)
     big_k = math.log(mixed.num_atoms) / n
     zs = [z + (big_k + math.log(1.0 / w_k) / n) for w_k, _ in mixed.atoms]
-    total, stderr, trials = _weighted_tail(mixed, p, [q_max] * mixed.num_atoms, zs, n,
-                                           mc_trials, seed, threads, force_mc)
     note = ("mixed-output surrogate: per-component max-envelope reference with log penalties"
             if mixed.num_atoms > 1 else "")
-    return BoundEstimate(_clip01(total + math.exp(-n * eta)), KIND_FEINSTEIN, stderr,
-                         trials, seed, note)
+    return _bound(KIND_FEINSTEIN, mixed, p, [q_max] * mixed.num_atoms, zs, code,
+                  math.exp(-n * eta), note=note, **mc)
 
 
-def hayashi_nagaoka_bound(
-    mixed: MixedChannel,
-    code: CodeParams,
-    q,
-    slack: SlackParams,
-    input_spec,
-    mc_trials: int | None = None,
-    seed: int = 0,
-    threads: int = 1,
-    force_mc: bool = False,
-) -> BoundEstimate:
+def hayashi_nagaoka_bound(mixed: MixedChannel, code: CodeParams, q, slack: SlackParams,
+                          input_spec, **mc) -> BoundEstimate:
     """Converse: P{density <= rate - eta} - exp(-n eta), clipped to [0, 1].
 
     ``q`` is a single-letter reference, taken as a product law.  For true
     mixtures the component laws are replaced by their pointwise maximum
     (flagged), which keeps the converse direction; with one component the
-    maximum is the channel itself.
+    maximum is the channel itself.  ``mc`` holds the Monte-Carlo options of
+    ``_bound``.
     """
-    n, eta = code.n, slack.eta
-    z = code.rate - eta
-    note = "mixed-law surrogate: max-envelope numerator" if mixed.num_atoms > 1 else ""
+    n, eta, k = code.n, slack.eta, mixed.num_atoms
     # pointwise maximum of the component laws: not stochastic, used only as
     # the numerator inside the statistic, which keeps the converse direction
     env = np.stack([comp.rows for comp in mixed.components]).max(axis=0)
-    k = mixed.num_atoms
-    total, stderr, trials = _weighted_tail(mixed, input_spec, [q] * k,
-                                           [z - math.log(k) / n] * k, n,
-                                           mc_trials, seed, threads, force_mc, numer=env)
-    return BoundEstimate(_clip01(total - math.exp(-n * eta)), KIND_HN, stderr, trials,
-                         seed, note)
+    note = "mixed-law surrogate: max-envelope numerator" if k > 1 else ""
+    return _bound(KIND_HN, mixed, input_spec, [q] * k, [code.rate - eta - math.log(k) / n] * k,
+                  code, -math.exp(-n * eta), numer=env, note=note, **mc)
 
 
-def mixed_converse_bound(
-    mixed: MixedChannel,
-    code: CodeParams,
-    q_list,
-    slack: SlackParams,
-    input_spec,
-    mc_trials: int | None = None,
-    seed: int = 0,
-    threads: int = 1,
-    force_mc: bool = False,
-) -> BoundEstimate:
+def mixed_converse_bound(mixed: MixedChannel, code: CodeParams, q_list, slack: SlackParams,
+                         input_spec, **mc) -> BoundEstimate:
     """Mixture converse: weighted per-component tails minus exp(-n eta).
 
     Each component is compared against its own product reference, so every
     tail is an exact n-letter law (no surrogate needed); for a singleton this
-    coincides with the plain converse bound.
+    coincides with the plain converse bound.  ``mc`` holds the Monte-Carlo
+    options of ``_bound``.
     """
-    n, eta = code.n, slack.eta
-    if len(q_list) != mixed.num_atoms:
-        raise ValueError("need one reference output per component")
-    total, stderr, trials = _weighted_tail(mixed, input_spec, q_list,
-                                           [code.rate - eta] * mixed.num_atoms, n,
-                                           mc_trials, seed, threads, force_mc)
-    return BoundEstimate(_clip01(total - math.exp(-n * eta)), KIND_MIXED_CONVERSE,
-                         stderr, trials, seed)
+    return _bound(KIND_MIXED_CONVERSE, mixed, input_spec, q_list,
+                  [code.rate - slack.eta] * mixed.num_atoms, code,
+                  -math.exp(-code.n * slack.eta), **mc)
 
 
 def exact_tail_bound(mixed: MixedChannel, code: CodeParams, q_list, input_spec) -> BoundEstimate:
     """Weighted exact spectrum tail at the code rate (no slack terms)."""
-    total, _, _ = _weighted_tail(mixed, input_spec, q_list, [code.rate] * mixed.num_atoms,
-                                 code.n, None, 0, 1, False)
-    return BoundEstimate(_clip01(total), KIND_EXACT_TAIL)
-
-
-def _weighted_tail(mixed: MixedChannel, input_spec, refs, thresholds, n,
-                   mc_trials, seed, threads, force_mc, numer: np.ndarray | None = None):
-    """(sum_k w_k P_k{density <= z_k}, its MC standard error, total MC trials).
-
-    Component k samples under Philox key ``seed + (k << 64)``: the components'
-    MC errors are independent, so they add in quadrature, and component 0 (so
-    every singleton) keeps the plain seed's stream.
-    """
-    total, var, trials_total = 0.0, 0.0, 0
-    for k, ((w_k, comp), q, z) in enumerate(zip(mixed.atoms, refs, thresholds)):
-        tail, stderr, trials = _tail_or_mc(comp, input_spec, q, n, z, mc_trials,
-                                           seed + (k << 64), threads, numer, force_mc)
-        total += w_k * tail
-        var += (w_k * stderr) ** 2
-        trials_total += trials
-    return total, math.sqrt(var), trials_total
-
-
-def _tail_or_mc(w: Dmc, input_spec, q, n, z, mc_trials, seed, threads,
-                numer: np.ndarray | None = None, force_mc: bool = False):
-    """Exact tail when the type count is at most ``ENUM_CAP`` and ``mc_trials``, else MC.
-
-    The exact path never has more points than the Monte-Carlo run asked for.
-    Without ``mc_trials`` the tail is exact or raises ``EnumerationCapError``.
-    ``force_mc`` skips the exact path; ``numer`` substitutes the matrix inside
-    the log while sampling still follows ``w``.
-    """
-    if not force_mc and (mc_trials is None or _type_count(
-            _letter_parts(w, input_spec, q, n, numer)) <= min(ENUM_CAP, mc_trials)):
-        return aggregate_spectrum(w, input_spec, q, n, numer).tail_leq(z), 0.0, 0
-    est = mc_tail(w, input_spec, q, n, z, mc_trials, seed, threads=threads, numer=numer)
-    return est.value, est.stderr, est.trials
+    return _bound(KIND_EXACT_TAIL, mixed, input_spec, q_list, [code.rate] * mixed.num_atoms,
+                  code, 0.0)
 
 
 # ---------------------------------------------------------------------------

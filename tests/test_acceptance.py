@@ -153,7 +153,7 @@ def test_acceptance_5_decomposition_lemmas():
     comp8 = quantized_type(p, 8)
     worst8 = 0.0
     for rate, eta in ((0.8, 0.3), (0.5, 0.2), (0.45, 0.1)):
-        conv = mixed_converse_bound(mix, CodeParams.from_rate(8, rate), outs,
+        conv = mixed_converse_bound(mix, CodeParams(8, rate), outs,
                                     SlackParams(eta=eta), input_spec=comp8).value
         brute = mixture_converse_enumeration(mix, comp8, outs, rate, eta)
         worst8 = max(worst8, abs(conv - brute))
@@ -202,9 +202,9 @@ def test_acceptance_7_normal_approx_coherence():
         return lo
 
     r_ach = crossing(lambda r: feinstein_bound(
-        mix, p, CodeParams.from_rate(n, r), slack).value, 0.5 * cap, cap)
+        mix, p, CodeParams(n, r), slack).value, 0.5 * cap, cap)
     r_con = crossing(lambda r: mixed_converse_bound(
-        mix, CodeParams.from_rate(n, r), [q], slack, input_spec=p).value,
+        mix, CodeParams(n, r), [q], slack, input_spec=p).value,
         0.5 * cap, cap + 0.05)
     gap_a = (n * r_ach - target) / math.sqrt(n)
     gap_c = (n * r_con - target) / math.sqrt(n)

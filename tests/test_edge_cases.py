@@ -24,7 +24,7 @@ from mixcap import (
     second_order_well_ordered,
     solve_s,
 )
-from mixcap.cli import main
+from mixcap.cli import load_spec, main
 from conftest import bsc, bsc_capacity, random_dmc, z_channel_matching
 
 
@@ -155,11 +155,29 @@ def test_well_ordered_capacity_with_budget(uniform2):
     assert res.capacity <= free.capacity + 1e-12
 
 
+def test_eps_at_a_mass_boundary(tmp_path):
+    """The mass below C(BSC(0.02)) is 0.1 + 0.2, which sums to 0.30000000000000004 in
+    floats: at eps 0.3 both paths count it as within eps, and the second-order rate runs
+    at that capacity, where the at-rate Gaussian mass leaves no S feasible."""
+    spec = tmp_path / "edge.json"
+    spec.write_text(json.dumps({"generator": {"family": "bsc", "params": [
+        {"p": 0.02, "weight": 0.7}, {"p": 0.11, "weight": 0.2}, {"p": 0.25, "weight": 0.1}]}}))
+    mix, cost = load_spec(str(spec))
+    for eps in (0.3, 0.1 + 0.2):
+        for res in (eps_capacity(mix, cost, eps), eps_capacity_well_ordered(mix, cost, eps)):
+            assert res.capacity == pytest.approx(bsc_capacity(0.02), abs=1e-9)
+            assert res.mass_below == pytest.approx(0.3, abs=1e-15)
+        for res in (second_order_lb(mix, cost, eps=eps),
+                    second_order_well_ordered(mix, cost, eps)):
+            assert res.rate == pytest.approx(bsc_capacity(0.02), abs=1e-9)
+            assert res.s_value == -math.inf
+
+
 def test_mc_fallback_only_when_needed(uniform2):
     # lattice spectrum stays exact even when trials are offered
     w = bsc(0.11)
     est = feinstein_bound(MixedChannel.singleton(w), uniform2,
-                          CodeParams.from_rate(150, 0.2), SlackParams(eta=0.05),
+                          CodeParams(150, 0.2), SlackParams(eta=0.05),
                           mc_trials=10_000, seed=5)
     assert est.trials == 0 and est.stderr == 0.0
     # generic channel at large n cannot convolve exactly and must sample;
@@ -168,7 +186,7 @@ def test_mc_fallback_only_when_needed(uniform2):
     w2 = random_dmc(rng)
     mid = mutual_information(uniform2, w2)
     est2 = feinstein_bound(MixedChannel.singleton(w2), uniform2,
-                           CodeParams.from_rate(150, mid - 0.01), SlackParams(eta=0.01),
+                           CodeParams(150, mid - 0.01), SlackParams(eta=0.01),
                            mc_trials=10_000, seed=5)
     assert est2.trials == 10_000 and est2.stderr > 0.0
 

@@ -20,8 +20,9 @@ from mixcap import (
     second_order_lb,
 )
 from mixcap.cli import load_spec
-from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _polish, _quantile, informations,
-                                rate_spectrum)
+from mixcap.channel import SUM_TOL
+from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _minimal_sets, _polish, _quantile,
+                                informations, rate_spectrum)
 from mixcap.optimizer import DEFAULT_TOL, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
 from conftest import bsc, bsc_capacity, random_dmc, random_mixture
@@ -99,6 +100,33 @@ def test_eps_capacity_grid_confirms_pair(bsc_pair):
         p = InputDist([p0, 1 - p0])
         best = max(best, rate_quantile(bsc_pair, p, 0.25))
     assert eps_capacity(bsc_pair, eps=0.25).capacity == pytest.approx(best, abs=1e-6)
+
+
+def brute_minimal_sets(weights, eps):
+    """Reference: every drop mask in turn, its mass summed in index order."""
+    n, sets = len(weights), []
+    for mask in range(2 ** n):
+        drop = [j for j in range(n) if mask >> j & 1]
+        keep = tuple(j for j in range(n) if j not in drop)
+        mass = sum(weights[drop])
+        if keep and mass <= eps + SUM_TOL and all(mass + weights[j] > eps + SUM_TOL
+                                                  for j in keep):
+            sets.append(keep)
+    return sets
+
+
+def test_minimal_sets_match_the_subset_loop():
+    """Weights in tenths put partial sums such as 0.1 + 0.2 on eps's boundary."""
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        k = int(rng.integers(1, 9))
+        weights = rng.dirichlet(np.ones(k))
+        if trial % 2:
+            weights = rng.multinomial(10, np.full(k, 1.0 / k)) / 10.0
+            weights = weights[weights > 0.0]
+        for eps in (0.0, 0.3, float(rng.uniform(0.0, 0.99)),
+                    min(float(sum(weights[:int(rng.integers(0, len(weights)))])), 0.99)):
+            assert _minimal_sets(weights, eps) == brute_minimal_sets(weights, eps)
 
 
 def test_eps_capacity_well_ordered_pair(bsc_pair):

@@ -7,6 +7,7 @@ import mixcap.first_order
 import mixcap.optimizer
 import mixcap.second_order
 from mixcap import (
+    CostSpec,
     Dmc,
     InputDist,
     MixedChannel,
@@ -149,6 +150,39 @@ def test_second_order_lb_singleton_matches_formula():
             assert wo.s_value == pytest.approx(oracle, abs=1e-6)
             assert wo.method == "exact-formula"
             assert lb.method == "lower-bound"
+
+
+def _tilted_variance(rows, p, costs, gamma, lam):
+    """Variance of i(x;y) - lam (c(x) - gamma) under P x W, with i = log W(y|x) / PW(y)."""
+    dens = np.log(rows) - np.log(p @ rows) - lam * (costs - gamma)[:, None]
+    joint = p[:, None] * rows
+    mean = (joint * dens).sum()
+    return float((joint * (dens - mean) ** 2).sum())
+
+
+def test_second_order_binding_budget_matches_formula():
+    """Binding-budget singletons: both paths give sqrt(V) Phi^-1(eps), V the variance of the
+    tilted density at the solver's input (Kostina & Verdu, IEEE TIT 2015); by the KKT
+    conditions its conditional means all equal the capacity, so V is the dispersion."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 8:
+        k = int(rng.integers(2, 5))
+        w = random_dmc(rng, k, int(rng.integers(2, 5)))
+        costs = rng.uniform(0.0, 1.0, k)
+        cost = CostSpec(costs, float(0.5 * (costs.min() + costs.mean())))
+        solve = constrained_capacity(w, cost)
+        if not solve.multiplier > 1e-6:  # a slack budget: the free case of acceptance 1
+            continue
+        checked += 1
+        v = _tilted_variance(w.rows, solve.optimal_input.probs, costs, cost.gamma,
+                             solve.multiplier)
+        mix = MixedChannel.singleton(w)
+        for eps in (0.1, 0.3, 0.8):
+            oracle = math.sqrt(v) * gaussian_inv(eps)
+            assert second_order_lb(mix, cost, eps=eps).s_value == pytest.approx(oracle, abs=1e-9)
+            assert second_order_well_ordered(mix, cost, eps).s_value == pytest.approx(
+                oracle, abs=1e-9)
 
 
 def test_second_order_lb_off_capacity(uniform2):

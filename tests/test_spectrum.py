@@ -28,7 +28,7 @@ from mixcap import (
     output_distribution,
     per_letter_spectrum,
 )
-from mixcap.spectrum import MC_CHUNK, _letter_parts
+from mixcap.spectrum import MC_CHUNK, _letter_parts, exact_tail_bound
 from mixcap.types_toolkit import ENUM_CAP, EnumerationCapError, TypeClass, count_types
 from conftest import bsc, random_dmc
 
@@ -188,7 +188,7 @@ def test_feinstein_small_error_at_half_capacity(uniform2):
     n = 200
     eta = 1.0 / math.sqrt(n)
     est = feinstein_bound(MixedChannel.singleton(w), uniform2,
-                          CodeParams.from_rate(n, 0.5 * cap),
+                          CodeParams(n, 0.5 * cap),
                           SlackParams(eta=eta))
     assert est.kind == "feinstein"
     assert est.stderr == 0.0
@@ -204,7 +204,7 @@ def test_feinstein_n1_enumeration(uniform2):
     eta = 0.25
     rate = 0.1
     est = feinstein_bound(MixedChannel.singleton(w), uniform2,
-                          CodeParams.from_rate(1, rate), SlackParams(eta=eta))
+                          CodeParams(1, rate), SlackParams(eta=eta))
     brute = 0.0
     for x, y in itertools.product(range(2), repeat=2):
         dens = math.log(w.rows[x, y] / q[y])
@@ -222,7 +222,7 @@ def test_code_params_refuse_a_rate_no_code_has(rate):
 
 def test_feinstein_useless_channel(uniform2):
     est = feinstein_bound(MixedChannel.singleton(bsc(0.5)), uniform2,
-                          CodeParams.from_rate(50, 0.2), SlackParams(eta=0.1))
+                          CodeParams(50, 0.2), SlackParams(eta=0.1))
     assert est.value == 1.0
 
 
@@ -232,7 +232,7 @@ def test_hayashi_nagaoka_above_capacity(uniform2):
     q = output_distribution(uniform2, w)
     n = 400
     est = hayashi_nagaoka_bound(MixedChannel.singleton(w),
-                                CodeParams.from_rate(n, 1.3 * cap), q,
+                                CodeParams(n, 1.3 * cap), q,
                                 SlackParams(eta=1.0 / math.sqrt(n)), input_spec=uniform2)
     assert est.value > 0.95
 
@@ -240,7 +240,7 @@ def test_hayashi_nagaoka_above_capacity(uniform2):
 def test_hayashi_nagaoka_zero_rate(uniform2):
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
-    est = hayashi_nagaoka_bound(MixedChannel.singleton(w), CodeParams.from_rate(1, 0.0),
+    est = hayashi_nagaoka_bound(MixedChannel.singleton(w), CodeParams(1, 0.0),
                                 q, SlackParams(eta=0.2), input_spec=uniform2)
     brute = 0.0
     for x, y in itertools.product(range(2), repeat=2):
@@ -253,7 +253,7 @@ def test_hayashi_nagaoka_zero_rate(uniform2):
 def test_hayashi_nagaoka_step_exact(uniform2):
     # single-atom spectrum at zero: the tail is a step in the rate
     w = bsc(0.5)
-    est = hayashi_nagaoka_bound(MixedChannel.singleton(w), CodeParams.from_rate(30, 0.1),
+    est = hayashi_nagaoka_bound(MixedChannel.singleton(w), CodeParams(30, 0.1),
                                 np.array([0.5, 0.5]), SlackParams(eta=0.02),
                                 input_spec=InputDist([0.5, 0.5]))
     expected = 1.0 - math.exp(-30 * 0.02)  # P{0 <= 0.1 - 0.02} = 1
@@ -263,7 +263,7 @@ def test_hayashi_nagaoka_step_exact(uniform2):
 def test_mixed_converse_reduces_to_hn(uniform2):
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
-    code = CodeParams.from_rate(60, 0.3)
+    code = CodeParams(60, 0.3)
     slack = SlackParams(eta=0.05)
     single = MixedChannel.singleton(w)
     a = hayashi_nagaoka_bound(single, code, q, slack, input_spec=uniform2)
@@ -277,7 +277,7 @@ def test_mixed_converse_approaches_weaker_weight(uniform2):
     caps = [mutual_information(uniform2, c) for c in mix.components]
     rate = 0.5 * (caps[0] + caps[1])
     n = 3000
-    est = mixed_converse_bound(mix, CodeParams.from_rate(n, rate), outs,
+    est = mixed_converse_bound(mix, CodeParams(n, rate), outs,
                                SlackParams(eta=4.0 / n), input_spec=uniform2)
     assert est.value == pytest.approx(0.7, abs=0.02)
 
@@ -285,7 +285,7 @@ def test_mixed_converse_approaches_weaker_weight(uniform2):
 def test_mixed_converse_eta_large_clips_to_zero(uniform2):
     mix = MixedChannel(((0.5, bsc(0.05)), (0.5, bsc(0.2))))
     outs = [output_distribution(uniform2, c) for c in mix.components]
-    est = mixed_converse_bound(mix, CodeParams.from_rate(20, 0.3), outs,
+    est = mixed_converse_bound(mix, CodeParams(20, 0.3), outs,
                                SlackParams(eta=50.0), input_spec=uniform2)
     assert est.value == 0.0
 
@@ -490,9 +490,9 @@ def test_sandwich_coherence(uniform2):
         return lo
 
     r_ach = crossing(lambda r: feinstein_bound(
-        mix, uniform2, CodeParams.from_rate(n, r), slack).value, 0.05, 0.6)
+        mix, uniform2, CodeParams(n, r), slack).value, 0.05, 0.6)
     r_con = crossing(lambda r: mixed_converse_bound(
-        mix, CodeParams.from_rate(n, r), [q], slack, input_spec=uniform2).value,
+        mix, CodeParams(n, r), [q], slack, input_spec=uniform2).value,
         0.05, 0.6)
     assert r_ach <= r_con + 1e-9
 
@@ -523,9 +523,9 @@ def test_bound_values_stay_in_unit_interval(uniform2):
         n = int(rng.integers(5, 80))
         rate = float(rng.uniform(0.01, 0.8))
         eta = float(rng.uniform(0.01, 0.5))
-        f = feinstein_bound(mix, uniform2, CodeParams.from_rate(n, rate),
+        f = feinstein_bound(mix, uniform2, CodeParams(n, rate),
                             SlackParams(eta=eta), mc_trials=20_000, seed=4)
-        h = hayashi_nagaoka_bound(mix, CodeParams.from_rate(n, rate), q,
+        h = hayashi_nagaoka_bound(mix, CodeParams(n, rate), q,
                                   SlackParams(eta=eta), input_spec=uniform2,
                                   mc_trials=20_000, seed=4)
         assert 0.0 <= f.value <= 1.0
@@ -558,12 +558,12 @@ def test_hn_mixture_matches_output_word_enumeration(rate):
     n = 6
     x_words = np.array(list(itertools.product(range(2), repeat=n)))
     x_probs = np.prod(p.probs[x_words], axis=1)
-    est = hayashi_nagaoka_bound(mixed, CodeParams.from_rate(n, rate), q, slack, input_spec=p)
+    est = hayashi_nagaoka_bound(mixed, CodeParams(n, rate), q, slack, input_spec=p)
     assert est.value == pytest.approx(
         _brute_hn_mixture(mixed, x_words, x_probs, q, n, rate, 0.1), abs=1e-12)
     # fixed composition: one input word of that type
     comp = TypeClass(np.array([3, 5]), 8)
-    est = hayashi_nagaoka_bound(mixed, CodeParams.from_rate(8, rate), q, slack, input_spec=comp)
+    est = hayashi_nagaoka_bound(mixed, CodeParams(8, rate), q, slack, input_spec=comp)
     assert est.value == pytest.approx(
         _brute_hn_mixture(mixed, [comp.canonical_word()], [1.0], q, 8, rate, 0.1), abs=1e-12)
 
@@ -574,13 +574,30 @@ def test_mixture_mc_stderr_is_honest():
     mixed = MixedChannel(((0.5, bsc(0.11)), (0.5, bsc(0.11))))
     p = InputDist([0.5, 0.5])
     outs = [output_distribution(p, c) for c in mixed.components]
-    code, slack = CodeParams.from_rate(20, 0.85), SlackParams(eta=0.5)
+    code, slack = CodeParams(20, 0.85), SlackParams(eta=0.5)
     ests = [mixed_converse_bound(mixed, code, outs, slack, input_spec=p, mc_trials=400,
                                  seed=s, force_mc=True) for s in range(200)]
     assert all(e.kind == "mixed_converse" and e.trials == 800 for e in ests)
     spread = np.std([e.value for e in ests], ddof=1)
     reported = math.sqrt(np.mean([e.stderr ** 2 for e in ests]))
     assert 0.8 <= spread / reported <= 1.25
+
+
+def test_bounds_refuse_forced_mc_without_trials(uniform2):
+    """force_mc without mc_trials is a ValueError (it was a TypeError inside mc_tail), and
+    a reference list of the wrong length is refused, by exact_tail_bound too."""
+    mixed = MixedChannel(((0.5, bsc(0.11)), (0.5, bsc(0.2))))
+    outs = [output_distribution(uniform2, c) for c in mixed.components]
+    code, slack = CodeParams(20, 0.3), SlackParams(eta=0.1)
+    bounds = (lambda **mc: feinstein_bound(mixed, uniform2, code, slack, **mc),
+              lambda **mc: hayashi_nagaoka_bound(mixed, code, outs[0], slack, uniform2, **mc),
+              lambda **mc: mixed_converse_bound(mixed, code, outs, slack, uniform2, **mc))
+    for bound in bounds:
+        with pytest.raises(ValueError, match="force_mc needs mc_trials"):
+            bound(force_mc=True)
+        assert bound(mc_trials=100, force_mc=True).trials == 200
+    with pytest.raises(ValueError, match="one reference output per component"):
+        exact_tail_bound(mixed, code, outs[:1], uniform2)
 
 
 def test_mc_tail_kind():

@@ -139,7 +139,7 @@ def test_mixture_converse_enumeration_matches_convolution(uniform2):
     outs = [output_distribution(uniform2, c) for c in mix.components]
     comp = quantized_type(uniform2, 8)
     for rate, eta in ((0.8, 0.3), (0.5, 0.2), (0.45, 0.1)):
-        conv = mixed_converse_bound(mix, CodeParams.from_rate(8, rate), outs,
+        conv = mixed_converse_bound(mix, CodeParams(8, rate), outs,
                                     SlackParams(eta=eta), input_spec=comp)
         brute = mixture_converse_enumeration(mix, comp, outs, rate, eta)
         assert abs(conv.value - brute) <= 1e-12

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,17 @@ from mixcap import (
     Dmc,
     InputDist,
     MixedChannel,
+    NotWellOrderedError,
     check_well_ordered,
     constrained_capacity,
     eps_capacity_well_ordered,
     mutual_information,
     rate_quantile,
 )
+from mixcap.cli import load_spec
 from conftest import bsc, bsc_capacity, z_channel_matching
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_bsc_family_is_well_ordered():
@@ -123,3 +129,11 @@ def test_capacity_quantile_dominates_information_quantile():
         res = eps_capacity_well_ordered(mix, eps=eps)
         q = rate_quantile(mix, res.argmax_input, eps)
         assert res.capacity >= q - report.tolerance
+
+
+def test_capacity_quantile_without_optima_runs_the_check():
+    """zbsc fails the ordering check; its capacity quantile at eps 0.3, 0.346631843641,
+    lies above the general path's certified upper bound 0.344764817539."""
+    mix, cost = load_spec(os.path.join(GOLDEN, "zbsc.json"))
+    with pytest.raises(NotWellOrderedError):
+        eps_capacity_well_ordered(mix, cost, eps=0.3)
