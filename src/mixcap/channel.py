@@ -152,9 +152,11 @@ class CostSpec:
 
 
 class MixedChannel:
-    """A finite mixture of DMCs sharing one input and one output alphabet."""
+    """A finite mixture of DMCs sharing one input and one output alphabet; besides its
+    ``atoms`` it keeps ``weights`` (K,), and W and log W stacked as ``rows`` and ``log_rows``
+    (K, X, Y)."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "weights", "rows", "log_rows")
 
     def __init__(self, atoms: tuple):
         atoms = tuple((float(w), comp) for w, comp in atoms)
@@ -170,14 +172,13 @@ class MixedChannel:
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"atom weights sum to {total:.17g}, not 1 within {SUM_TOL:g}")
         self.atoms = atoms
+        self.weights = _frozen_array([w for w, _ in atoms])
+        self.rows = _frozen_array([comp.rows for _, comp in atoms])
+        self.log_rows = _frozen_array([comp.log_rows for _, comp in atoms])
 
     @property
     def num_atoms(self) -> int:
         return len(self.atoms)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.atoms])
 
     @property
     def components(self) -> tuple:
@@ -185,11 +186,11 @@ class MixedChannel:
 
     @property
     def num_inputs(self) -> int:
-        return self.atoms[0][1].num_inputs
+        return self.rows.shape[1]
 
     @property
     def num_outputs(self) -> int:
-        return self.atoms[0][1].num_outputs
+        return self.rows.shape[2]
 
     @staticmethod
     def singleton(w: Dmc) -> "MixedChannel":
@@ -213,20 +214,21 @@ class SlackParams:
 # ---------------------------------------------------------------------------
 
 
-def output_distribution(p: InputDist, w: Dmc) -> np.ndarray:
-    """Output distribution (PW)(y) = sum_x P(x) W(y|x)."""
+def output_distribution(p: InputDist, w) -> np.ndarray:
+    """Output distribution (PW)(y) = sum_x P(x) W(y|x); one row per atom of a mixture."""
     if p.size != w.num_inputs:
         raise ValueError(f"input size {p.size} does not match channel inputs {w.num_inputs}")
     return p.probs @ w.rows
 
 
 def _divergences(rows: np.ndarray, log_rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(rows[x] || q) for every row; 0 log 0 = 0, +inf where q misses a row's support."""
+    """D(rows[..., x, :] || q[..., :]) for every row; 0 log 0 = 0, +inf off q's support."""
+    q = q[..., None, :]
     support = rows > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = rows * (log_rows - np.log(q))
-    out = np.where(support, terms, 0.0).sum(axis=1)
-    out[(support & (q <= 0.0)).any(axis=1)] = math.inf
+    out = np.where(support, terms, 0.0).sum(axis=-1)
+    out[(support & (q <= 0.0)).any(axis=-1)] = math.inf
     return out
 
 
@@ -264,12 +266,21 @@ def log_density(px, w: Dmc, q, numer: np.ndarray | None = None) -> np.ndarray:
         return np.where(reach, log_numer - np.log(q), -np.inf)
 
 
+def informations(probs: np.ndarray, rows: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
+    """I(P, W_k) = sum_x P(x) D(W_k(.|x) || P W_k) for every W_k of a (K, X, Y) stack, in nats."""
+    if probs.shape[0] != rows.shape[1]:
+        raise ValueError(f"input size {probs.shape[0]} does not match channel inputs "
+                         f"{rows.shape[1]}")
+    active = probs > 0.0
+    pa = probs[active]
+    d = np.ascontiguousarray(_divergences(rows, log_rows, probs @ rows)[:, active])
+    # one dot per contiguous row: a gemv, an einsum or a strided dot adds in another order
+    return np.maximum([pa.dot(d_k) for d_k in d], 0.0)
+
+
 def mutual_information(p: InputDist, w: Dmc) -> float:
     """I(P, W) = sum_x P(x) D(W(.|x) || PW), in nats."""
-    pw = output_distribution(p, w)
-    d = row_divergences(w, pw)
-    active = p.probs > 0.0
-    return max(float(p.probs[active] @ d[active]), 0.0)
+    return float(informations(p.probs, w.rows[None], w.log_rows[None])[0])
 
 
 def channel_dispersion(p: InputDist, w: Dmc) -> float:

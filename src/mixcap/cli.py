@@ -46,7 +46,7 @@ from .types_toolkit import (
     decomposition_check,
     quantized_type,
 )
-from .well_ordered import NotWellOrderedError, check_well_ordered, require_well_ordered
+from .well_ordered import NotWellOrderedError, check_well_ordered
 
 log = logging.getLogger("mixcap")
 
@@ -359,14 +359,9 @@ def _cmd_capacity(args, mixed, cost, em: Emitter):
 
 
 def _cmd_eps_capacity(args, mixed, cost, em: Emitter):
-    if args.well_ordered:
-        report = require_well_ordered(mixed, cost)
-        res = eps_capacity_well_ordered(mixed, cost, args.eps,
-                                        [rs.solve for rs in report.rep_sets])
-        method = "exact-formula"
-    else:
-        res = eps_capacity(mixed, cost, args.eps)
-        method = "lower-bound"
+    # the well-ordered path checks eps, then runs the ordering check itself
+    res = (eps_capacity_well_ordered if args.well_ordered else eps_capacity)(mixed, cost, args.eps)
+    method = "exact-formula" if args.well_ordered else "lower-bound"
     em.row(quantity="eps_capacity", value=res.capacity, units="nats", method=method,
            eps=args.eps, mass_below=res.mass_below, mass_at_or_below=res.mass_at_or_below,
            argmax_input=" ".join(_fmt(float(x)) for x in res.argmax_input.probs),
@@ -405,7 +400,7 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
     slack = SlackParams(eta=eta)
     code = CodeParams(args.n, args.rate)
     p = _input_dist(args, cost)
-    outs = [output_distribution(p, comp) for comp in mixed.components]
+    outs = output_distribution(p, mixed)
     if args.mc and args.trials is None:
         raise ValueError("--mc requires --trials")
     if args.bound == "exact" and (args.mc or args.trials is not None):
@@ -415,7 +410,7 @@ def _cmd_fbl(args, mixed, cost, em: Emitter):
     if args.bound == "feinstein":
         est = feinstein_bound(mixed, p, code, slack, **mc)
     elif args.bound == "hn":
-        q_mix = sum(w * q for (w, _), q in zip(mixed.atoms, outs))
+        q_mix = np.cumsum(mixed.weights[:, None] * outs, axis=0)[-1]  # summed in atom order
         est = hayashi_nagaoka_bound(mixed, code, q_mix, slack, input_spec=p, **mc)
     elif args.bound == "mixed-converse":
         est = mixed_converse_bound(mixed, code, outs, slack, input_spec=p, **mc)
@@ -432,8 +427,7 @@ def _cmd_validate_lemmas(args, mixed, cost, em: Emitter):
     slack = SlackParams(eta=1.0, gamma_slack=args.gamma_slack)
     for n in args.n:
         comp_type = quantized_type(p, n, cost)
-        outs = [output_distribution(InputDist(comp_type.fractions), c)
-                for c in mixed.components]
+        outs = output_distribution(InputDist(comp_type.fractions), mixed)
         z_grid = np.linspace(0.05, math.log(mixed.num_outputs) + 1.0, args.z_points)
         rep = decomposition_check(mixed, comp_type, outs, n, slack, z_grid)
         exp = rep.expurgation

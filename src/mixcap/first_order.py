@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (SUM_TOL, CostSpec, Dmc, InputDist, MixedChannel, mutual_information,
-                      row_divergences)
+from .channel import SUM_TOL, CostSpec, Dmc, InputDist, MixedChannel, _divergences, informations
 from .optimizer import (DEFAULT_TOL, CapacityResult, _basic_solutions, _dual_bound,
                         _newton_on_face, capacity_achieving_set, constrained_capacity)
 from .types_toolkit import ENUM_CAP, EnumerationCapError
@@ -57,16 +56,11 @@ class EpsCapacityResult(NamedTuple):
     winners: tuple = ()  # per winning atom set, the inputs a second-order sup runs over
 
 
-def informations(comps, p: np.ndarray) -> np.ndarray:
-    dist = InputDist(p)
-    return np.array([mutual_information(dist, w) for w in comps])
-
-
 def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
     """sup{R : w{theta : I(P, W_theta) < R} <= eps} for a fixed input P."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    return _quantile(informations(mixed.components, p.probs), mixed.weights, eps)[0]
+    return _quantile(informations(p.probs, mixed.rows, mixed.log_rows), mixed.weights, eps)[0]
 
 
 def _master_lp(g: np.ndarray) -> np.ndarray:
@@ -81,7 +75,7 @@ def _master_lp(g: np.ndarray) -> np.ndarray:
     return np.bincount(np.array(basis)[:len(lam)], lam, m) / lam.sum()
 
 
-def _polish(comps, cuts: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _polish(rows, log_rows, cuts: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """mu @ cuts after Newton steps on the positive mu that equalize the kink's informations.
 
     Those within KINK_BAND of the least go to within KINK_TOL of each other
@@ -89,40 +83,40 @@ def _polish(comps, cuts: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """
     def kink(z):
         p = z @ cuts
-        info = informations(comps, p)
-        at = np.flatnonzero(info <= info.min() + KINK_BAND)
+        info = informations(p, rows, log_rows)
+        at = info <= info.min() + KINK_BAND
         used = p > 0.0  # no cut moves an unused letter, whose D may be inf
-        d = np.array([row_divergences(comps[t], p @ comps[t].rows) for t in at])[:, used]
+        d = _divergences(rows[at], log_rows[at], p @ rows[at])[:, used]
         return info[at], d @ (cuts[z > 0.0] - p)[:, used].T
 
     mu = _newton_on_face(kink, mu)[0]
     return mu @ cuts / mu.sum()
 
 
-def _compound(comps, cuts: np.ndarray, hi: float, cost: CostSpec):
+def _compound(rows, log_rows, cuts: np.ndarray, hi: float, cost: CostSpec):
     """(lo, hi, P, solves): a bracket on max_P min_theta I(P, W_theta), by cutting planes.
 
     By minimax duality it is the min over lam of C([lam_1 W_1 | ... | lam_m W_m]): the
     master LP over the cut inputs picks lam, its dual mixes them, and a warm-started
     ``constrained_capacity`` on that stacked channel adds a cut and an upper bound.
     """
-    g = np.array([informations(comps, p) for p in cuts])
+    g = np.array([informations(p, rows, log_rows) for p in cuts])
     lo = -math.inf
     for solves in range(MAX_ROUNDS + 1):
         lam, mu = _master_lp(g), _master_lp(-g.T)  # its dual: the cut weights
         p = mu @ cuts / mu.sum()
-        info = informations(comps, p)
+        info = informations(p, rows, log_rows)
         if info.min() > lo:
             lo, best = info.min(), (cuts, mu)
         if hi - lo <= DEFAULT_TOL or solves == MAX_ROUNDS:
             break
-        stacked = Dmc(np.hstack([l * w.rows for l, w in zip(lam, comps) if l > 0.0]))
+        stacked = Dmc(np.hstack(lam[lam > 0.0, None, None] * rows[lam > 0.0]))
         res = constrained_capacity(stacked, cost, _start=p)
         hi = min(hi, _dual_bound(stacked, res.optimal_input.probs, cost, res.multiplier))
         cuts = np.vstack([cuts[mu > 0.0], res.optimal_input.probs])
-        g = np.vstack([g[mu > 0.0], informations(comps, cuts[-1])])
-    p = _polish(comps, *best)
-    return min(lo, informations(comps, p).min()), hi, InputDist(p), solves
+        g = np.vstack([g[mu > 0.0], informations(cuts[-1], rows, log_rows)])
+    p = _polish(rows, log_rows, *best)
+    return min(lo, informations(p, rows, log_rows).min()), hi, InputDist(p), solves
 
 
 def _minimal_sets(weights, eps: float) -> list:
@@ -165,23 +159,25 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None,
            for w, rs in zip(comps, rep_sets)]
     best_lo, hi, found, pruned = -math.inf, -math.inf, [], []
     for s in sorted(_minimal_sets(weights, eps), key=lambda s: (-min(ubs[t] for t in s), s)):
-        s_hi, sub = min(ubs[t] for t in s), [comps[t] for t in s]
+        s_hi = min(ubs[t] for t in s)
         if s_hi < best_lo:
             pruned.append(s)
             continue
+        stack = mixed.rows[list(s)], mixed.log_rows[list(s)]
         weakest = min(s, key=lambda t: caps[t])
         verts = rep_sets[weakest].representatives
-        scores = [informations(sub, v.probs) for v in verts]
+        scores = [informations(v.probs, *stack) for v in verts]
         j = max(range(len(verts)), key=lambda j: scores[j].min())
         if (np.delete(scores[j], s.index(weakest)) >= caps[weakest]).all():
             s_lo, p, how = scores[j].min(), verts[j], f"a vertex of component {weakest}"
         else:
             cuts = np.array([rep_sets[t].solve.optimal_input.probs for t in s] + [verts[j].probs])
-            s_lo, s_hi, p, solves = _compound(sub, cuts, s_hi, cost)
+            s_lo, s_hi, p, solves = _compound(*stack, cuts, s_hi, cost)
             verts, how = (p,), f"cutting planes, {solves + 1} rounds, {solves} oracle solves"
         log.debug("eps-capacity set %s by %s: [%.12g, %.12g]", s, how, s_lo, s_hi)
         best_lo, hi = max(best_lo, s_lo), max(hi, s_hi)
-        found.append((_quantile(informations(comps, p.probs), weights, eps), p, verts))
+        info = informations(p.probs, mixed.rows, mixed.log_rows)
+        found.append((_quantile(info, weights, eps), p, verts))
     (value, below, at), p, _ = max(found, key=lambda f: f[0][0])  # the first set at the max
     log.debug("eps-capacity: pruned %s; bracket [%.12g, %.12g]", pruned, value, hi)
     return EpsCapacityResult(value, p, None, below, at, max(hi, value),

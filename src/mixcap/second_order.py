@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (SUM_TOL, CostSpec, InputDist, MixedChannel, channel_dispersion,
-                      psi_from_variance)
-from .first_order import eps_capacity, eps_capacity_well_ordered, informations
+                      informations, psi_from_variance)
+from .first_order import eps_capacity, eps_capacity_well_ordered
 from .well_ordered import require_well_ordered
 
 DEFAULT_TIE_TOL = 1e-9
@@ -46,21 +46,22 @@ class SecondOrderResult(NamedTuple):
     open_boundary: bool = False
 
 
-def _check_tie_tol(tie_tol: float) -> None:
+def _check_args(tie_tol: float, eps: float = 0.0) -> None:
+    """Refuse a bad eps or tie_tol before any work is done."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
     if not (math.isfinite(tie_tol) and tie_tol >= 0):
         raise ValueError("tie_tol must be finite and nonnegative")
 
 
 def _at_rate(mixed: MixedChannel, p: InputDist, values, r: float, tie_tol: float):
     """(w{value < r - tie_tol}, [(w_theta, V_theta at p)] for |value - r| <= tie_tol)."""
-    _check_tie_tol(tie_tol)
-    base, at = 0.0, []
-    for v, w, comp in zip(values, mixed.weights, mixed.components):
-        if v < r - tie_tol:
-            base += w
-        elif abs(v - r) <= tie_tol:
-            at.append((w, channel_dispersion(p, comp)))
-    return base, at
+    below = values < r - tie_tol
+    at = ~below & (np.abs(values - r) <= tie_tol)
+    # summed in atom order: another order moves the printed G_w in its last digit
+    base = float(np.cumsum(mixed.weights[below])[-1]) if below.any() else 0.0
+    return base, [(float(mixed.weights[k]), channel_dispersion(p, mixed.atoms[k][1]))
+                  for k in np.flatnonzero(at)]
 
 
 def _gw(base: float, at: list, s: float) -> float:
@@ -76,7 +77,9 @@ def _gw(base: float, at: list, s: float) -> float:
 def gw(mixed: MixedChannel, p: InputDist, r: float, s: float,
        tie_tol: float = DEFAULT_TIE_TOL) -> float:
     """G_w(R, S | P): strictly-below mass plus Gaussian mass of at-rate atoms."""
-    return _gw(*_at_rate(mixed, p, informations(mixed.components, p.probs), r, tie_tol), s)
+    _check_args(tie_tol)
+    values = informations(p.probs, mixed.rows, mixed.log_rows)
+    return _gw(*_at_rate(mixed, p, values, r, tie_tol), s)
 
 
 def _sup_feasible(base: float, at: list, eps: float) -> SolveResult:
@@ -143,9 +146,8 @@ def _edge_sup(fn, target: float, step: float) -> float:
 def solve_s(mixed: MixedChannel, p: InputDist, r: float, eps: float,
             tie_tol: float = DEFAULT_TIE_TOL) -> SolveResult:
     """sup{S : G_w(R, S | P) <= eps} as an extended real with a boundary flag."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    values = informations(mixed.components, p.probs)
+    _check_args(tie_tol, eps)
+    values = informations(p.probs, mixed.rows, mixed.log_rows)
     return _sup_feasible(*_at_rate(mixed, p, values, r, tie_tol), eps)
 
 
@@ -201,7 +203,7 @@ def second_order_lb(
     the ``winners`` of ``eps_capacity``; an input with an atom in the band snap_tol <
     |I - r| <= tie_tol scores -inf, so no climb trades dispersion for slack.
     """
-    _check_tie_tol(tie_tol)
+    _check_args(tie_tol, eps)
     cap_res = eps_capacity(mixed, cost, eps)
     if r is None:
         r = cap_res.capacity
@@ -212,8 +214,9 @@ def second_order_lb(
     snap_tol = max(1e-12, tie_tol * 1e-3)
 
     def evaluate(p: InputDist) -> SecondOrderResult:
-        values = informations(mixed.components, p.probs)
-        snapped = any(snap_tol < abs(v - r) <= tie_tol for v in values)
+        values = informations(p.probs, mixed.rows, mixed.log_rows)
+        off = np.abs(values - r)
+        snapped = bool(((snap_tol < off) & (off <= tie_tol)).any())
         return _candidate(mixed, p, values, r, eps, tie_tol, METHOD_LOWER_BOUND, snapped)
 
     return max((_sup_over_vertices(evaluate, verts, True) for verts in cap_res.winners),
@@ -235,12 +238,13 @@ def second_order_well_ordered(
     The ordering check supplies the polytope and the component solves; the
     call refuses (pointing to the lower-bound path) when that check fails.
     """
+    _check_args(tie_tol, eps)
     report = require_well_ordered(mixed, cost)
     optima = [rs.solve for rs in report.rep_sets]
     cap_res = eps_capacity_well_ordered(mixed, cost, eps, optima)
     r = cap_res.capacity
-    caps = [res.capacity for res in optima]
+    caps = np.array([res.capacity for res in optima])
     vertices = report.rep_sets[cap_res.achieving_component].representatives
-    ties = sum(abs(c - r) <= tie_tol for c in caps)
+    ties = np.count_nonzero(np.abs(caps - r) <= tie_tol)
     return _sup_over_vertices(
         lambda p: _candidate(mixed, p, caps, r, eps, tie_tol, METHOD_EXACT), vertices, ties > 1)

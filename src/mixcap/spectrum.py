@@ -242,7 +242,7 @@ def feinstein_bound(mixed: MixedChannel, p: InputDist, code: CodeParams, slack: 
     """
     n, eta = code.n, slack.eta
     z = code.rate + eta
-    q_max = np.array([output_distribution(p, comp) for comp in mixed.components]).max(axis=0)
+    q_max = output_distribution(p, mixed).max(axis=0)
     big_k = math.log(mixed.num_atoms) / n
     zs = [z + (big_k + math.log(1.0 / w_k) / n) for w_k, _ in mixed.atoms]
     note = ("mixed-output surrogate: per-component max-envelope reference with log penalties"
@@ -264,7 +264,7 @@ def hayashi_nagaoka_bound(mixed: MixedChannel, code: CodeParams, q, slack: Slack
     n, eta, k = code.n, slack.eta, mixed.num_atoms
     # pointwise maximum of the component laws: not stochastic, used only as
     # the numerator inside the statistic, which keeps the converse direction
-    env = np.stack([comp.rows for comp in mixed.components]).max(axis=0)
+    env = mixed.rows.max(axis=0)
     note = "mixed-law surrogate: max-envelope numerator" if k > 1 else ""
     return _bound(KIND_HN, mixed, input_spec, [q] * k, [code.rate - eta - math.log(k) / n] * k,
                   code, -math.exp(-n * eta), numer=env, note=note, **mc)

@@ -174,8 +174,7 @@ def expurgated_space(mixed: MixedChannel, q_list, n: int) -> ExpurgationReport:
     slack = n ** 0.25
     refs = _reference_laws(mixed, q_list)
     member = _dominated(mixed.weights, refs.log_rows, enumerate_types(ky, n), slack)
-    member &= _dominated(mixed.weights, np.stack([comp.log_rows for comp in mixed.components]),
-                         enumerate_types(kx * ky, n), slack)
+    member &= _dominated(mixed.weights, mixed.log_rows, enumerate_types(kx * ky, n), slack)
     mass = float(np.sum(mixed.weights[member]))
     try:
         bound = 1.0 - 2.0 * (n + 1) ** (kx * ky) * math.exp(-slack)
@@ -253,8 +252,7 @@ def decomposition_check(
 
     # per joint type and atom: log W_k^n(y|x) for x of the composition, and the
     # n-letter information density of W_k against q_k^n
-    log_wn, log_mix_wn = _log_laws(np.stack([comp.log_rows for comp in mixed.components]),
-                                   flat, mixed.weights)
+    log_wn, log_mix_wn = _log_laws(mixed.log_rows, flat, mixed.weights)
     log_dens_n = _counts_log(flat, np.stack([
         log_density(m_counts, comp, q).reshape(-1)
         for comp, q in zip(mixed.components, refs.rows)]))

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .channel import CostSpec, InputDist, MixedChannel, mutual_information
+import numpy as np
+
+from .channel import CostSpec, InputDist, MixedChannel, informations
 from .first_order import rate_spectrum
 from .optimizer import capacity_achieving_set
 
@@ -68,26 +70,20 @@ def check_well_ordered(
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
     rep_sets = [capacity_achieving_set(comp, cost) for comp in mixed.components]
-    optima = [rs.solve for rs in rep_sets]
-    caps = [res.capacity for res in optima]
+    caps = np.array([rs.solve.capacity for rs in rep_sets])
     violations = []
-    n = mixed.num_atoms
-    for i in range(n):
+    for i, c in enumerate(caps.tolist()):
+        # the other atoms of equal capacity, and those of strictly larger capacity
+        equal = np.abs(c - caps) <= tol
+        equal[i] = False
+        larger = ~equal & (c < caps - tol)
         for p in rep_sets[i].representatives:
-            for j in range(n):
-                if j == i:
-                    continue
-                info = mutual_information(p, mixed.components[j])
-                if abs(caps[i] - caps[j]) <= tol:
-                    if abs(info - caps[i]) > tol:
-                        violations.append(OrderViolation(
-                            i, j, p, info,
-                            f"|I - {caps[i]:.9g}| <= {tol:g} (equal capacities)"))
-                elif caps[i] < caps[j] - tol:
-                    if not info > caps[i] + tol:
-                        violations.append(OrderViolation(
-                            i, j, p, info,
-                            f"I > {caps[i]:.9g} + {tol:g} (larger capacity)"))
+            info = informations(p.probs, mixed.rows, mixed.log_rows)
+            bad = (equal & (np.abs(info - c) > tol)) | (larger & ~(info > c + tol))
+            for j in np.flatnonzero(bad).tolist():
+                required = (f"|I - {c:.9g}| <= {tol:g} (equal capacities)" if equal[j]
+                            else f"I > {c:.9g} + {tol:g} (larger capacity)")
+                violations.append(OrderViolation(i, j, p, float(info[j]), required))
     values, below = rate_spectrum(caps, mixed.weights)
     cum = tuple(zip(values.tolist(), below[1:].tolist() + [1.0]))
     n_vertices = sum(len(r.representatives) for r in rep_sets)

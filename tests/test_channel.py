@@ -19,7 +19,7 @@ from mixcap import (
     output_distribution,
     psi_from_variance,
 )
-from mixcap.channel import log_density, row_divergences
+from mixcap.channel import informations, log_density, row_divergences
 from conftest import bsc, binary_entropy, random_dmc
 
 
@@ -200,3 +200,57 @@ def test_psi_examples():
 def test_psi_nondecreasing_in_s(v, a, b):
     lo, hi = min(a, b), max(a, b)
     assert psi_from_variance(v, lo) <= psi_from_variance(v, hi) + 1e-15
+
+
+@st.composite
+def stacked_mixtures(draw):
+    """(mixture, P) with K in 1-8 and |X|, |Y| in 1-5, with zeros in W and in P.  On
+    request the last letter is unused and alone reaches the last output, so its
+    divergence against P W is +inf."""
+    k, kx, ky = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    w = np.array(draw(st.lists(st.integers(0, 1000), min_size=k * kx * ky,
+                               max_size=k * kx * ky)), dtype=float).reshape(k, kx, ky)
+    p = np.array(draw(st.lists(st.integers(0, 1000), min_size=kx, max_size=kx)), dtype=float)
+    if kx > 1 and ky > 1 and draw(st.booleans()):
+        p[-1], w[:, :-1, -1], w[:, -1, -1] = 0.0, 0.0, w[:, -1, -1] + 1.0
+    w[..., 0] += w.sum(axis=-1) == 0.0
+    p[0] += p.sum() == 0.0
+    weights = np.full(k, 1.0 / k)
+    mixed = MixedChannel(tuple(zip(weights, map(Dmc, w / w.sum(axis=-1, keepdims=True)))))
+    return mixed, InputDist(p / p.sum())
+
+
+@given(stacked_mixtures())
+@settings(max_examples=300, deadline=None)
+def test_information_kernel_matches_each_atom_bit_for_bit(case):
+    """One kernel call over the stored stack gives each atom's mutual_information
+    exactly, and agrees with a plain double sum over the reachable cells."""
+    mixed, p = case
+    infos = informations(p.probs, mixed.rows, mixed.log_rows)
+    assert infos.tolist() == [mutual_information(p, comp) for comp in mixed.components]
+    for info, comp in zip(infos, mixed.components):
+        q = p.probs @ comp.rows
+        cells = [(x, y) for x in range(comp.num_inputs) for y in range(comp.num_outputs)
+                 if p.probs[x] > 0.0 and comp.rows[x, y] > 0.0]
+        plain = math.fsum(p.probs[x] * comp.rows[x, y] * math.log(comp.rows[x, y] / q[y])
+                          for x, y in cells)
+        assert info == pytest.approx(max(plain, 0.0), abs=1e-12)
+
+
+def test_information_kernel_names_both_sizes():
+    mixed = MixedChannel(((0.5, bsc(0.1)), (0.5, bsc(0.2))))
+    with pytest.raises(ValueError, match="input size 3 does not match channel inputs 2"):
+        informations(np.full(3, 1.0 / 3.0), mixed.rows, mixed.log_rows)
+    with pytest.raises(ValueError, match="input size 3 does not match channel inputs 2"):
+        mutual_information(InputDist.uniform(3), bsc(0.1))
+
+
+def test_mixed_channel_arrays_are_read_only():
+    mixed = MixedChannel(((0.25, bsc(0.1)), (0.75, bsc(0.2))))
+    assert mixed.weights.tolist() == [0.25, 0.75]
+    assert mixed.rows.shape == mixed.log_rows.shape == (2, 2, 2)
+    assert (mixed.rows[1] == bsc(0.2).rows).all()
+    for arr in (mixed.weights, mixed.rows, mixed.log_rows):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert mixed.weights is mixed.weights  # stored, not rebuilt per access

@@ -305,6 +305,16 @@ BAD_SPECS = {
     (["fbl", "{binding3}", "--n", "30", "--rate", "0.1", "--bound", "feinstein",
       "--input-probs", "0,0,1"], "--input-probs costs 2 per letter"),
     (["validate-lemmas", "{binding3}", "--n", "4"], "--input-probs"),
+    # zbsc fails the ordering check: the flags are checked before it
+    (["eps-capacity", "{zbsc}", "--eps", "1.5", "--well-ordered"], "eps"),
+    (["eps-capacity", "{zbsc}", "--eps", "nan", "--well-ordered"], "eps"),
+    (["second-order", "{zbsc}", "--eps", "1.5", "--well-ordered"], "eps"),
+    (["second-order", "{zbsc}", "--eps", "0.3", "--well-ordered", "--tie-tol", "-1"],
+     "tie_tol"),
+    (["second-order", "{zbsc}", "--eps", "0.3", "--well-ordered", "--tie-tol", "nan"],
+     "tie_tol"),
+    (["second-order", "{zbsc}", "--eps", "0.3", "--well-ordered", "--tie-tol", "inf"],
+     "tie_tol"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
@@ -313,7 +323,8 @@ def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsy
                      binding3=os.path.join(GOLDEN, "binding3.json"),
                      cost2=os.path.join(GOLDEN, "cost2.json"),
                      mix2x2=os.path.join(GOLDEN, "mix2x2.json"),
-                     multi5=os.path.join(GOLDEN, "multi5.json"), **paths)
+                     multi5=os.path.join(GOLDEN, "multi5.json"),
+                     zbsc=os.path.join(GOLDEN, "zbsc.json"), **paths)
             for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -20,9 +20,9 @@ from mixcap import (
     second_order_lb,
 )
 from mixcap.cli import load_spec
-from mixcap.channel import SUM_TOL
+from mixcap.channel import SUM_TOL, informations
 from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _minimal_sets, _polish, _quantile,
-                                informations, rate_spectrum)
+                                rate_spectrum)
 from mixcap.optimizer import DEFAULT_TOL, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
 from conftest import bsc, bsc_capacity, random_dmc, random_mixture
@@ -379,10 +379,10 @@ def test_polish_flattens_a_kink_with_more_cuts_than_atoms():
     atoms 0 and 2 within 1e-13 of each other."""
     mix = MixedChannel(tuple((w, Dmc(rows)) for w, rows in S3B_ATOMS))
     kink = eps_capacity(mix, eps=S3B_EPS).argmax_input.probs
-    comps = [mix.components[0], mix.components[2]]
+    stack = mix.rows[[0, 2]], mix.log_rows[[0, 2]]
     dirs = np.array([[1.0, -0.5, -0.5], [-0.2, 1.0, -0.8], [0.0, -1.0, 1.0]])
     cuts = kink + 1e-6 * dirs
-    start = informations(comps, cuts.mean(axis=0))
+    start = informations(cuts.mean(axis=0), *stack)
     assert 1e-12 < abs(start[0] - start[1]) < 1e-7
-    p = _polish(comps, cuts, np.full(3, 1.0 / 3.0))
-    assert abs(np.subtract(*informations(comps, p))) <= 1e-13
+    p = _polish(*stack, cuts, np.full(3, 1.0 / 3.0))
+    assert abs(np.subtract(*informations(p, *stack))) <= 1e-13

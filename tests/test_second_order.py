@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import mixcap.channel
 import mixcap.first_order
-import mixcap.optimizer
 import mixcap.second_order
+import mixcap.well_ordered
 from mixcap import (
     CostSpec,
     Dmc,
@@ -18,10 +19,12 @@ from mixcap import (
     gaussian_inv,
     gw,
     mutual_information,
+    rate_quantile,
     second_order_lb,
     second_order_well_ordered,
     solve_s,
 )
+from mixcap.channel import informations
 from conftest import bsc, random_dmc, z_channel_matching
 
 
@@ -195,27 +198,28 @@ def test_second_order_lb_off_capacity(uniform2):
 
 
 def test_second_order_lb_reads_each_candidate_once(monkeypatch):
-    """mix2x2 at eps = 0.3 has one optimal input and two atoms: after its
-    eps_capacity, second_order_lb computes I(P, W_theta) once per atom, and
-    gw_at_solution comes from that same split."""
+    """mix2x2 at eps = 0.3 has one optimal input: after its eps_capacity,
+    second_order_lb makes one call of the information kernel, over both atoms,
+    and gw_at_solution comes from that same split."""
     mix = MixedChannel(((0.4, Dmc([[0.9, 0.1], [0.25, 0.75]])),
                         (0.6, Dmc([[0.7, 0.3], [0.05, 0.95]]))))
     calls, at_capacity = [], []
 
-    def counted(p, w):
-        calls.append(w)
-        return mutual_information(p, w)
+    def counted(probs, rows, log_rows):
+        calls.append(len(rows))
+        return informations(probs, rows, log_rows)
 
     def counted_capacity(*args):
         res = eps_capacity(*args)
         at_capacity.append(len(calls))
         return res
 
-    for module in (mixcap.first_order, mixcap.optimizer):
-        monkeypatch.setattr(module, "mutual_information", counted)
+    for module in (mixcap.channel, mixcap.first_order, mixcap.second_order,
+                   mixcap.well_ordered):
+        monkeypatch.setattr(module, "informations", counted)
     monkeypatch.setattr(mixcap.second_order, "eps_capacity", counted_capacity)
     res = second_order_lb(mix, eps=0.3)
-    assert [len(calls) - at for at in at_capacity] == [2]
+    assert [calls[at:] for at in at_capacity] == [[2]]
     assert res.gw_at_solution == gw(mix, res.input, res.rate, res.s_value)
 
 
@@ -277,3 +281,12 @@ def test_second_order_theta2_empty_plus_infinity():
     # a rate strictly between the capacities: no atom at the rate, below C_eps
     res = second_order_lb(mix, r=0.3, eps=0.5)
     assert res.s_value == math.inf
+
+
+def test_wrong_size_input_names_both_sizes():
+    mix = MixedChannel(((0.5, bsc(0.05)), (0.5, bsc(0.2))))
+    p = InputDist.uniform(3)
+    for call in (lambda: rate_quantile(mix, p, 0.3), lambda: gw(mix, p, 0.3, 0.0),
+                 lambda: solve_s(mix, p, 0.3, 0.3)):
+        with pytest.raises(ValueError, match="input size 3 does not match channel inputs 2"):
+            call()

@@ -23,6 +23,11 @@ RUNS = (
     ["eps-capacity", os.path.join(GOLDEN, "binding3.json"), "--eps", "0.3"],
     ["second-order", os.path.join(GOLDEN, "cost3.json"), "--eps", "0.3"],
     ["check-well-ordered", os.path.join(GOLDEN, "pinned4.json")],
+    ["fbl", os.path.join(GOLDEN, "mix2x2.json"), "--n", "24", "--rate", "0.02",
+     "--bound", "exact"],
+    ["fbl", os.path.join(GOLDEN, "mix2x2.json"), "--n", "200", "--rate", "0.1",
+     "--bound", "feinstein", "--trials", "4000", "--mc", "--threads", "1"],
+    ["validate-lemmas", os.path.join(GOLDEN, "mix2x2.json"), "--n", "6", "8"],
 )
 # prints, after the import and after the runs, which watched modules are loaded
 SCRIPT = """

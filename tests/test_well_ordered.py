@@ -16,7 +16,7 @@ from mixcap import (
     rate_quantile,
 )
 from mixcap.cli import load_spec
-from conftest import bsc, bsc_capacity, z_channel_matching
+from conftest import bsc, bsc_capacity, random_dmc, z_channel_matching
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -137,3 +137,45 @@ def test_capacity_quantile_without_optima_runs_the_check():
     mix, cost = load_spec(os.path.join(GOLDEN, "zbsc.json"))
     with pytest.raises(NotWellOrderedError):
         eps_capacity_well_ordered(mix, cost, eps=0.3)
+
+
+def pair_loop_violations(mixed, report, tol):
+    """The pair loop the ordering check once ran: I(p, W_j) per ordered pair (i, j) at
+    each vertex p of component i, with violations in (i, vertex, j) order."""
+    caps = [rs.solve.capacity for rs in report.rep_sets]
+    found = []
+    for i, rs in enumerate(report.rep_sets):
+        for p in rs.representatives:
+            for j, comp in enumerate(mixed.components):
+                if j == i:
+                    continue
+                info = mutual_information(p, comp)
+                if abs(caps[i] - caps[j]) <= tol:
+                    if abs(info - caps[i]) > tol:
+                        found.append((i, j, p, info,
+                                      f"|I - {caps[i]:.9g}| <= {tol:g} (equal capacities)"))
+                elif caps[i] < caps[j] - tol:
+                    if not info > caps[i] + tol:
+                        found.append((i, j, p, info,
+                                      f"I > {caps[i]:.9g} + {tol:g} (larger capacity)"))
+    return found
+
+
+def test_violations_match_the_pair_loop():
+    """Random 2-3 input families of 2-6 atoms, half of them with a relabelled copy of an
+    atom (equal capacity, other optimal input): the masked check reports exactly the
+    pair loop's violations, in its order, at a strict and at a loose tolerance."""
+    kinds = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        kx, k = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+        comps = [random_dmc(rng, kx, 3) for _ in range(k)]
+        if seed % 2:
+            comps[-1] = Dmc(comps[0].rows[::-1])
+        mixed = MixedChannel(tuple(zip(np.full(k, 1.0 / k), comps)))
+        for tol in (1e-7, 0.05):
+            report = check_well_ordered(mixed, tol=tol)
+            assert [tuple(v) for v in report.violations] == pair_loop_violations(mixed, report,
+                                                                                 tol)
+            kinds += [v.required.split("(")[-1] for v in report.violations]
+    assert {"equal capacities)", "larger capacity)"} <= set(kinds)
