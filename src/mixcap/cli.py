@@ -293,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("check-well-ordered", _cmd_check_well_ordered,
                 "test the capacity ordering of components")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=None)
 
     n = _ranged(int, 1, INT64_MAX)
     p = command("fbl", _cmd_fbl, "finite-blocklength bounds")
@@ -382,7 +382,8 @@ def _cmd_second_order(args, mixed, cost, em: Emitter):
 
 
 def _cmd_check_well_ordered(args, mixed, cost, em: Emitter):
-    report = check_well_ordered(mixed, cost, tol=args.tol)
+    tol = {} if args.tol is None else {"tol": args.tol}  # else the library's default
+    report = check_well_ordered(mixed, cost, **tol)
     em.row(quantity="is_well_ordered", value=int(report.is_well_ordered), units="bool",
            method="exact", tolerance=report.tolerance,
            violations=len(report.violations), coverage=report.coverage)

@@ -16,15 +16,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import SUM_TOL, CostSpec, Dmc, InputDist, MixedChannel, _divergences, informations
-from .optimizer import (DEFAULT_TOL, CapacityResult, _basic_solutions, _dual_bound,
-                        _newton_on_face, capacity_achieving_set, constrained_capacity)
+from .optimizer import (DEFAULT_TOL, CapacityResult, _dual_bound, _newton_on_face,
+                        capacity_achieving_set, constrained_capacity)
 from .types_toolkit import ENUM_CAP, EnumerationCapError
 
 log = logging.getLogger(__name__)
 
 VALUE_DECIMALS = 12  # atoms with values closer than 1e-12 merge in quantiles
 
-# cutting planes: oracle solves per atom set, master-LP slack, and the kink polish's band
+# cutting planes: oracle solves per atom set, master pivot slack, and the kink polish's band
 MAX_ROUNDS, LP_TOL = 60, 1e-12
 KINK_BAND = 1e-7
 
@@ -63,16 +63,27 @@ def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
     return _quantile(informations(p.probs, mixed.rows, mixed.log_rows), mixed.weights, eps)[0]
 
 
-def _master_lp(g: np.ndarray) -> np.ndarray:
-    """The lam in the simplex minimizing max_k (g lam)_k: the basic solution of least t of
-    g lam + s = t 1, sum lam = 1, (lam, s, t) >= 0, with g shifted so that t > 0 (last).
-    """
+def _game(g: np.ndarray) -> tuple:
+    """(lam, mu): lam in the simplex minimizing max_i (g lam)_i, mu maximizing min_k (mu g)_k.
+
+    A tableau simplex, Bland's rule, solves max 1.x s.t. (g + shift) x <= 1, x >= 0 from the
+    slack basis; lam is x and mu the slacks' reduced costs (the dual's y), each normalized."""
     n, m = g.shape
-    shift = 1.0 - g.min()
-    a = np.block([[g + shift, np.eye(n), -np.ones((n, 1))], [np.ones(m), np.zeros(n + 1)]])
-    basis, coef = min(_basic_solutions(a, np.eye(n + 1)[n], LP_TOL), key=lambda bc: bc[1][-1])
-    lam = np.clip(coef[:sum(np.array(basis) < m)], 0.0, None)
-    return np.bincount(np.array(basis)[:len(lam)], lam, m) / lam.sum()
+    t = np.block([[g + (1.0 - g.min()), np.eye(n), np.ones((n, 1))],
+                  [-np.ones(m), np.zeros(n + 1)]])
+    basis = np.arange(m, m + n)
+    while (t[n, :-1] < -LP_TOL).any():
+        j = np.argmax(t[n, :-1] < -LP_TOL)  # the first improving column enters
+        rows = np.flatnonzero(t[:n, j] > LP_TOL)
+        ratio = t[rows, -1] / t[rows, j]
+        rows = rows[ratio <= ratio.min() + LP_TOL]
+        i = rows[np.argmin(basis[rows])]  # the least basic column of the ratio ties leaves
+        t[i] /= t[i, j]
+        t -= np.outer(t[:, j] - np.eye(n + 1)[i], t[i])
+        basis[i] = j
+    lam = np.clip(np.bincount(basis, t[:n, -1], m + n)[:m], 0.0, None)
+    mu = np.clip(t[n, m:-1], 0.0, None)
+    return lam / lam.sum(), mu / mu.sum()
 
 
 def _polish(rows, log_rows, cuts: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -96,14 +107,14 @@ def _polish(rows, log_rows, cuts: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _compound(rows, log_rows, cuts: np.ndarray, hi: float, cost: CostSpec):
     """(lo, hi, P, solves): a bracket on max_P min_theta I(P, W_theta), by cutting planes.
 
-    By minimax duality it is the min over lam of C([lam_1 W_1 | ... | lam_m W_m]): the
-    master LP over the cut inputs picks lam, its dual mixes them, and a warm-started
+    By minimax duality it is the min over lam of C([lam_1 W_1 | ... | lam_m W_m]): one
+    ``_game`` solve per round picks lam and a cut mix mu, a feasible input, and a warm-started
     ``constrained_capacity`` on that stacked channel adds a cut and an upper bound.
     """
     g = np.array([informations(p, rows, log_rows) for p in cuts])
     lo = -math.inf
     for solves in range(MAX_ROUNDS + 1):
-        lam, mu = _master_lp(g), _master_lp(-g.T)  # its dual: the cut weights
+        lam, mu = _game(g)
         p = mu @ cuts / mu.sum()
         info = informations(p, rows, log_rows)
         if info.min() > lo:
@@ -152,7 +163,8 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None,
     cost.check_feasible()
     n, comps, weights = mixed.num_atoms, mixed.components, mixed.weights
     if 2 ** n > ENUM_CAP:
-        raise EnumerationCapError(f"{2 ** n} atom subsets exceed the cap {ENUM_CAP}")
+        raise EnumerationCapError(f"{n} atoms: 2^{n} = {2 ** n} atom subsets exceed the cap "
+                                  f"{ENUM_CAP}; a capacity-ordered family can use --well-ordered")
     rep_sets = [capacity_achieving_set(w, cost) for w in comps]
     caps = [rs.solve.capacity for rs in rep_sets]
     ubs = [_dual_bound(w, rs.solve.optimal_input.probs, cost, rs.solve.multiplier)

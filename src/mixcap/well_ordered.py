@@ -39,18 +39,16 @@ class OrderViolation(NamedTuple):
                 f"{self.observed_info:.9g}, required {self.required}")
 
 
-class WellOrderReport:
-    __slots__ = ("is_well_ordered", "violations", "capacity_spectrum", "tolerance", "coverage",
-                 "rep_sets")
+class WellOrderReport(NamedTuple):
+    violations: tuple
+    capacity_spectrum: tuple  # sorted (capacity, cumulative weight)
+    tolerance: float
+    coverage: str
+    rep_sets: tuple  # one CapacityAchievingSet per component, in atom order
 
-    def __init__(self, is_well_ordered: bool, violations: tuple, capacity_spectrum: tuple,
-                 tolerance: float, coverage: str, rep_sets: tuple):
-        if is_well_ordered != (len(violations) == 0):
-            raise ValueError("report inconsistent: violations must be empty iff well-ordered")
-        self.is_well_ordered, self.violations = is_well_ordered, violations
-        self.capacity_spectrum = capacity_spectrum  # sorted (capacity, cumulative weight)
-        self.tolerance, self.coverage = tolerance, coverage
-        self.rep_sets = rep_sets  # one CapacityAchievingSet per component, in atom order
+    @property
+    def is_well_ordered(self) -> bool:
+        return not self.violations
 
 
 def check_well_ordered(
@@ -92,8 +90,7 @@ def check_well_ordered(
         f"{rep_sets[0].opt_tolerance:g}); I(., W) is concave, so a pass certifies both "
         "conditions; closedness is vacuous for a finite atom list"
     )
-    return WellOrderReport(len(violations) == 0, tuple(violations), cum, tol, coverage,
-                           tuple(rep_sets))
+    return WellOrderReport(tuple(violations), cum, tol, coverage, tuple(rep_sets))
 
 
 def require_well_ordered(mixed: MixedChannel, cost: CostSpec | None = None) -> WellOrderReport:

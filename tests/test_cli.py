@@ -121,6 +121,22 @@ def test_second_order_refuses_unordered(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_twenty_atoms_refuse_the_subset_search_and_name_the_well_ordered_path(tmp_path, capsys):
+    """Past K = 19 the minimal atom sets would take 2^K subsets: both general paths exit 2
+    on one line naming the atom count and --well-ordered, which has no such cap."""
+    path = write_spec(tmp_path, {"generator": {"family": "bsc", "params": [
+        {"p": 0.01 + 0.02 * k, "weight": 0.05} for k in range(20)]}})
+    for command in ("eps-capacity", "second-order"):
+        assert main([command, path, "--eps", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "numerical failure: 20 atoms: 2^20 = 1048576 atom subsets exceed the cap 1000000; "
+            "a capacity-ordered family can use --well-ordered"]
+    assert main(["eps-capacity", path, "--eps", "0.1", "--well-ordered"]) == 0
+    assert "exact-formula" in capsys.readouterr().out
+
+
 def test_fbl_deterministic_output(pair_spec, capsys):
     argv = ["fbl", pair_spec, "--n", "120", "--rate", "0.15",
             "--bound", "mixed-converse", "--seed", "7"]

@@ -21,9 +21,9 @@ from mixcap import (
 )
 from mixcap.cli import load_spec
 from mixcap.channel import SUM_TOL, informations
-from mixcap.first_order import (VALUE_DECIMALS, _master_lp, _minimal_sets, _polish, _quantile,
+from mixcap.first_order import (LP_TOL, VALUE_DECIMALS, _game, _minimal_sets, _polish, _quantile,
                                 rate_spectrum)
-from mixcap.optimizer import DEFAULT_TOL, _dual_bound
+from mixcap.optimizer import DEFAULT_TOL, _basic_solutions, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
 from conftest import bsc, bsc_capacity, random_dmc, random_mixture
 
@@ -272,8 +272,9 @@ def _ternary_capacity(w, cost):
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_inputs=st.sampled_from([2, 3, 4]),
-       eps=st.floats(0.0, 0.9), budget=st.sampled_from([None, "slack", "binding"]))
-def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, eps, budget):
+       num_atoms=st.sampled_from([3, 8, 12]), eps=st.floats(0.0, 0.9),
+       budget=st.sampled_from([None, "slack", "binding"]))
+def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, num_atoms, eps, budget):
     """value <= upper_bound, value >= the best feasible 1/64-grid input, value >= every
     component optimum, and each component solve is certified.
 
@@ -287,7 +288,7 @@ def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, eps, budge
     """
     rng = np.random.default_rng(seed)
     mix = MixedChannel(tuple((float(w), random_dmc(rng, num_inputs, 3))
-                             for w in rng.dirichlet(np.ones(3))))
+                             for w in rng.dirichlet(np.ones(num_atoms))))
     costs = rng.uniform(0.0, 1.0, num_inputs)
     gamma = {"slack": costs.max(), "binding": 0.5 * (costs.min() + costs.mean())}.get(budget)
     cost = None if budget is None else CostSpec(costs, float(gamma))
@@ -361,17 +362,59 @@ def test_certified_value_never_loses_to_the_grid_search(spec, eps):
         1e-7 if spec == "multi5.json" else 2e-9)
 
 
-def test_master_lp_matches_a_simplex_scan():
-    """The master LP's lam beats every point of a 1/60 simplex grid; its dual attains the value."""
+def test_game_matches_a_simplex_scan():
+    """The game's lam beats every point of a 1/60 simplex grid; its mu attains the value."""
     rng = np.random.default_rng(11)
     for m in (2, 3):
         g = rng.uniform(0.0, 1.0, size=(4, m))
-        lam = _master_lp(g)
+        lam, mu = _game(g)
         assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-12)
         pts = [np.array(c) / 60 for c in itertools.product(range(61), repeat=m) if sum(c) == 60]
         assert (g @ lam).max() <= min((g @ p).max() for p in pts) + 1e-12
-        mu = _master_lp(-g.T)  # the dual: cut weights whose mix is as good as the LP value
         assert (mu @ g).min() == pytest.approx((g @ lam).max(), abs=1e-12)
+
+
+def _enumerated_game_value(g):
+    """min over the simplex of max_i (g lam)_i: the least t over the basic solutions of
+    g lam + s = t 1, sum lam = 1, (lam, s, t) >= 0, with g shifted so that t > 0."""
+    n, m = g.shape
+    shift = 1.0 - g.min()
+    a = np.block([[g + shift, np.eye(n), -np.ones((n, 1))], [np.ones(m), np.zeros(n + 1)]])
+    return min(coef[-1] for _, coef in _basic_solutions(a, np.eye(n + 1)[n], LP_TOL)) - shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+       kind=st.sampled_from(["uniform", "duplicate rows", "duplicate columns", "ties"]))
+def test_game_value_matches_the_basis_enumeration(seed, n, m, kind):
+    """On random n x m games the simplex's lam and mu both attain the value that listing
+    every basic solution finds, within 1e-12; duplicate rows and columns and entries
+    drawn from three levels make the optimum degenerate."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.0, 1.0, size=(n, m))
+    if kind == "duplicate rows":
+        g = g[rng.integers(0, n, n)]
+    elif kind == "duplicate columns":
+        g = g[:, rng.integers(0, m, m)]
+    elif kind == "ties":
+        g = rng.integers(0, 3, size=(n, m)) / 2.0
+    lam, mu = _game(g)
+    assert lam.min() >= 0.0 and mu.min() >= 0.0
+    assert lam.sum() == pytest.approx(1.0, abs=1e-12) and mu.sum() == pytest.approx(1.0, abs=1e-12)
+    value = _enumerated_game_value(g)
+    assert abs((g @ lam).max() - value) <= 1e-12
+    assert abs((mu @ g).min() - value) <= 1e-12
+
+
+def test_fourteen_atoms_get_a_certified_bracket():
+    """A random 14-atom, 3-input mixture at eps 0.1 gets a bracket within DEFAULT_TOL.
+    Listing its master's basic solutions would take 2,496,144 candidate bases, past
+    ENUM_CAP; one simplex solve per round has no such cap."""
+    rng = np.random.default_rng(2)
+    mix = MixedChannel(tuple((float(w), random_dmc(rng, 3, 3))
+                             for w in rng.dirichlet(np.ones(14))))
+    res = eps_capacity(mix, eps=0.1)
+    assert res.capacity <= res.upper_bound <= res.capacity + DEFAULT_TOL
 
 
 def test_polish_flattens_a_kink_with_more_cuts_than_atoms():
