@@ -33,7 +33,7 @@ from .channel import (
 )
 from .first_order import eps_capacity, eps_capacity_well_ordered
 from .optimizer import ConvergenceError, constrained_capacity
-from .second_order import second_order_lb, second_order_well_ordered
+from .second_order import DEFAULT_TIE_TOL, second_order_lb, second_order_well_ordered
 from .spectrum import (
     CodeParams,
     exact_tail_bound,
@@ -287,8 +287,8 @@ def _parser() -> argparse.ArgumentParser:
     at = p.add_mutually_exclusive_group()  # the exact path evaluates at the eps-capacity
     at.add_argument("--rate", type=_ranged(float, -math.inf), default=None)
     at.add_argument("--well-ordered", action="store_true")
-    p.add_argument("--tie-tol", type=float, default=None,
-                   help="at-rate classification width (default 1e-9; 1e-7 with --well-ordered)")
+    p.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL,
+                   help="at-rate classification width (default %(default)g)")
     p.add_argument("--grid", type=grid, default=32, help="accepted and ignored")
 
     p = command("check-well-ordered", _cmd_check_well_ordered,
@@ -370,11 +370,8 @@ def _cmd_eps_capacity(args, mixed, cost, em: Emitter):
 
 
 def _cmd_second_order(args, mixed, cost, em: Emitter):
-    tie = {} if args.tie_tol is None else {"tie_tol": args.tie_tol}  # else the library's default
-    if args.well_ordered:
-        res = second_order_well_ordered(mixed, cost, args.eps, **tie)
-    else:
-        res = second_order_lb(mixed, cost, args.rate, args.eps, **tie)
+    res = (second_order_well_ordered(mixed, cost, args.eps, args.tie_tol) if args.well_ordered
+           else second_order_lb(mixed, cost, args.rate, args.eps, args.tie_tol))
     em.row(quantity="second_order", value=res.s_value, units="nats", method=res.method,
            eps=args.eps, rate=res.rate, theta2_mass=res.theta2_mass,
            gw_at_solution=res.gw_at_solution, open_boundary=res.open_boundary,

@@ -3,8 +3,8 @@
 The core object is the quantile of a weighted value list: the largest value
 whose strictly-below mass stays within the error budget.  The capacity is the
 sup of that quantile over feasible inputs, the largest compound-channel
-capacity of an atom set the budget cannot drop, certified by a bracket; for
-capacity-ordered components it is the quantile over component capacities.
+capacity of an atom set the budget cannot drop, certified by a bracket; a
+capacity-ordered family takes the same search after its ordering check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import SUM_TOL, CostSpec, Dmc, InputDist, MixedChannel, _divergences, informations
-from .optimizer import (DEFAULT_TOL, CapacityResult, _dual_bound, _newton_on_face,
+from .optimizer import (DEFAULT_TOL, _dual_bound, _newton_on_face,
                         capacity_achieving_set, constrained_capacity)
 from .types_toolkit import ENUM_CAP, EnumerationCapError
 
@@ -56,10 +56,14 @@ class EpsCapacityResult(NamedTuple):
     winners: tuple = ()  # per winning atom set, the inputs a second-order sup runs over
 
 
-def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
-    """sup{R : w{theta : I(P, W_theta) < R} <= eps} for a fixed input P."""
+def _check_eps(eps: float) -> None:
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
+
+
+def rate_quantile(mixed: MixedChannel, p: InputDist, eps: float) -> float:
+    """sup{R : w{theta : I(P, W_theta) < R} <= eps} for a fixed input P."""
+    _check_eps(eps)
     return _quantile(informations(p.probs, mixed.rows, mixed.log_rows), mixed.weights, eps)[0]
 
 
@@ -130,95 +134,122 @@ def _compound(rows, log_rows, cuts: np.ndarray, hi: float, cost: CostSpec):
     return min(lo, informations(p, rows, log_rows).min()), hi, InputDist(p), solves
 
 
-def _minimal_sets(weights, eps: float) -> list:
-    """The minimal atom sets S with w(S^c) <= eps, as index tuples: dropping any atom of
-    S too passes eps.  Masses are compared with eps within ``SUM_TOL``.
+def _levels(weights, ubs, eps: float):
+    """(u, its atoms of bound >= u, the minimal atom sets whose least bound is u), per
+    distinct bound u, highest first.
 
-    Entry m of each table covers the atoms of bit mask m: their summed weight
-    (in index order) and their lightest weight.  Mask m drops its atoms and
-    keeps those of ~m; the last mask, which keeps none, is left out.
+    A minimal set S has w(S^c) <= eps, masses summed in index order and compared within
+    ``SUM_TOL``, and passes eps if it drops any atom of S too.  Level u drops every atom
+    of bound below u (a level that drops more than eps is skipped) and may drop any
+    other atom light enough to join them alone.  Its sets are built, sorted, only when
+    the caller iterates into them, from a doubling table of the summed and the lightest
+    weight of each of the 2^d masks of its d droppable atoms, refused past ``ENUM_CAP``.
     """
-    mass, light = np.zeros(1), np.full(1, math.inf)
-    for w in weights:
-        mass, light = np.append(mass, mass + w), np.append(light, np.minimum(light, w))
-    minimal = (mass <= eps + SUM_TOL) & (mass + light[::-1] > eps + SUM_TOL)
-    return [tuple(j for j in range(len(weights)) if not m >> j & 1)
-            for m in np.flatnonzero(minimal[:-1])]
+    def sets(u: float, drop: np.ndarray):
+        bits = np.flatnonzero(drop)
+        if 2 ** len(bits) > ENUM_CAP:
+            raise EnumerationCapError(f"{len(bits)} droppable atoms at one bound level: "
+                                      f"2^{len(bits)} = {2 ** len(bits)} atom subsets exceed "
+                                      f"the cap {ENUM_CAP}")
+        mass, light = np.zeros(1), np.full(1, math.inf)
+        for j, w in enumerate(weights):
+            if ubs[j] < u:
+                mass = mass + w
+            elif drop[j]:
+                mass, light = np.append(mass, mass + w), np.append(light, np.minimum(light, w))
+        lightest = np.minimum(light[::-1], weights[(ubs >= u) & ~drop].min(initial=math.inf))
+        ok = (mass <= eps + SUM_TOL) & (mass + lightest > eps + SUM_TOL)
+        bit, keep = dict(zip(bits.tolist(), range(len(bits)))), np.flatnonzero(ubs >= u).tolist()
+        level = [tuple(j for j in keep if not m >> bit.get(j, len(bits)) & 1)
+                 for m in np.flatnonzero(ok).tolist()]
+        yield from sorted(s for s in level if u in ubs[list(s)])  # S keeps an atom of bound u
+
+    for u in sorted(set(ubs.tolist()), reverse=True):
+        forced = sum(weights[ubs < u].tolist())  # in index order, as the table sums it
+        if forced <= eps + SUM_TOL:
+            # the table rechecks every mass; this slack only covers the summation order
+            drop = (ubs >= u) & (forced + weights <= eps + SUM_TOL + 1e-9)
+            yield u, tuple(np.flatnonzero(ubs >= u).tolist()), sets(u, drop)
 
 
-def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None,
-                 eps: float = 0.0) -> EpsCapacityResult:
+def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float = 0.0,
+                 _rep_sets=None) -> EpsCapacityResult:
     """First-order capacity: the largest compound capacity of an atom set, bracketed.
 
     The rate quantile at P is max over sets S with w(S^c) <= eps of min_{theta in S}
     I(P, W_theta), so C_eps is the max over minimal S of the compound capacity of S
-    (Blackwell, Breiman & Thomasian 1959; Ahlswede 1968).  A set is pruned by its bound,
-    the least certified C_theta over S; settled by a vertex of its weakest component's
-    optimal polytope that keeps all of S at or above that capacity; or by ``_compound``.
+    (Blackwell, Breiman & Thomasian 1959; Ahlswede 1968).  Atoms with equal rows are one
+    atom of the search, their weights summed in index order.  The sets come best-first by
+    their bound, the least certified C_theta over S (``_levels``), until a bound is below
+    the best value found; a level whose union a vertex holds within DEFAULT_TOL of the
+    bound settles as that one set.  A set is settled by a vertex of its weakest component's
+    optimal polytope that keeps all of S at or above that capacity, or by ``_compound``.
+    ``_rep_sets`` are the components' ``capacity_achieving_set`` results, if known.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _check_eps(eps)
     if cost is None:
         cost = CostSpec.free(mixed.num_inputs)
     cost.check_feasible()
     n, comps, weights = mixed.num_atoms, mixed.components, mixed.weights
-    if 2 ** n > ENUM_CAP:
-        raise EnumerationCapError(f"{n} atoms: 2^{n} = {2 ** n} atom subsets exceed the cap "
-                                  f"{ENUM_CAP}; a capacity-ordered family can use --well-ordered")
-    rep_sets = [capacity_achieving_set(w, cost) for w in comps]
+    rep_sets = _rep_sets or [capacity_achieving_set(w, cost) for w in comps]
     caps = [rs.solve.capacity for rs in rep_sets]
     ubs = [_dual_bound(w, rs.solve.optimal_input.probs, cost, rs.solve.multiplier)
            for w, rs in zip(comps, rep_sets)]
-    best_lo, hi, found, pruned = -math.inf, -math.inf, [], []
-    for s in sorted(_minimal_sets(weights, eps), key=lambda s: (-min(ubs[t] for t in s), s)):
-        s_hi = min(ubs[t] for t in s)
-        if s_hi < best_lo:
-            pruned.append(s)
-            continue
-        stack = mixed.rows[list(s)], mixed.log_rows[list(s)]
-        weakest = min(s, key=lambda t: caps[t])
-        verts = rep_sets[weakest].representatives
-        scores = [informations(v.probs, *stack) for v in verts]
-        j = max(range(len(verts)), key=lambda j: scores[j].min())
-        if (np.delete(scores[j], s.index(weakest)) >= caps[weakest]).all():
-            s_lo, p, how = scores[j].min(), verts[j], f"a vertex of component {weakest}"
-        else:
-            cuts = np.array([rep_sets[t].solve.optimal_input.probs for t in s] + [verts[j].probs])
-            s_lo, s_hi, p, solves = _compound(*stack, cuts, s_hi, cost)
-            verts, how = (p,), f"cutting planes, {solves + 1} rounds, {solves} oracle solves"
-        log.debug("eps-capacity set %s by %s: [%.12g, %.12g]", s, how, s_lo, s_hi)
-        best_lo, hi = max(best_lo, s_lo), max(hi, s_hi)
-        info = informations(p.probs, mixed.rows, mixed.log_rows)
-        found.append((_quantile(info, weights, eps), p, verts))
-    (value, below, at), p, _ = max(found, key=lambda f: f[0][0])  # the first set at the max
-    log.debug("eps-capacity: pruned %s; bracket [%.12g, %.12g]", pruned, value, hi)
+    first = {}  # the first atom of each distinct row stack, in index order
+    group = np.array([first.setdefault(rows.tobytes(), k) for k, rows in enumerate(mixed.rows)])
+    reps = list(first.values())
+    merged = np.array([sum(weights[group == k].tolist()) for k in reps])  # in index order
+    best_lo, hi, found, stop = -math.inf, -math.inf, [], None
+    for u, union, sets in _levels(merged, np.array(ubs)[reps], eps):
+        if u < best_lo:
+            stop = stop or f"stopped at bound {u:.12g} below lower bound {best_lo:.12g}"
+            break
+        # each set of the level lies in its union, so its compound capacity is in
+        # [C(union), u]: a union within DEFAULT_TOL of u settles the whole level
+        top = [reps[i] for i in union]
+        weakest = min(top, key=lambda t: caps[t])
+        if max(informations(v.probs, mixed.rows[top], mixed.log_rows[top]).min()
+               for v in rep_sets[weakest].representatives) >= u - DEFAULT_TOL:
+            sets = [union]
+        for s in sets:
+            if u < best_lo:  # a vertex may read a bound's last digit above it
+                stop = f"stopped within bound {u:.12g} below lower bound {best_lo:.12g}"
+                break
+            s = tuple(reps[i] for i in s)
+            stack = mixed.rows[list(s)], mixed.log_rows[list(s)]
+            weakest = min(s, key=lambda t: caps[t])
+            verts = rep_sets[weakest].representatives
+            scores = [informations(v.probs, *stack) for v in verts]
+            j = max(range(len(verts)), key=lambda j: scores[j].min())
+            if (np.delete(scores[j], s.index(weakest)) >= caps[weakest]).all():
+                s_lo, s_hi, p = scores[j].min(), u, verts[j]
+                how = f"a vertex of component {weakest}"
+            else:
+                cuts = np.array([rep_sets[t].solve.optimal_input.probs for t in s]
+                                + [verts[j].probs])
+                s_lo, s_hi, p, solves = _compound(*stack, cuts, u, cost)
+                verts, how = (p,), f"cutting planes, {solves + 1} rounds, {solves} oracle solves"
+            log.debug("eps-capacity set %s by %s: [%.12g, %.12g]", s, how, s_lo, s_hi)
+            best_lo, hi = max(best_lo, s_lo), max(hi, s_hi)
+            info = informations(p.probs, mixed.rows, mixed.log_rows)
+            found.append((_quantile(info, weights, eps), p, verts, u))
+    (value, below, at), p, *_ = max(found, key=lambda f: f[0][0])  # the first set at the max
+    log.debug("eps-capacity: %d sets settled over %d bound levels, %d duplicate atoms merged, "
+              "%s; bracket [%.12g, %.12g]", len(found), len({f[3] for f in found}),
+              n - len(reps), stop or "all levels visited", value, hi)
     return EpsCapacityResult(value, p, None, below, at, max(hi, value),
-                             tuple(verts for (v, _, _), _, verts in found if v == value))
+                             tuple(f[2] for f in found if f[0][0] == value))
 
 
-def eps_capacity_well_ordered(
-    mixed: MixedChannel,
-    cost: CostSpec | None = None,
-    eps: float = 0.0,
-    optima: list[CapacityResult] | None = None,
-) -> EpsCapacityResult:
-    """Capacity via the quantile over component capacities.
+def eps_capacity_well_ordered(mixed: MixedChannel, cost: CostSpec | None = None,
+                              eps: float = 0.0) -> EpsCapacityResult:
+    """``eps_capacity`` after ``require_well_ordered`` (which raises NotWellOrderedError),
+    on that check's component solves, with the first component whose capacity rounds
+    nearest the value: for an ordered family C_eps is a quantile of the capacities."""
+    _check_eps(eps)
+    from .well_ordered import require_well_ordered  # well_ordered imports this module
 
-    Valid when the component family is ordered by capacity: ``optima`` are the
-    component solves of a passed ordering check, and without them the check
-    runs here (``require_well_ordered``, which raises ``NotWellOrderedError``).
-    No optimization over inputs is involved.  The solver capacities lie within
-    ``DEFAULT_TOL`` below the true ones.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    if optima is None:
-        from .well_ordered import require_well_ordered  # well_ordered imports this module
-
-        optima = [rs.solve for rs in require_well_ordered(mixed, cost).rep_sets]
-    value, below, at = _quantile([res.capacity for res in optima], mixed.weights, eps)
-    # the first component whose capacity rounds to the quantile
-    achieving = next(i for i, res in enumerate(optima)
-                     if np.round(res.capacity, VALUE_DECIMALS) == value)
-    return EpsCapacityResult(value, optima[achieving].optimal_input, achieving, below, at,
-                             value + DEFAULT_TOL)
+    rep_sets = require_well_ordered(mixed, cost).rep_sets
+    res = eps_capacity(mixed, cost, eps, rep_sets)
+    caps = np.round([rs.solve.capacity for rs in rep_sets], VALUE_DECIMALS)
+    return res._replace(achieving_component=int(np.argmin(np.abs(caps - res.capacity))))

@@ -6,8 +6,8 @@ components pinned at the rate.  The second-order value is the supremum of the
 feasible set {S : G_w <= eps}, which can be an open boundary when zero-variance
 components make the map jump; results carry that flag alongside the value.
 
-The general-mixture result is a LOWER BOUND; only the capacity-ordered path
-is exact, and results are tagged accordingly.
+The general-mixture result is a LOWER BOUND; after a passed capacity-ordering
+check the same sup is the exact formula, and results are tagged accordingly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import (SUM_TOL, CostSpec, InputDist, MixedChannel, channel_dispersion,
                       informations, psi_from_variance)
-from .first_order import eps_capacity, eps_capacity_well_ordered
+from .first_order import _check_eps, eps_capacity
 from .well_ordered import require_well_ordered
 
 DEFAULT_TIE_TOL = 1e-9
@@ -46,12 +46,14 @@ class SecondOrderResult(NamedTuple):
     open_boundary: bool = False
 
 
-def _check_args(tie_tol: float, eps: float = 0.0) -> None:
-    """Refuse a bad eps or tie_tol before any work is done."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+def _check_args(tie_tol: float, eps: float = 0.0, **rates) -> None:
+    """Refuse a bad eps or tie_tol, or a NaN rate or S (+-inf are legal), before any work."""
+    _check_eps(eps)
     if not (math.isfinite(tie_tol) and tie_tol >= 0):
         raise ValueError("tie_tol must be finite and nonnegative")
+    for name, value in rates.items():
+        if value is not None and math.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
 
 
 def _at_rate(mixed: MixedChannel, p: InputDist, values, r: float, tie_tol: float):
@@ -77,7 +79,7 @@ def _gw(base: float, at: list, s: float) -> float:
 def gw(mixed: MixedChannel, p: InputDist, r: float, s: float,
        tie_tol: float = DEFAULT_TIE_TOL) -> float:
     """G_w(R, S | P): strictly-below mass plus Gaussian mass of at-rate atoms."""
-    _check_args(tie_tol)
+    _check_args(tie_tol, r=r, s=s)
     values = informations(p.probs, mixed.rows, mixed.log_rows)
     return _gw(*_at_rate(mixed, p, values, r, tie_tol), s)
 
@@ -146,18 +148,9 @@ def _edge_sup(fn, target: float, step: float) -> float:
 def solve_s(mixed: MixedChannel, p: InputDist, r: float, eps: float,
             tie_tol: float = DEFAULT_TIE_TOL) -> SolveResult:
     """sup{S : G_w(R, S | P) <= eps} as an extended real with a boundary flag."""
-    _check_args(tie_tol, eps)
+    _check_args(tie_tol, eps, r=r)
     values = informations(p.probs, mixed.rows, mixed.log_rows)
     return _sup_feasible(*_at_rate(mixed, p, values, r, tie_tol), eps)
-
-
-def _candidate(mixed: MixedChannel, p: InputDist, values, r: float, eps: float,
-               tie_tol: float, method: str, snapped: bool = False) -> SecondOrderResult:
-    """The result at input p from one split of ``values``; a ``snapped`` p scores -inf."""
-    base, at = _at_rate(mixed, p, values, r, tie_tol)
-    res = SolveResult(-math.inf, False) if snapped else _sup_feasible(base, at, eps)
-    return SecondOrderResult(res.s_value, r, p, _gw(base, at, res.s_value),
-                             sum(w for w, _ in at), method, res.open_boundary)
 
 
 def _key(res: SecondOrderResult):
@@ -165,13 +158,13 @@ def _key(res: SecondOrderResult):
     return res.s_value, not res.open_boundary, tuple(res.input.probs)
 
 
-def _sup_over_vertices(evaluate, vertices, refine: bool) -> SecondOrderResult:
-    """The best vertex's result by ``_key``; with ``refine`` and several vertices,
-    the best vertex then climbs its barycentric weights by pair moves."""
+def _sup_over_vertices(evaluate, vertices) -> SecondOrderResult:
+    """The best vertex's result by ``_key``; with several vertices, the best vertex
+    then climbs its barycentric weights by pair moves."""
     results = [evaluate(p) for p in vertices]
     best = max(range(len(vertices)), key=lambda i: _key(results[i]))
     best_res = results[best]
-    if not refine or len(vertices) < 2 or best_res.s_value == -math.inf:
+    if len(vertices) < 2 or best_res.s_value == -math.inf:
         return best_res
     corners = np.array([p.probs for p in vertices])
     t, delta = np.eye(len(vertices))[best], 0.25
@@ -189,62 +182,51 @@ def _sup_over_vertices(evaluate, vertices, refine: bool) -> SecondOrderResult:
     return best_res
 
 
-def second_order_lb(
-    mixed: MixedChannel,
-    cost: CostSpec | None = None,
-    r: float | None = None,
-    eps: float = 0.0,
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> SecondOrderResult:
+def second_order_lb(mixed: MixedChannel, cost: CostSpec | None = None, r: float | None = None,
+                    eps: float = 0.0, tie_tol: float = DEFAULT_TIE_TOL,
+                    _rep_sets=None, _method: str = METHOD_LOWER_BOUND) -> SecondOrderResult:
     """Direct-part second-order rate at rate r: the best candidate among the eps-capacity optima.
 
     A LOWER BOUND for general mixtures (no converse is available); +-inf when the
     rate is off the first-order capacity by more than ``RATE_TOL``.  The sup runs over
-    the ``winners`` of ``eps_capacity``; an input with an atom in the band snap_tol <
-    |I - r| <= tie_tol scores -inf, so no climb trades dispersion for slack.
+    the ``winners`` of ``eps_capacity`` (given ``_rep_sets``), each candidate scored from
+    one split of its informations; an input with an atom in the band snap_tol <
+    |I - r| <= tie_tol scores -inf, so no climb trades dispersion for slack.  That
+    conservative band is empty under ``_method`` METHOD_EXACT, which scores every input.
     """
-    _check_args(tie_tol, eps)
-    cap_res = eps_capacity(mixed, cost, eps)
+    _check_args(tie_tol, eps, r=r)
+    cap_res = eps_capacity(mixed, cost, eps, _rep_sets)
     if r is None:
         r = cap_res.capacity
     if abs(r - cap_res.capacity) > RATE_TOL:  # S = +inf below the capacity, -inf above
         below = r < cap_res.capacity
         return SecondOrderResult(math.inf if below else -math.inf, r, cap_res.argmax_input,
-                                 0.0 if below else 1.0, 0.0, METHOD_LOWER_BOUND)
-    snap_tol = max(1e-12, tie_tol * 1e-3)
+                                 0.0 if below else 1.0, 0.0, _method)
+    snap_tol = tie_tol if _method == METHOD_EXACT else max(1e-12, tie_tol * 1e-3)
 
     def evaluate(p: InputDist) -> SecondOrderResult:
         values = informations(p.probs, mixed.rows, mixed.log_rows)
         off = np.abs(values - r)
-        snapped = bool(((snap_tol < off) & (off <= tie_tol)).any())
-        return _candidate(mixed, p, values, r, eps, tie_tol, METHOD_LOWER_BOUND, snapped)
+        base, at = _at_rate(mixed, p, values, r, tie_tol)
+        res = (SolveResult(-math.inf, False) if ((snap_tol < off) & (off <= tie_tol)).any()
+               else _sup_feasible(base, at, eps))
+        return SecondOrderResult(res.s_value, r, p, _gw(base, at, res.s_value),
+                                 sum(w for w, _ in at), _method, res.open_boundary)
 
-    return max((_sup_over_vertices(evaluate, verts, True) for verts in cap_res.winners),
-               key=_key)
+    return max((_sup_over_vertices(evaluate, verts) for verts in cap_res.winners), key=_key)
 
 
-def second_order_well_ordered(
-    mixed: MixedChannel,
-    cost: CostSpec | None = None,
-    eps: float = 0.0,
-    tie_tol: float = 1e-7,
-) -> SecondOrderResult:
+def second_order_well_ordered(mixed: MixedChannel, cost: CostSpec | None = None,
+                              eps: float = 0.0, tie_tol: float = DEFAULT_TIE_TOL
+                              ) -> SecondOrderResult:
     """Exact second-order rate at R = C_eps for capacity-ordered mixtures.
 
-    Atoms are classified against R by their component capacities; the sup runs
-    over the capacity-achieving polytope of the best component.  On it each
-    at-rate dispersion is linear in P, so with one at-rate atom the sup sits at
-    a vertex; with several, the best vertex climbs (``_sup_over_vertices``).
-    The ordering check supplies the polytope and the component solves; the
-    call refuses (pointing to the lower-bound path) when that check fails.
+    It is ``second_order_lb`` at the eps-capacity after the ordering check, whose
+    component solves it reuses, without the lower bound's snap band: for an ordered
+    family the paper's formula is that sup, over the optimal-input polytope of the
+    component at the rate, so the result is tagged exact.  The call refuses (pointing
+    to the lower-bound path) when the check fails.
     """
     _check_args(tie_tol, eps)
-    report = require_well_ordered(mixed, cost)
-    optima = [rs.solve for rs in report.rep_sets]
-    cap_res = eps_capacity_well_ordered(mixed, cost, eps, optima)
-    r = cap_res.capacity
-    caps = np.array([res.capacity for res in optima])
-    vertices = report.rep_sets[cap_res.achieving_component].representatives
-    ties = np.count_nonzero(np.abs(caps - r) <= tie_tol)
-    return _sup_over_vertices(
-        lambda p: _candidate(mixed, p, caps, r, eps, tie_tol, METHOD_EXACT), vertices, ties > 1)
+    rep_sets = require_well_ordered(mixed, cost).rep_sets
+    return second_order_lb(mixed, cost, None, eps, tie_tol, rep_sets, METHOD_EXACT)

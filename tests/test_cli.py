@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import mixcap.optimizer
 import mixcap.spectrum
 from mixcap.cli import _parser, load_spec, main, run_command
-from conftest import bsc_capacity, z_channel_matching
+from conftest import bsc_capacity, random_dmc, z_channel_matching
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -121,20 +122,89 @@ def test_second_order_refuses_unordered(tmp_path, capsys):
     assert "numerical failure" in err
 
 
-def test_twenty_atoms_refuse_the_subset_search_and_name_the_well_ordered_path(tmp_path, capsys):
-    """Past K = 19 the minimal atom sets would take 2^K subsets: both general paths exit 2
-    on one line naming the atom count and --well-ordered, which has no such cap."""
+def _rows(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def test_twenty_atoms_take_the_general_search_with_the_well_ordered_value(tmp_path, capsys):
+    """20 BSCs, where 2^20 atom subsets once exceeded the cap: the search visits one bound
+    level, and both general commands print what --well-ordered prints but for its tags."""
     path = write_spec(tmp_path, {"generator": {"family": "bsc", "params": [
         {"p": 0.01 + 0.02 * k, "weight": 0.05} for k in range(20)]}})
+    for command in ("eps-capacity", "second-order"):
+        assert main([command, path, "--eps", "0.1"]) == 0
+        (general,) = _rows(capsys)
+        assert main([command, path, "--eps", "0.1", "--well-ordered"]) == 0
+        (exact,) = _rows(capsys)
+        assert (general.pop("method"), exact.pop("method")) == ("lower-bound", "exact-formula")
+        if command == "eps-capacity":
+            assert (general.pop("achieving_component"), exact.pop("achieving_component")) == (
+                "", "17")
+            assert float(general["value"]) == pytest.approx(bsc_capacity(0.35), abs=1e-9)
+        assert general == exact
+
+
+def test_many_light_atoms_above_the_quantile_settle_by_the_level_union(tmp_path, capsys,
+                                                                       caplog):
+    """BSC(0.45) of weight 0.1, BSC(0.3) of weight 0.5 and 25 stronger BSCs of weight 0.016
+    at eps 0.3: the first feasible level may drop any of the 25 (2^25 masks, past the cap),
+    but its union keeps all 26 within DEFAULT_TOL of C(BSC(0.3)), so that one set settles
+    the search.  Both commands print the capacity quantile and its closed-form second-order
+    value sqrt(V) Phi^-1((0.3 - 0.1) / 0.5), with and without --well-ordered."""
+    params = [{"p": 0.45, "weight": 0.1}, {"p": 0.3, "weight": 0.5}] + [
+        {"p": 0.01 * (k + 1), "weight": 0.016} for k in range(25)]
+    path = write_spec(tmp_path, {"generator": {"family": "bsc", "params": params}})
+    caplog.set_level("DEBUG", logger="mixcap.first_order")
+    for command in ("eps-capacity", "second-order"):
+        assert main([command, path, "--eps", "0.3"]) == 0
+        (general,) = _rows(capsys)
+        assert main([command, path, "--eps", "0.3", "--well-ordered"]) == 0
+        (exact,) = _rows(capsys)
+        assert (general.pop("method"), exact.pop("method")) == ("lower-bound", "exact-formula")
+        if command == "eps-capacity":
+            assert (general.pop("achieving_component"), exact.pop("achieving_component")) == (
+                "", "1")
+            assert float(exact["value"]) == pytest.approx(bsc_capacity(0.3), abs=1e-9)
+            assert (exact["mass_below"], exact["mass_at_or_below"]) == ("0.1", "0.6")
+        else:
+            dispersion = 0.3 * 0.7 * math.log(0.7 / 0.3) ** 2
+            assert float(exact["value"]) == pytest.approx(
+                math.sqrt(dispersion) * NormalDist().inv_cdf(0.4), abs=1e-9)
+        assert general == exact
+    summaries = [r.getMessage() for r in caplog.records if "sets settled" in r.getMessage()]
+    assert len(summaries) == 4 and all(s.startswith("eps-capacity: 1 sets settled over 1 bound "
+                                                    "levels") for s in summaries)
+
+
+def test_twenty_four_equal_atoms_are_one_atom_of_the_search(tmp_path, capsys):
+    """24 copies of BSC(0.11) merge into one atom, so eps 0.5 leaves one set to settle."""
+    path = write_spec(tmp_path, {"generator": {"family": "bsc", "params": [
+        {"p": 0.11, "weight": 1 / 24} for _ in range(24)]}})
+    for command in ("eps-capacity", "second-order"):
+        assert main([command, path, "--eps", "0.5", "--well-ordered"]) == 0
+        (row,) = _rows(capsys)
+        assert row["method"] == "exact-formula"
+    assert main(["eps-capacity", path, "--eps", "0.5", "--well-ordered"]) == 0
+    (row,) = _rows(capsys)
+    assert float(row["value"]) == pytest.approx(bsc_capacity(0.11), abs=1e-9)
+    assert row["achieving_component"] == "0"
+
+
+def test_sixty_atoms_refuse_a_level_past_the_cap(tmp_path, capsys):
+    """60 random 3-input atoms of weight 1/60 at eps 0.1: after the one set of its first
+    bound level, the next level may drop any of 55 atoms, and 2^55 drop masks exceed
+    ENUM_CAP; both commands exit 2 on one line that names both numbers."""
+    rng = np.random.default_rng(1)
+    path = write_spec(tmp_path, {"atoms": [
+        {"weight": 1 / 60, "rows": random_dmc(rng, 3, 3).rows.tolist()} for _ in range(60)]})
     for command in ("eps-capacity", "second-order"):
         assert main([command, path, "--eps", "0.1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "numerical failure: 20 atoms: 2^20 = 1048576 atom subsets exceed the cap 1000000; "
-            "a capacity-ordered family can use --well-ordered"]
-    assert main(["eps-capacity", path, "--eps", "0.1", "--well-ordered"]) == 0
-    assert "exact-formula" in capsys.readouterr().out
+            "numerical failure: 55 droppable atoms at one bound level: 2^55 = "
+            "36028797018963968 atom subsets exceed the cap 1000000"]
 
 
 def test_fbl_deterministic_output(pair_spec, capsys):
@@ -630,7 +700,8 @@ def test_validate_lemmas_expurgates_once_per_n(monkeypatch):
 
 
 def test_debug_log_explains_eps_capacity_on_stderr_only():
-    """MIXCAP_LOG=DEBUG reports each atom set's bracket and the final one on stderr, and
+    """MIXCAP_LOG=DEBUG reports each atom set's bracket, then the sets settled, the bound levels
+    visited, the duplicate atoms merged, where the search stopped and the final bracket, and
     each capacity solve its path, alternating iterations, Newton steps, certified gap and
     multiplier; the primary output stays byte-identical."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(GOLDEN), "..", "src"))
@@ -645,7 +716,9 @@ def test_debug_log_explains_eps_capacity_on_stderr_only():
         assert loud.stdout == quiet.stdout and quiet.stderr == ""
         assert "eps-capacity set (0, 1) by cutting planes, " in loud.stderr
         assert "oracle solves: [" in loud.stderr
-        assert "eps-capacity: pruned []; bracket [" in loud.stderr
+        assert re.search(r"eps-capacity: 1 sets settled over 1 bound levels, 0 duplicate atoms "
+                         r"merged, (all levels visited|stopped at bound \S+ below lower bound "
+                         r"\S+); bracket \[", loud.stderr)
         stderr[spec] = loud.stderr
     # binary inputs take the same solve as any other alphabet
     assert "constrained_capacity (Newton on the optimal face): " in stderr["zbsc.json"]

@@ -1,6 +1,9 @@
 import itertools
 import math
 import os
+import sys
+import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,10 +21,11 @@ from mixcap import (
     mutual_information,
     rate_quantile,
     second_order_lb,
+    second_order_well_ordered,
 )
 from mixcap.cli import load_spec
 from mixcap.channel import SUM_TOL, informations
-from mixcap.first_order import (LP_TOL, VALUE_DECIMALS, _game, _minimal_sets, _polish, _quantile,
+from mixcap.first_order import (LP_TOL, VALUE_DECIMALS, _game, _levels, _polish, _quantile,
                                 rate_spectrum)
 from mixcap.optimizer import DEFAULT_TOL, _basic_solutions, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
@@ -116,7 +120,10 @@ def brute_minimal_sets(weights, eps):
 
 
 def test_minimal_sets_match_the_subset_loop():
-    """Weights in tenths put partial sums such as 0.1 + 0.2 on eps's boundary."""
+    """Every bound level visited, the levels yield the subset loop's minimal sets sorted by
+    (-least bound, set), with random bounds and with bounds tied on three levels.  Weights
+    in tenths put partial sums such as 0.1 + 0.2 on eps's boundary.  Each level's union,
+    its atoms of bound >= u, holds each of its sets."""
     rng = np.random.default_rng(11)
     for trial in range(300):
         k = int(rng.integers(1, 9))
@@ -124,9 +131,90 @@ def test_minimal_sets_match_the_subset_loop():
         if trial % 2:
             weights = rng.multinomial(10, np.full(k, 1.0 / k)) / 10.0
             weights = weights[weights > 0.0]
-        for eps in (0.0, 0.3, float(rng.uniform(0.0, 0.99)),
-                    min(float(sum(weights[:int(rng.integers(0, len(weights)))])), 0.99)):
-            assert _minimal_sets(weights, eps) == brute_minimal_sets(weights, eps)
+        for ubs in (rng.uniform(0.0, 1.0, len(weights)), rng.integers(0, 3, len(weights)) / 2.0):
+            for eps in (0.0, 0.3, float(rng.uniform(0.0, 0.99)),
+                        min(float(sum(weights[:int(rng.integers(0, len(weights)))])), 0.99)):
+                expected = sorted(brute_minimal_sets(weights, eps),
+                                  key=lambda s: (-min(ubs[t] for t in s), s))
+                got = []
+                for u, union, sets in _levels(weights, ubs, eps):
+                    sets = list(sets)
+                    assert union == tuple(np.flatnonzero(ubs >= u).tolist())
+                    assert all(set(s) <= set(union) for s in sets)
+                    got += sets
+                assert got == expected
+
+
+def _chain(w0, thetas) -> MixedChannel:
+    """W0 followed by a BSC of each crossover, one cell of equal weight per crossover."""
+    return MixedChannel(tuple((1.0 / len(thetas), Dmc(np.asarray(w0) @ [[1 - t, t], [t, 1 - t]]))
+                              for t in thetas))
+
+
+def _capacity_quantile(mix, eps, caps):
+    """max{c_k : w{c < c_k} <= eps}, with masses compared within SUM_TOL."""
+    caps = np.asarray(caps)
+    return max(c for c in caps if mix.weights[caps < c].sum() <= eps + SUM_TOL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cells=st.integers(2, 30), eps=st.floats(0.0, 0.95),
+       bsc_list=st.booleans())
+def test_general_search_matches_the_capacity_quantile(seed, cells, eps, bsc_list):
+    """On capacity-ordered families, a degraded chain W0 BSC(theta) of equal-weight cells
+    or a BSC list with random weights and repeated crossovers, the general search agrees
+    with the paper's formula: its value is within DEFAULT_TOL of the eps-quantile of the
+    component capacities (closed forms for BSCs, certified solves for chains), its bracket
+    contains that quantile, and the exact second-order value is at least the lower bound's.
+    On BSC lists the exact value is the closed form sqrt(V) Phi^-1((eps - below) / at) of
+    the capacity split at the quantile, V the dispersion of its crossover, unless eps is
+    subnormal: then eps itself is known to a few bits, and so is the Gaussian quantile."""
+    rng = np.random.default_rng(seed)
+    if bsc_list:
+        ps = rng.choice([0.02, 0.05, 0.11, 0.2, 0.3, 0.45], size=cells)
+        mix = MixedChannel(tuple((float(w), bsc(p)) for w, p in
+                                 zip(rng.dirichlet(np.ones(cells)), ps)))
+        lo = hi = _capacity_quantile(mix, eps, [bsc_capacity(p) for p in ps])
+    else:
+        w0 = rng.dirichlet(np.ones(2), size=3) * 0.9 + 0.05
+        mix = _chain(w0, rng.uniform(0.0, 0.5) * np.arange(1, cells + 1) / cells)
+        solves = [constrained_capacity(w) for w in mix.components]
+        lo = _capacity_quantile(mix, eps, [s.capacity for s in solves])
+        hi = _capacity_quantile(mix, eps, [_dual_bound(w, s.optimal_input.probs,
+                                                       CostSpec.free(3), s.multiplier)
+                                           for w, s in zip(mix.components, solves)])
+    res = eps_capacity(mix, eps=eps)
+    assert abs(res.capacity - lo) <= DEFAULT_TOL
+    assert res.capacity - 1e-12 <= hi and lo <= res.upper_bound + 1e-12
+    checked = eps_capacity_well_ordered(mix, eps=eps)
+    assert checked.capacity == res.capacity
+    assert checked.argmax_input.probs.tolist() == res.argmax_input.probs.tolist()
+    exact = second_order_well_ordered(mix, eps=eps)
+    assert exact.method == "exact-formula" and exact.rate == res.capacity
+    assert second_order_lb(mix, eps=eps).s_value <= exact.s_value + 1e-9
+    if bsc_list and not 0.0 < eps < sys.float_info.min:  # a subnormal eps has too few bits
+        caps = np.array([bsc_capacity(p) for p in ps])
+        below, at = (mix.weights[caps < lo].sum(), mix.weights[caps == lo].sum())
+        star = ps[caps == lo][0]
+        share = (eps - below) / at
+        closed = (math.sqrt(star * (1 - star)) * abs(math.log((1 - star) / star))
+                  * NormalDist().inv_cdf(share) if share > 0.0 else -math.inf)
+        assert exact.s_value == pytest.approx(closed, rel=1e-9, abs=1e-9)
+
+
+def test_two_hundred_cell_chain_is_bracketed_in_seconds():
+    """The degraded chain W0 BSC(theta), theta uniform on [0, 0.3], at eps 0.1 in 200
+    cells at their worse ends: eps drops the 20 worst, so the general bracket contains
+    C(W0 BSC(0.27)), within 2 s and with no atom-set refusal."""
+    mix = _chain([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]], 0.3 * np.arange(1, 201) / 200)
+    start = time.perf_counter()
+    res = eps_capacity(mix, eps=0.1)
+    assert time.perf_counter() - start < 2.0
+    cell = constrained_capacity(mix.components[179])
+    top = _dual_bound(mix.components[179], cell.optimal_input.probs, CostSpec.free(3),
+                      cell.multiplier)
+    assert res.capacity - 1e-12 <= top and cell.capacity <= res.upper_bound
+    assert res.upper_bound - res.capacity <= DEFAULT_TOL
 
 
 def test_eps_capacity_well_ordered_pair(bsc_pair):

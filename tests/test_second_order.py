@@ -245,6 +245,19 @@ def test_second_order_well_ordered_refuses_unordered():
         second_order_well_ordered(pair, eps=0.3)
 
 
+def test_exact_path_scores_a_near_tied_pair_without_the_snap_band(uniform2):
+    """BSC(0.11) and BSC(0.11 - 2e-10), weights 1/2 each, at eps 0.3: at the uniform input
+    the second atom lies about 4e-10 above the rounded rate, inside the lower bound's snap
+    band (1e-12, 1e-9], so the lower bound scores -inf.  The exact formula has both atoms
+    at the rate, with equal dispersions to 1e-9, so S = sqrt(V) Phi^-1(0.3)."""
+    mix = MixedChannel(((0.5, bsc(0.11)), (0.5, bsc(0.11 - 2e-10))))
+    exact = second_order_well_ordered(mix, eps=0.3)
+    assert exact.method == "exact-formula" and exact.theta2_mass == 1.0
+    v = channel_dispersion(uniform2, bsc(0.11))
+    assert exact.s_value == pytest.approx(math.sqrt(v) * gaussian_inv(0.3), abs=1e-7)
+    assert second_order_lb(mix, eps=0.3).s_value == -math.inf
+
+
 def test_second_order_well_ordered_ties_search_the_polytope():
     """Two at-rate atoms whose dispersions cross on a 2-vertex optimal polytope.
 
@@ -281,6 +294,20 @@ def test_second_order_theta2_empty_plus_infinity():
     # a rate strictly between the capacities: no atom at the rate, below C_eps
     res = second_order_lb(mix, r=0.3, eps=0.5)
     assert res.s_value == math.inf
+
+
+def test_a_nan_rate_or_s_is_refused(bsc_pair, uniform2):
+    """A NaN r or S raises ValueError before any work; +-inf stay legal."""
+    for call in (lambda: second_order_lb(bsc_pair, r=math.nan, eps=0.3),
+                 lambda: solve_s(bsc_pair, uniform2, math.nan, 0.3),
+                 lambda: gw(bsc_pair, uniform2, 0.2, math.nan),
+                 lambda: gw(bsc_pair, uniform2, math.nan, 0.0)):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            call()
+    assert gw(bsc_pair, uniform2, 0.2, math.inf) == 0.5  # only BSC(0.2) is below 0.2 nats
+    assert gw(bsc_pair, uniform2, math.inf, 0.0) == 1.0
+    assert solve_s(bsc_pair, uniform2, -math.inf, 0.3).s_value == math.inf
+    assert second_order_lb(bsc_pair, r=math.inf, eps=0.3).s_value == -math.inf
 
 
 def test_wrong_size_input_names_both_sizes():

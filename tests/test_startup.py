@@ -9,7 +9,10 @@ loads from ``np.unique`` when it is asked for the unique values alone; and
 ``concurrent.futures``, whose thread pool only Monte-Carlo tails use.
 """
 
+import ast
+import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -66,3 +69,16 @@ def test_commands_leave_numpy_ma_unloaded(loaded):
 
 def test_thread_pool_stays_unloaded_off_the_monte_carlo_path(loaded):
     assert "concurrent.futures" not in loaded["import"] | loaded["runs"]
+
+
+def test_every_traced_function_lives_in_its_layer():
+    """The tracer's other contract: each name its LAYERS table lists is an attribute of
+    ``mixcap.<layer>``, so moving a traced function fails here, not only under --trace."""
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (table,) = [node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS"]
+    layers = ast.literal_eval(table)
+    assert {f"mixcap.{layer}" for layer in layers} == set(LAYERS) | {"mixcap.cli"}
+    missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
+               if not hasattr(importlib.import_module(f"mixcap.{layer}"), name)]
+    assert not missing
