@@ -243,11 +243,6 @@ def divergence(p, q) -> float:
     return float(_divergences(p[None, :], log_p[None, :], q)[0])
 
 
-def row_divergences(w: Dmc, q: np.ndarray) -> np.ndarray:
-    """D(W(.|x) || q) for every input letter, +inf where q fails to dominate."""
-    return _divergences(w.rows, w.log_rows, np.asarray(q, dtype=float))
-
-
 def log_density(px, w: Dmc, q, numer: np.ndarray | None = None) -> np.ndarray:
     """The information density log(numer(y|x) / q(y)), -inf off the reachable cells.
 

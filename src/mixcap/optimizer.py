@@ -19,13 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    CostSpec,
-    Dmc,
-    InputDist,
-    mutual_information,
-    row_divergences,
-)
+from . import channel
+from .channel import CostSpec, Dmc, InputDist, mutual_information
 from .types_toolkit import ENUM_CAP, EnumerationCapError
 
 log = logging.getLogger(__name__)
@@ -74,7 +69,19 @@ class CapacityAchievingSet(NamedTuple):
 
 def _divergences(p: np.ndarray, w: Dmc) -> np.ndarray:
     """D(W(.|x) || PW) for every x, with +inf where PW fails to dominate."""
-    return row_divergences(w, p @ w.rows)
+    return channel._divergences(w.rows, w.log_rows, p @ w.rows)
+
+
+def _kt_score(d: np.ndarray, cost: CostSpec, lam: float) -> np.ndarray:
+    """The Kuhn-Tucker score D_x - lam (c(x) - gamma) of every letter, given d = D_x.
+
+    Its max over x is the dual bound.  At lam = +inf it is the limit: +inf on a
+    letter below the budget, D_x on one within 1e-12 of it (0 inf = 0), -inf above.
+    """
+    excess = cost.costs - cost.budget
+    if lam < math.inf:
+        return d - lam * excess
+    return np.where(excess > 1e-12, -math.inf, np.where(excess < -1e-12, math.inf, d))
 
 
 def _tilt(p: np.ndarray, costs: np.ndarray, gamma: float, lam: float = 0.0):
@@ -173,9 +180,9 @@ def _ba_tilted(w: Dmc, cost: CostSpec, start=None, cap=MAX_ITER):
 
     The P-step takes P e^D, D_x = D(W(.|x) || PW), to its I-projection on the
     budget (``_tilt``), whose lam is the multiplier (Blahut 1972).  The
-    stopping certificate is the dual bound max_x (D_x - lam c(x)) + lam gamma,
-    which is at least the capacity for any lam >= 0, within ``DEFAULT_TOL`` of
-    the value.  Each time that gap has halved since the last face tried,
+    stopping certificate is the dual bound, the max of ``_kt_score``, which is
+    at least the capacity for any lam >= 0, within ``DEFAULT_TOL`` of the
+    value.  Each time that gap has halved since the last face tried,
     ``_face_step`` tries to finish the solve by Newton on the optimal face.
     Returns (p, value, lam, iterations, newton_steps, path) with value =
     I(P, W).  A ``cap`` below MAX_ITER returns the iterate reached.
@@ -186,9 +193,9 @@ def _ba_tilted(w: Dmc, cost: CostSpec, start=None, cap=MAX_ITER):
     steps, tried = 0, math.inf  # Newton steps, and the gap at the last face tried
     for iters in range(1, cap + 1):
         d = _divergences(p, w)
-        score = d - lam * costs
+        score = _kt_score(d, cost, lam)
         value = float(p @ d)
-        gap = float(score.max()) + lam * gamma - value
+        gap = float(score.max()) - value
         if gap <= DEFAULT_TOL or iters == cap < MAX_ITER:
             return p, value, lam, iters, steps, "alternating maximization"
         if gap <= 0.5 * tried:
@@ -259,19 +266,6 @@ def _least_multiplier(w: Dmc, p: np.ndarray, cost: CostSpec) -> float:
     return float(lams[np.argmin((d + lams[:, None] * slope).max(axis=1))])
 
 
-def _optimal_letters(w: Dmc, p: np.ndarray, costs: np.ndarray, lam: float,
-                     tol: float = DEFAULT_KT_TOL):
-    """S*: the letters whose tilted divergence D_x - lam c(x) at p is within tol of its max.
-
-    Returns ``(mask, d)`` with d = D(W(.|x) || PW).  At an optimum these are
-    the letters on which the Kuhn-Tucker condition holds with equality, so a
-    letter the solver left a vanishing mass on stays out.
-    """
-    d = _divergences(p, w)
-    score = d - lam * costs
-    return score >= score.max() - tol, d
-
-
 def kt_verify(
     w: Dmc,
     p: InputDist,
@@ -279,23 +273,24 @@ def kt_verify(
     lambda0: float,
     tol: float = DEFAULT_KT_TOL,
 ):
-    """Kuhn-Tucker check: D(W(.|x) || PW) <= I(P,W) + lambda0 (c(x) - gamma).
+    """Kuhn-Tucker check: the score D(W(.|x) || PW) - lambda0 (c(x) - gamma) is <= I(P,W).
 
-    Equality must hold within tol on the optimal letters S*
-    (``_optimal_letters``).  Returns ``(passed, worst_slack)`` where the slack
-    is the largest signed violation over both clauses.
+    Equality must hold within tol on the optimal letters S*, those whose score
+    (``_kt_score``) is within tol of its max; so a letter the solver left a
+    vanishing mass on stays out.  Returns ``(passed, worst_slack)`` where the
+    slack, score - I(P,W), is the largest signed violation over both clauses.
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
-    support, d = _optimal_letters(w, p.probs, cost.costs, lambda0, tol)
-    slack = d - (mutual_information(p, w) + lambda0 * (cost.costs - cost.budget))
-    worst = float(np.where(support, np.abs(slack), slack).max())
+    score = _kt_score(_divergences(p.probs, w), cost, lambda0)
+    slack = score - mutual_information(p, w)
+    worst = float(np.where(score >= score.max() - tol, np.abs(slack), slack).max())
     return worst <= tol, worst
 
 
 def _dual_bound(w: Dmc, p: np.ndarray, cost: CostSpec, lam: float) -> float:
-    """max_x (D(W(.|x) || PW) - lam c(x)) + lam gamma: for any p and lam >= 0, >= the capacity."""
-    return float((_divergences(p, w) - lam * cost.costs).max()) + lam * cost.budget
+    """max_x of ``_kt_score`` at p: for any p and lam in [0, +inf], >= the capacity."""
+    return float(_kt_score(_divergences(p, w), cost, lam).max())
 
 
 def _basic_solutions(a: np.ndarray, b: np.ndarray, tol: float):
@@ -331,8 +326,8 @@ def capacity_achieving_set(w: Dmc, cost: CostSpec | None = None) -> CapacityAchi
     base = constrained_capacity(w, cost)
     p_star = base.optimal_input.probs
     q_star = p_star @ w.rows
-    support, _ = _optimal_letters(w, p_star, cost.costs, _least_multiplier(w, p_star, cost))
-    letters = np.flatnonzero(support)
+    score = _kt_score(_divergences(p_star, w), cost, _least_multiplier(w, p_star, cost))
+    letters = np.flatnonzero(score >= score.max() - DEFAULT_KT_TOL)  # S*, as in kt_verify
     a, b = w.rows[letters].T, q_star
     budget = cost.costs[letters]
     if base.multiplier > 0.0:

@@ -730,6 +730,24 @@ def test_debug_log_explains_eps_capacity_on_stderr_only():
                          r"certified gap \S+, multiplier 0\.\d+$", line) for line in solves)
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["capacity"],
+    ["eps-capacity", "--eps", "0.3"],
+    ["eps-capacity", "--eps", "0.3", "--well-ordered"],
+    ["second-order", "--eps", "0.3"],
+    ["second-order", "--eps", "0.3", "--well-ordered"],
+    ["check-well-ordered"],
+], ids=" ".join)
+def test_budget_pinned_with_an_infinite_multiplier(argv):
+    """pinnedinf.json pins the budget at two zero-cost letters, and the dearer third letter
+    reaches an output they miss, so the multiplier is +inf: every command answers, with
+    nothing on stderr and no nan."""
+    proc = _cli_process([argv[0], os.path.join(GOLDEN, "pinnedinf.json"), *argv[1:]], True,
+                        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "nan" not in proc.stdout
+
 def _cli_process(argv, unbuffered, env=(), **kwargs):
     """Run ``python -m mixcap.cli`` with PYTHONUNBUFFERED set or removed: buffered
     output reaches its file only if the process flushes it before it exits."""

@@ -15,6 +15,7 @@ from mixcap import (
     Dmc,
     InputDist,
     MixedChannel,
+    check_well_ordered,
     constrained_capacity,
     eps_capacity,
     eps_capacity_well_ordered,
@@ -27,7 +28,7 @@ from mixcap.cli import load_spec
 from mixcap.channel import SUM_TOL, informations
 from mixcap.first_order import (LP_TOL, VALUE_DECIMALS, _game, _levels, _polish, _quantile,
                                 rate_spectrum)
-from mixcap.optimizer import DEFAULT_TOL, _basic_solutions, _dual_bound
+from mixcap.optimizer import DEFAULT_KT_TOL, DEFAULT_TOL, _basic_solutions, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
 from conftest import bsc, bsc_capacity, random_dmc, random_mixture
 
@@ -392,6 +393,57 @@ def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, num_atoms,
         if num_inputs == 2:
             assert solve.capacity == pytest.approx(_ternary_capacity(comp, cost), abs=1e-12)
 
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reach=st.booleans(), eps=st.floats(0.0, 0.9))
+def test_pinned_budget_gives_the_numbers_of_the_cheapest_letters(seed, reach, eps):
+    """A budget at the cheapest cost gives the numbers of the mixture restricted to the
+    cheapest letters, without a budget; its inputs are the restricted ones padded with zeros.
+
+    With ``reach`` a dearer letter reaches an output no cheapest letter reaches, so
+    every component's multiplier is +inf; without it each row has full support and the
+    multiplier is finite.  Values agree within the solver tolerance: the capacity solves
+    run on the same face, while the eps-capacity searches take their own cutting planes.
+    """
+    rng = np.random.default_rng(seed)
+    x, y = int(rng.integers(3, 5)), int(rng.integers(3, 5))
+    costs = rng.integers(1, 4, x).astype(float)
+    cheap = np.sort(rng.choice(x, int(rng.integers(2, x)), replace=False))
+    costs[cheap] = 0.5
+    atoms = []
+    for weight in rng.dirichlet(np.ones(int(rng.integers(1, 4)))):
+        rows = rng.dirichlet(np.ones(y), size=x)
+        if reach:
+            rows[cheap, -1] = 0.0
+            rows[:, -1] += np.where(costs > 0.5, 0.1, 0.0)
+        atoms.append((float(weight), Dmc(rows / rows.sum(axis=1, keepdims=True))))
+    mix, cost = MixedChannel(tuple(atoms)), CostSpec(costs, 0.5)
+    sub = MixedChannel(tuple((w, Dmc(comp.rows[cheap])) for w, comp in atoms))
+
+    def padded(p_sub, p, atol):
+        assert np.allclose(p.probs, np.bincount(cheap, p_sub.probs, x), rtol=0.0, atol=atol)
+
+    for comp, comp_sub in zip(mix.components, sub.components):
+        res, res_sub = constrained_capacity(comp, cost), constrained_capacity(comp_sub)
+        assert res.capacity == pytest.approx(res_sub.capacity, abs=1e-12)
+        assert math.isinf(res.multiplier) == reach
+        assert math.isfinite(res.kt_slack) and res.kt_slack <= DEFAULT_KT_TOL
+        padded(res_sub.optimal_input, res.optimal_input, 1e-12)
+    first, first_sub = eps_capacity(mix, cost, eps), eps_capacity(sub, None, eps)
+    assert first.capacity == pytest.approx(first_sub.capacity, abs=1e-12)
+    assert first.upper_bound == pytest.approx(first_sub.upper_bound, abs=DEFAULT_TOL)
+    padded(first_sub.argmax_input, first.argmax_input, 1e-7)
+    second, second_sub = second_order_lb(mix, cost, eps=eps), second_order_lb(sub, None, eps=eps)
+    assert second.s_value == pytest.approx(second_sub.s_value, rel=1e-6, abs=1e-9)
+    padded(second_sub.input, second.input, 1e-7)
+    report, report_sub = check_well_ordered(mix, cost), check_well_ordered(sub)
+    assert report.is_well_ordered == report_sub.is_well_ordered
+    assert np.array_equal(report.capacity_spectrum, report_sub.capacity_spectrum)
+    for reps, reps_sub in zip(report.rep_sets, report_sub.rep_sets):
+        assert len(reps.representatives) == len(reps_sub.representatives)
+        for p, p_sub in zip(reps.representatives, reps_sub.representatives):
+            padded(p_sub, p, 1e-12)
 
 # the benchmark's 3-input search spec "s3b" at workload seed 0: the optimum sits on
 # the kink I(P, W_0) = I(P, W_2), where the grid search stalled

@@ -47,6 +47,9 @@ CASES = {
     "capacity-pinned4": ["capacity", "pinned4.json"],
     "check-well-ordered-pinned4": ["check-well-ordered", "pinned4.json"],
     "eps-capacity-pinned4": ["eps-capacity", "pinned4.json", "--eps", "0.3"],
+    # pinnedinf.json pins it where a dearer letter reaches an output the cheap ones miss
+    "capacity-pinnedinf": ["capacity", "pinnedinf.json"],
+    "eps-capacity-pinnedinf": ["eps-capacity", "pinnedinf.json", "--eps", "0.3"],
     "capacity-binding3": ["capacity", "binding3.json"],
     "check-well-ordered-binding3": ["check-well-ordered", "binding3.json"],
     "eps-capacity-binding3": ["eps-capacity", "binding3.json", "--eps", "0.3"],

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixcap.optimizer
 from mixcap import (
@@ -297,3 +299,30 @@ def test_tilt_is_the_i_projection_onto_the_budget():
     q, lam = _tilt(p, costs, 0.0)
     assert lam == math.inf
     assert np.array_equal(q, np.array([p[0], p[1], 0.0, 0.0]) / (p[0] + p[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pinned=st.booleans())
+def test_dual_bound_is_at_least_the_capacity_for_every_multiplier(seed, pinned):
+    """Weak duality: the max Kuhn-Tucker score is >= the capacity at any feasible input and
+    any lam in [0, +inf], on channels with zero entries, integer costs, and a budget at the
+    cheapest cost or above it.  At lam = +inf a letter below the budget scores +inf, one at
+    it D_x and one above it -inf, so a pinned budget bounds by the cheapest letters alone."""
+    rng = np.random.default_rng(seed)
+    x, y = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    rows = rng.dirichlet(np.ones(y), size=x) * (rng.random((x, y)) < 0.6)
+    rows[np.arange(x), rng.integers(0, y, x)] += 1e-3  # every row reaches some output
+    w = Dmc(rows / rows.sum(axis=1, keepdims=True))
+    costs = rng.integers(0, 4, x).astype(float)
+    gamma = costs.min() if pinned else float(rng.uniform(costs.min(), costs.max() + 1.0))
+    cost = CostSpec(costs, gamma)
+    res = constrained_capacity(w, cost)
+    assert math.isfinite(res.kt_slack) and res.kt_slack <= mixcap.optimizer.DEFAULT_KT_TOL
+    # a random feasible input: a random one pulled toward a random one on the cheapest letters
+    cheap = rng.dirichlet(np.ones(x)) * (costs == costs.min())
+    cheap, anywhere = cheap / cheap.sum(), rng.dirichlet(np.ones(x))
+    excess = float(anywhere @ costs) - costs.min()
+    t = 1.0 if excess <= 0.0 else min(1.0, (gamma - costs.min()) / excess)
+    for p in (res.optimal_input.probs, t * anywhere + (1.0 - t) * cheap):
+        for lam in (0.0, float(rng.exponential()), math.inf, res.multiplier):
+            assert _dual_bound(w, p, cost, lam) >= res.capacity - 1e-12

@@ -13,7 +13,7 @@ ALLOWED = {
     "normal_approx": "imported by the acceptance tests",
     "gaussian_inv": "imported by the acceptance tests",
     "mixture_converse_enumeration": "imported by the acceptance tests",
-    "divergence": "the oracle for row_divergences in the channel tests",
+    "divergence": "the oracle for the row kernel _divergences in the channel tests",
 }
 
 
