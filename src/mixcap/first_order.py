@@ -181,9 +181,9 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
     (Blackwell, Breiman & Thomasian 1959; Ahlswede 1968).  Atoms with equal rows are one
     atom of the search, their weights summed in index order.  The sets come best-first by
     their bound, the least certified C_theta over S (``_levels``), until a bound is below
-    the best value found; a level whose union a vertex holds within DEFAULT_TOL of the
-    bound settles as that one set.  A set is settled by a vertex of its weakest component's
-    optimal polytope that keeps all of S at or above that capacity, or by ``_compound``.
+    the best value found.  A set S of bound u is settled by a vertex of the atom of least
+    bound that holds the set within DEFAULT_TOL of u, or by ``_compound``; the level's
+    union, settled so, settles the whole level as that one set.
     ``_rep_sets`` are the components' ``capacity_achieving_set`` results, if known.
     """
     _check_eps(eps)
@@ -192,9 +192,13 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
     cost.check_feasible()
     n, comps, weights = mixed.num_atoms, mixed.components, mixed.weights
     rep_sets = _rep_sets or [capacity_achieving_set(w, cost) for w in comps]
-    caps = [rs.solve.capacity for rs in rep_sets]
     ubs = [_dual_bound(w, rs.solve.optimal_input.probs, cost, rs.solve.multiplier)
            for w, rs in zip(comps, rep_sets)]
+    def score(s):  # (least I over s at the best vertex of its least-bound atom, that vertex, all)
+        verts, at = rep_sets[min(s, key=lambda t: ubs[t])].representatives, list(s)
+        lows = [informations(v.probs, mixed.rows[at], mixed.log_rows[at]).min() for v in verts]
+        return max(lows), verts[int(np.argmax(lows))], verts
+
     first = {}  # the first atom of each distinct row stack, in index order
     group = np.array([first.setdefault(rows.tobytes(), k) for k, rows in enumerate(mixed.rows)])
     reps = list(first.values())
@@ -204,30 +208,22 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
         if u < best_lo:
             stop = stop or f"stopped at bound {u:.12g} below lower bound {best_lo:.12g}"
             break
-        # each set of the level lies in its union, so its compound capacity is in
-        # [C(union), u]: a union within DEFAULT_TOL of u settles the whole level
-        top = [reps[i] for i in union]
-        weakest = min(top, key=lambda t: caps[t])
-        if max(informations(v.probs, mixed.rows[top], mixed.log_rows[top]).min()
-               for v in rep_sets[weakest].representatives) >= u - DEFAULT_TOL:
+        # each set of the level lies in its union and holds an atom of bound u, so its
+        # compound capacity is in [C(union), u]: a union settled by a vertex settles the level
+        if score([reps[i] for i in union])[0] >= u - DEFAULT_TOL:
             sets = [union]
         for s in sets:
             if u < best_lo:  # a vertex may read a bound's last digit above it
                 stop = f"stopped within bound {u:.12g} below lower bound {best_lo:.12g}"
                 break
             s = tuple(reps[i] for i in s)
-            stack = mixed.rows[list(s)], mixed.log_rows[list(s)]
-            weakest = min(s, key=lambda t: caps[t])
-            verts = rep_sets[weakest].representatives
-            scores = [informations(v.probs, *stack) for v in verts]
-            j = max(range(len(verts)), key=lambda j: scores[j].min())
-            if (np.delete(scores[j], s.index(weakest)) >= caps[weakest]).all():
-                s_lo, s_hi, p = scores[j].min(), u, verts[j]
-                how = f"a vertex of component {weakest}"
+            s_lo, p, verts = score(s)
+            if s_lo >= u - DEFAULT_TOL:  # s_lo <= C(s) <= u
+                s_hi, how = u, "a vertex of its atom of least bound"
             else:
-                cuts = np.array([rep_sets[t].solve.optimal_input.probs for t in s]
-                                + [verts[j].probs])
-                s_lo, s_hi, p, solves = _compound(*stack, cuts, u, cost)
+                cuts = np.array([rep_sets[t].solve.optimal_input.probs for t in s] + [p.probs])
+                s_lo, s_hi, p, solves = _compound(mixed.rows[list(s)], mixed.log_rows[list(s)],
+                                                  cuts, u, cost)
                 verts, how = (p,), f"cutting planes, {solves + 1} rounds, {solves} oracle solves"
             log.debug("eps-capacity set %s by %s: [%.12g, %.12g]", s, how, s_lo, s_hi)
             best_lo, hi = max(best_lo, s_lo), max(hi, s_hi)

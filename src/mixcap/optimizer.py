@@ -90,9 +90,12 @@ def _tilt(p: np.ndarray, costs: np.ndarray, gamma: float, lam: float = 0.0):
     p itself and lam = 0 when p meets the budget; else lam > 0 is the root of
     E c = gamma, which falls in lam at rate Var c, by Newton steps from ``lam``
     safeguarded by bisection.  A budget at the cheapest cost on p's support is
-    met only as lam -> inf: p conditioned on those letters.
+    met only as lam -> inf: p conditioned on those letters, even when p is within
+    1e-12 of a budget at the alphabet's cheapest cost below its dearest.
     """
-    if p @ costs <= gamma + 1e-12:
+    mean = p @ costs  # the pinned test runs only within 1e-12 above the budget
+    if mean <= gamma or mean <= gamma + 1e-12 and not (
+            gamma <= costs.min() + 1e-12 and gamma < costs.max()):
         return p, 0.0
     c0 = costs[p > 0].min()
     if gamma <= c0 + 1e-12:

@@ -24,7 +24,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))  # a str is raw text
     return str(path)
 
 
@@ -151,29 +151,42 @@ def test_many_light_atoms_above_the_quantile_settle_by_the_level_union(tmp_path,
     at eps 0.3: the first feasible level may drop any of the 25 (2^25 masks, past the cap),
     but its union keeps all 26 within DEFAULT_TOL of C(BSC(0.3)), so that one set settles
     the search.  Both commands print the capacity quantile and its closed-form second-order
-    value sqrt(V) Phi^-1((0.3 - 0.1) / 0.5), with and without --well-ordered."""
-    params = [{"p": 0.45, "weight": 0.1}, {"p": 0.3, "weight": 0.5}] + [
-        {"p": 0.01 * (k + 1), "weight": 0.016} for k in range(25)]
-    path = write_spec(tmp_path, {"generator": {"family": "bsc", "params": params}})
+    value sqrt(V) Phi^-1((0.3 - 0.1) / 0.5), with and without --well-ordered.  The second
+    spec splits BSC(0.3) into BSC(0.3) and BSC(0.30000006) of weight 0.25 each, whose
+    capacities tie within the ordering check's 1e-7 but not within DEFAULT_TOL: the union
+    still settles at the weaker one, and the second-order value is sqrt(V) Phi^-1(0.8)."""
+    light = [{"p": 0.01 * (k + 1), "weight": 0.016} for k in range(25)]
+    split = [{"p": 0.3, "weight": 0.25}, {"p": 0.30000006, "weight": 0.25}]
     caplog.set_level("DEBUG", logger="mixcap.first_order")
-    for command in ("eps-capacity", "second-order"):
-        assert main([command, path, "--eps", "0.3"]) == 0
-        (general,) = _rows(capsys)
-        assert main([command, path, "--eps", "0.3", "--well-ordered"]) == 0
-        (exact,) = _rows(capsys)
-        assert (general.pop("method"), exact.pop("method")) == ("lower-bound", "exact-formula")
-        if command == "eps-capacity":
-            assert (general.pop("achieving_component"), exact.pop("achieving_component")) == (
-                "", "1")
-            assert float(exact["value"]) == pytest.approx(bsc_capacity(0.3), abs=1e-9)
-            assert (exact["mass_below"], exact["mass_at_or_below"]) == ("0.1", "0.6")
-        else:
-            dispersion = 0.3 * 0.7 * math.log(0.7 / 0.3) ** 2
-            assert float(exact["value"]) == pytest.approx(
-                math.sqrt(dispersion) * NormalDist().inv_cdf(0.4), abs=1e-9)
-        assert general == exact
+    for name, middle, p, component, masses, quantile in [
+            ("one", [{"p": 0.3, "weight": 0.5}], 0.3, "1", ("0.1", "0.6"), 0.4),
+            ("tie", split, 0.30000006, "2", ("0.1", "0.35"), 0.8)]:
+        path = write_spec(tmp_path, {"generator": {"family": "bsc", "params": [
+            {"p": 0.45, "weight": 0.1}, *middle, *light]}}, name=f"{name}.json")
+        for command in ("eps-capacity", "second-order"):
+            assert main([command, path, "--eps", "0.3"]) == 0
+            (general,) = _rows(capsys)
+            assert main([command, path, "--eps", "0.3", "--well-ordered"]) == 0
+            (exact,) = _rows(capsys)
+            assert (general.pop("method"), exact.pop("method")) == ("lower-bound",
+                                                                    "exact-formula")
+            if command == "eps-capacity":
+                assert (general.pop("achieving_component"),
+                        exact.pop("achieving_component")) == ("", component)
+                assert float(exact["value"]) == pytest.approx(bsc_capacity(p), abs=1e-9)
+                assert (exact["mass_below"], exact["mass_at_or_below"]) == masses
+            else:
+                dispersion = p * (1 - p) * math.log((1 - p) / p) ** 2
+                assert float(exact["value"]) == pytest.approx(
+                    math.sqrt(dispersion) * NormalDist().inv_cdf(quantile), abs=1e-9)
+            assert general == exact
+            if name == "tie" and command == "eps-capacity":
+                assert (exact["value"], exact["upper_bound"]) == ("0.082282827667",
+                                                                  "0.08228282766718875")
+            elif name == "tie":
+                assert (exact["value"], exact["theta2_mass"]) == ("0.32678515495547344", "0.25")
     summaries = [r.getMessage() for r in caplog.records if "sets settled" in r.getMessage()]
-    assert len(summaries) == 4 and all(s.startswith("eps-capacity: 1 sets settled over 1 bound "
+    assert len(summaries) == 8 and all(s.startswith("eps-capacity: 1 sets settled over 1 bound "
                                                     "levels") for s in summaries)
 
 
@@ -314,6 +327,11 @@ BAD_SPECS = {
     "generator_list": {"generator": []},
     "params_int": {"generator": {"family": "bsc", "params": 5}},
     "num_inputs_list": {"num_inputs": [2], "atoms": ONE_ATOM},
+    "not_json": "{",
+    "top_list": [],
+    "num_inputs_3": {"num_inputs": 3, "atoms": ONE_ATOM},
+    "cost_3": {"cost": [0.0, 1.0, 2.0], "atoms": ONE_ATOM},
+    "no_atoms": {},
 }
 
 
@@ -401,6 +419,15 @@ BAD_SPECS = {
      "tie_tol"),
     (["second-order", "{zbsc}", "--eps", "0.3", "--well-ordered", "--tie-tol", "inf"],
      "tie_tol"),
+    (["capacity", "{not_json}"], "error: spec file does not parse as JSON: "),
+    (["capacity", "{top_list}"], "error: spec file top level must be an object"),
+    (["capacity", "{num_inputs_3}"],
+     "error: num_inputs = 3 does not match the atom matrices (2)"),
+    (["capacity", "{cost_3}"], "error: cost has 3 entries, need 2"),
+    (["capacity", "{no_atoms}"],
+     "error: spec file defines no atoms (need 'atoms' or 'generator')"),
+    (["fbl", "{bsc3}", "--n", "20", "--rate", "0.3", "--bound", "feinstein", "--mc"],
+     "error: --mc requires --trials"),
 ])
 def test_invalid_input_is_one_error_line(argv, names, pair_spec, tmp_path, capsys):
     paths = {name: write_spec(tmp_path, doc, name=f"{name}.json")
@@ -747,6 +774,23 @@ def test_budget_pinned_with_an_infinite_multiplier(argv):
                         capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "nan" not in proc.stdout
+
+
+@pytest.mark.parametrize("spec, flags", [
+    ("pinned4.json", []), ("pinnedinf.json", []), ("cost3.json", ["--gamma", "0"])],
+    ids=["pinned4", "pinnedinf", "cost3-gamma0"])
+def test_a_budget_pinned_at_the_cheapest_cost_prints_no_mass_on_dearer_letters(spec, flags,
+                                                                               capsys):
+    """A budget at the cheapest cost gives the numbers of the cheapest letters alone: every
+    printed input is exactly 0 on a letter above the budget, not a round-off mass."""
+    path = os.path.join(GOLDEN, spec)
+    dear = load_spec(path)[1].costs > 0.0  # each budget here is pinned at cost 0
+    for command, column in (("eps-capacity", "argmax_input"), ("second-order", "input")):
+        for eps in ("0", "0.3"):
+            assert main([command, path, "--eps", eps, *flags]) == 0
+            (row,) = _rows(capsys)
+            assert np.array(row[column].split(), dtype=float)[dear].tolist() == [0.0] * dear.sum()
+
 
 def _cli_process(argv, unbuffered, env=(), **kwargs):
     """Run ``python -m mixcap.cli`` with PYTHONUNBUFFERED set or removed: buffered
