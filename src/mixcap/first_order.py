@@ -112,7 +112,7 @@ def _compound(rows, log_rows, cuts: np.ndarray, hi: float, cost: CostSpec):
     """(lo, hi, P, solves): a bracket on max_P min_theta I(P, W_theta), by cutting planes.
 
     By minimax duality it is the min over lam of C([lam_1 W_1 | ... | lam_m W_m]): one
-    ``_game`` solve per round picks lam and a cut mix mu, a feasible input, and a warm-started
+    ``_game`` solve per round picks lam and a cut mix mu, a feasible input, and a
     ``constrained_capacity`` on that stacked channel adds a cut and an upper bound.
     """
     g = np.array([informations(p, rows, log_rows) for p in cuts])
@@ -126,7 +126,7 @@ def _compound(rows, log_rows, cuts: np.ndarray, hi: float, cost: CostSpec):
         if hi - lo <= DEFAULT_TOL or solves == MAX_ROUNDS:
             break
         stacked = Dmc(np.hstack(lam[lam > 0.0, None, None] * rows[lam > 0.0]))
-        res = constrained_capacity(stacked, cost, _start=p)
+        res = constrained_capacity(stacked, cost)
         hi = min(hi, _dual_bound(stacked, res.optimal_input.probs, cost, res.multiplier))
         cuts = np.vstack([cuts[mu > 0.0], res.optimal_input.probs])
         g = np.vstack([g[mu > 0.0], informations(cuts[-1], rows, log_rows)])
@@ -204,6 +204,7 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
     reps = list(first.values())
     merged = np.array([sum(weights[group == k].tolist()) for k in reps])  # in index order
     best_lo, hi, found, stop = -math.inf, -math.inf, [], None
+    oracle = capped = 0  # oracle solves, and sets left open at MAX_ROUNDS
     for u, union, sets in _levels(merged, np.array(ubs)[reps], eps):
         if u < best_lo:
             stop = stop or f"stopped at bound {u:.12g} below lower bound {best_lo:.12g}"
@@ -224,15 +225,19 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
                 cuts = np.array([rep_sets[t].solve.optimal_input.probs for t in s] + [p.probs])
                 s_lo, s_hi, p, solves = _compound(mixed.rows[list(s)], mixed.log_rows[list(s)],
                                                   cuts, u, cost)
-                verts, how = (p,), f"cutting planes, {solves + 1} rounds, {solves} oracle solves"
+                left_open = bool(solves == MAX_ROUNDS and s_hi - s_lo > DEFAULT_TOL)
+                oracle, capped = oracle + solves, capped + left_open
+                verts, how = (p,), (f"cutting planes, {solves + 1} rounds, {solves} oracle "
+                                    f"solves{', left open at the round cap' if left_open else ''}")
             log.debug("eps-capacity set %s by %s: [%.12g, %.12g]", s, how, s_lo, s_hi)
             best_lo, hi = max(best_lo, s_lo), max(hi, s_hi)
             info = informations(p.probs, mixed.rows, mixed.log_rows)
             found.append((_quantile(info, weights, eps), p, verts, u))
     (value, below, at), p, *_ = max(found, key=lambda f: f[0][0])  # the first set at the max
     log.debug("eps-capacity: %d sets settled over %d bound levels, %d duplicate atoms merged, "
-              "%s; bracket [%.12g, %.12g]", len(found), len({f[3] for f in found}),
-              n - len(reps), stop or "all levels visited", value, hi)
+              "%s; bracket [%.12g, %.12g]; %d oracle solves, %d sets left open at the round "
+              "cap", len(found), len({f[3] for f in found}), n - len(reps),
+              stop or "all levels visited", value, hi, oracle, capped)
     return EpsCapacityResult(value, p, None, below, at, max(hi, value),
                              tuple(f[2] for f in found if f[0][0] == value))
 

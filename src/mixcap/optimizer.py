@@ -28,7 +28,6 @@ log = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-9
 DEFAULT_KT_TOL = 1e-6
 MAX_ITER = 10**6
-WARM_MAX_ITER = 1000  # cap of a warm-started solve, which returns the iterate it reached
 # Newton on a face: the spread of its equations at which it stops, and its step cap
 KINK_TOL, POLISH_STEPS = 1e-14, 20
 
@@ -153,7 +152,7 @@ def _face_step(w: Dmc, cost: CostSpec, p: np.ndarray, score: np.ndarray, lam: fl
 
     The budget row c @ P = gamma and lam join when the tilt is active (lam > 0).
     Newton starts from p on the face, with mass 1/m on a letter p leaves empty
-    (a warm start can).  Returns ((p, value, lam), steps) at the first feasible
+    (its mass can underflow).  Returns ((p, value, lam), steps) at the first feasible
     face solution the dual bound certifies within ``DEFAULT_TOL``, else (None, steps).
     """
     row = (cost.costs, cost.budget) if lam > 0.0 else None
@@ -178,8 +177,8 @@ def _face_step(w: Dmc, cost: CostSpec, p: np.ndarray, score: np.ndarray, lam: fl
     return None, total
 
 
-def _ba_tilted(w: Dmc, cost: CostSpec, start=None, cap=MAX_ITER):
-    """Maximize I(P, W) over {E c(X_P) <= gamma} by alternating maximization from ``start``.
+def _ba_tilted(w: Dmc, cost: CostSpec):
+    """Maximize I(P, W) over {E c(X_P) <= gamma} by alternating maximization from uniform.
 
     The P-step takes P e^D, D_x = D(W(.|x) || PW), to its I-projection on the
     budget (``_tilt``), whose lam is the multiplier (Blahut 1972).  The
@@ -188,18 +187,17 @@ def _ba_tilted(w: Dmc, cost: CostSpec, start=None, cap=MAX_ITER):
     value.  Each time that gap has halved since the last face tried,
     ``_face_step`` tries to finish the solve by Newton on the optimal face.
     Returns (p, value, lam, iterations, newton_steps, path) with value =
-    I(P, W).  A ``cap`` below MAX_ITER returns the iterate reached.
+    I(P, W).
     """
-    costs, gamma, k = cost.costs, cost.budget, w.num_inputs
-    p = np.full(k, 1.0 / k) if start is None else np.array(start, dtype=float)
-    p, lam = _tilt(p / p.sum(), costs, gamma)
+    costs, gamma = cost.costs, cost.budget
+    p, lam = _tilt(np.full(w.num_inputs, 1.0 / w.num_inputs), costs, gamma)
     steps, tried = 0, math.inf  # Newton steps, and the gap at the last face tried
-    for iters in range(1, cap + 1):
+    for iters in range(1, MAX_ITER + 1):
         d = _divergences(p, w)
         score = _kt_score(d, cost, lam)
         value = float(p @ d)
         gap = float(score.max()) - value
-        if gap <= DEFAULT_TOL or iters == cap < MAX_ITER:
+        if gap <= DEFAULT_TOL:
             return p, value, lam, iters, steps, "alternating maximization"
         if gap <= 0.5 * tried:
             face, face_steps = _face_step(w, cost, p, score, lam)
@@ -216,8 +214,7 @@ def _ba_tilted(w: Dmc, cost: CostSpec, start=None, cap=MAX_ITER):
         f"alternating maximization did not converge within {MAX_ITER} iterations")
 
 
-def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
-                         _start: np.ndarray | None = None) -> CapacityResult:
+def constrained_capacity(w: Dmc, cost: CostSpec | None = None) -> CapacityResult:
     """max I(P, W) over inputs with expected cost at most gamma, in nats.
 
     A budget at the cheapest cost is solved on the face of the cheapest
@@ -225,10 +222,8 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
     input alphabet by one run of ``_ba_tilted``.  The value is optimal within
     ``DEFAULT_TOL``, and the returned input meets the budget and passes
     ``kt_verify``; ``iterations`` counts alternating iterations and Newton
-    steps.  A feasible ``_start`` warm-starts that run and caps it at
-    ``WARM_MAX_ITER`` iterations: the iterate reached is feasible, and
-    ``_dual_bound`` at it and its multiplier is certified.  Under DEBUG logging
-    each solve reports its path, both counts, certified gap and multiplier.
+    steps.  Under DEBUG logging each solve reports its path, both counts,
+    certified gap and multiplier.
     """
     if cost is None:
         cost = CostSpec.free(w.num_inputs)
@@ -244,8 +239,7 @@ def constrained_capacity(w: Dmc, cost: CostSpec | None = None,
         value, lam, iters = sub_res.capacity, _least_multiplier(w, p, cost), sub_res.iterations
         steps, path = 0, "pinned face"
     else:
-        p, value, lam, iters, steps, path = _ba_tilted(
-            w, cost, _start, MAX_ITER if _start is None else WARM_MAX_ITER)
+        p, value, lam, iters, steps, path = _ba_tilted(w, cost)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("constrained_capacity (%s): %d alternating iterations, %d Newton steps, "
                   "certified gap %.3g, multiplier %.12g",

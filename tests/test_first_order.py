@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixcap import (
@@ -343,15 +343,16 @@ def _grid_rate_quantiles(mix, eps, cost=None, denom=64):
     return np.where(below <= eps, infos, -np.inf).max(axis=1)
 
 
-def _ternary_capacity(w, cost):
-    """max I((a, 1 - a), W) over the budget's segment of a, by 200 ternary-search steps."""
+def _ternary_capacity(w, cost, *others):
+    """max over the budget's segment of a of the least I((a, 1 - a), .) over W and ``others``,
+    a concave function of a, by 200 ternary-search steps."""
     lo, hi = 0.0, 1.0
     if cost is not None and cost.costs[0] != cost.costs[1]:
         edge = (cost.gamma - cost.costs[1]) / (cost.costs[0] - cost.costs[1])
         lo, hi = (lo, min(hi, edge)) if cost.costs[0] > cost.costs[1] else (max(lo, edge), hi)
 
     def info(a):
-        return mutual_information(InputDist([a, 1.0 - a]), w)
+        return min(mutual_information(InputDist([a, 1.0 - a]), v) for v in (w, *others))
 
     for _ in range(200):
         a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
@@ -363,6 +364,7 @@ def _ternary_capacity(w, cost):
 @given(seed=st.integers(0, 2**32 - 1), num_inputs=st.sampled_from([2, 3, 4]),
        num_atoms=st.sampled_from([3, 8, 12]), eps=st.floats(0.0, 0.9),
        budget=st.sampled_from([None, "slack", "binding"]))
+@example(seed=3548, num_inputs=4, num_atoms=8, eps=0.625, budget="binding")
 def test_eps_capacity_bracket_contains_the_grid_sup(seed, num_inputs, num_atoms, eps, budget):
     """value <= upper_bound, value >= the best feasible 1/64-grid input, value >= every
     component optimum, and each component solve is certified.
@@ -569,3 +571,41 @@ def test_polish_flattens_a_kink_with_more_cuts_than_atoms():
     assert 1e-12 < abs(start[0] - start[1]) < 1e-7
     p = _polish(*stack, cuts, np.full(3, 1.0 / 3.0))
     assert abs(np.subtract(*informations(p, *stack))) <= 1e-13
+
+
+def test_a_non_symmetric_near_tie_is_bracketed_by_cutting_planes(caplog):
+    """W_b is W_a = [[.9, .1], [.3, .7]] with its rows swapped and row 0 moved by 1e-8, so
+    C_a - C_b is about 6.2e-9: within the ordering check's 1e-7 but not within DEFAULT_TOL.
+    At eps 0.3 neither atom can be dropped, and the vertex of W_b leaves W_a below
+    u - DEFAULT_TOL, so the one set goes to cutting planes.  Its value matches a ternary
+    search of max_a min(I(a, W_a), I(a, W_b)) within 1e-9."""
+    delta = 1e-8
+    w_a, w_b = Dmc([[0.9, 0.1], [0.3, 0.7]]), Dmc([[0.3 + delta, 0.7 - delta], [0.9, 0.1]])
+    gap = constrained_capacity(w_a).capacity - constrained_capacity(w_b).capacity
+    assert DEFAULT_TOL < gap < 1e-7
+    caplog.set_level("DEBUG", logger="mixcap.first_order")
+    res = eps_capacity(MixedChannel(((0.5, w_a), (0.5, w_b))), eps=0.3)
+    assert any(r.getMessage().startswith("eps-capacity set (0, 1) by cutting planes, ")
+               for r in caplog.records)
+    assert res.capacity == pytest.approx(_ternary_capacity(w_a, None, w_b), abs=1e-9)
+    assert res.capacity <= res.upper_bound <= res.capacity + 2e-9
+
+
+def test_debug_log_marks_a_set_left_open_at_the_round_cap(monkeypatch, caplog):
+    """With MAX_ROUNDS at 1, binding3.json's one set stops after one oracle solve with its
+    bracket open: its line says so, and the summary counts that solve and that set.  The
+    bracket still holds the value found without the cap, only wider."""
+    mixed, cost = load_spec(os.path.join(GOLDEN, "binding3.json"))
+    caplog.set_level("DEBUG", logger="mixcap.first_order")
+    full = eps_capacity(mixed, cost, eps=0.3)
+    assert caplog.records[-1].getMessage().endswith(" oracle solves, 0 sets left open at the "
+                                                    "round cap")
+    caplog.clear()
+    monkeypatch.setattr("mixcap.first_order.MAX_ROUNDS", 1)
+    res = eps_capacity(mixed, cost, eps=0.3)
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines[0].startswith("eps-capacity set (0, 1) by cutting planes, 2 rounds, "
+                               "1 oracle solves, left open at the round cap: [")
+    assert lines[-1].endswith("; 1 oracle solves, 1 sets left open at the round cap")
+    assert res.capacity <= full.capacity + 2e-9
+    assert full.upper_bound + DEFAULT_TOL < res.upper_bound
