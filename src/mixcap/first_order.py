@@ -134,42 +134,42 @@ def _compound(rows, log_rows, cuts: np.ndarray, hi: float, cost: CostSpec):
     return min(lo, informations(p, rows, log_rows).min()), hi, InputDist(p), solves
 
 
-def _levels(weights, ubs, eps: float):
+def _levels(weights, ubs, eps: float, walked: list):
     """(u, its atoms of bound >= u, the minimal atom sets whose least bound is u), per
-    distinct bound u, highest first.
+    distinct bound u, highest first, but for levels that drop more than eps.
 
     A minimal set S has w(S^c) <= eps, masses summed in index order and compared within
-    ``SUM_TOL``, and passes eps if it drops any atom of S too.  Level u drops every atom
-    of bound below u (a level that drops more than eps is skipped) and may drop any
-    other atom light enough to join them alone.  Its sets are built, sorted, only when
-    the caller iterates into them, from a doubling table of the summed and the lightest
-    weight of each of the 2^d masks of its d droppable atoms, refused past ``ENUM_CAP``.
+    ``SUM_TOL``, and passes eps if it drops any atom of S too.  Level u drops the atoms of
+    bound below u; its sets come sorted, as asked, from a walk in index order that keeps an
+    atom before it drops it, while the weight to come can still make S minimal and fit.
+    Its steps go to ``walked``; past ``ENUM_CAP`` of them it raises EnumerationCapError.
     """
-    def sets(u: float, drop: np.ndarray):
-        bits = np.flatnonzero(drop)
-        if 2 ** len(bits) > ENUM_CAP:
-            raise EnumerationCapError(f"{len(bits)} droppable atoms at one bound level: "
-                                      f"2^{len(bits)} = {2 ** len(bits)} atom subsets exceed "
-                                      f"the cap {ENUM_CAP}")
-        mass, light = np.zeros(1), np.full(1, math.inf)
-        for j, w in enumerate(weights):
-            if ubs[j] < u:
-                mass = mass + w
-            elif drop[j]:
-                mass, light = np.append(mass, mass + w), np.append(light, np.minimum(light, w))
-        lightest = np.minimum(light[::-1], weights[(ubs >= u) & ~drop].min(initial=math.inf))
-        ok = (mass <= eps + SUM_TOL) & (mass + lightest > eps + SUM_TOL)
-        bit, keep = dict(zip(bits.tolist(), range(len(bits)))), np.flatnonzero(ubs >= u).tolist()
-        level = [tuple(j for j in keep if not m >> bit.get(j, len(bits)) & 1)
-                 for m in np.flatnonzero(ok).tolist()]
-        yield from sorted(s for s in level if u in ubs[list(s)])  # S keeps an atom of bound u
+    w, b, n, budget = weights.tolist(), ubs.tolist(), len(weights), eps + SUM_TOL
+    slack = n * 2.0 ** -50  # covers the rounding of a suffix sum against the walk's sum
 
-    for u in sorted(set(ubs.tolist()), reverse=True):
-        forced = sum(weights[ubs < u].tolist())  # in index order, as the table sums it
-        if forced <= eps + SUM_TOL:
-            # the table rechecks every mass; this slack only covers the summation order
-            drop = (ubs >= u) & (forced + weights <= eps + SUM_TOL + 1e-9)
-            yield u, tuple(np.flatnonzero(ubs >= u).tolist()), sets(u, drop)
+    def sets(u: float):
+        rest, every = (np.append(np.cumsum(a[::-1])[::-1], 0.0).tolist()
+                       for a in (np.where(ubs < u, weights, 0.0), weights))  # from atom j on
+        walked.append(0)
+        stack = [(0, 0.0, math.inf, ())]  # (next atom, dropped mass, lightest kept, kept)
+        while stack:
+            j, mass, light, kept = stack.pop()
+            walked[-1] += 1
+            if walked[-1] > ENUM_CAP:
+                raise EnumerationCapError(f"the atom sets of bound level {u:.12g} take more "
+                                          f"than {ENUM_CAP} walk steps")
+            while j < n and b[j] < u:
+                mass, j = mass + w[j], j + 1
+            if j == n:
+                if mass <= budget < mass + light and any(b[t] == u for t in kept):
+                    yield kept  # S keeps an atom of bound u
+            elif mass + rest[j] <= budget + slack and mass + every[j] + light > budget - slack:
+                stack += [(j + 1, mass + w[j], light, kept),  # the keep branch is popped first
+                          (j + 1, mass, min(light, w[j]), kept + (j,))]
+
+    for u in sorted(set(b), reverse=True):
+        if sum(weights[ubs < u].tolist()) <= budget:  # in index order, as the walk sums it
+            yield u, tuple(np.flatnonzero(ubs >= u).tolist()), sets(u)
 
 
 def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float = 0.0,
@@ -178,13 +178,12 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
 
     The rate quantile at P is max over sets S with w(S^c) <= eps of min_{theta in S}
     I(P, W_theta), so C_eps is the max over minimal S of the compound capacity of S
-    (Blackwell, Breiman & Thomasian 1959; Ahlswede 1968).  Atoms with equal rows are one
-    atom of the search, their weights summed in index order.  The sets come best-first by
-    their bound, the least certified C_theta over S (``_levels``), until a bound is below
-    the best value found.  A set S of bound u is settled by a vertex of the atom of least
-    bound that holds the set within DEFAULT_TOL of u, or by ``_compound``; the level's
-    union, settled so, settles the whole level as that one set.
-    ``_rep_sets`` are the components' ``capacity_achieving_set`` results, if known.
+    (Blackwell, Breiman & Thomasian 1959; Ahlswede 1968).  Atoms with equal rows merge,
+    their weights summed in index order.  Sets come best-first by their bound, the least
+    certified C_theta over S, one walk per level (``_levels``, capped at ENUM_CAP steps),
+    until a bound is below the best value found.  A set of bound u is settled by a vertex
+    of its least-bound atom holding it within DEFAULT_TOL of u, or by ``_compound``; a
+    union settled so settles its level.  ``_rep_sets``: known ``capacity_achieving_set``s.
     """
     _check_eps(eps)
     if cost is None:
@@ -204,8 +203,8 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
     reps = list(first.values())
     merged = np.array([sum(weights[group == k].tolist()) for k in reps])  # in index order
     best_lo, hi, found, stop = -math.inf, -math.inf, [], None
-    oracle = capped = 0  # oracle solves, and sets left open at MAX_ROUNDS
-    for u, union, sets in _levels(merged, np.array(ubs)[reps], eps):
+    oracle, capped, walked = 0, 0, []  # oracle solves, sets left open at MAX_ROUNDS, walk steps
+    for u, union, sets in _levels(merged, np.array(ubs)[reps], eps, walked):
         if u < best_lo:
             stop = stop or f"stopped at bound {u:.12g} below lower bound {best_lo:.12g}"
             break
@@ -236,8 +235,9 @@ def eps_capacity(mixed: MixedChannel, cost: CostSpec | None = None, eps: float =
     (value, below, at), p, *_ = max(found, key=lambda f: f[0][0])  # the first set at the max
     log.debug("eps-capacity: %d sets settled over %d bound levels, %d duplicate atoms merged, "
               "%s; bracket [%.12g, %.12g]; %d oracle solves, %d sets left open at the round "
-              "cap", len(found), len({f[3] for f in found}), n - len(reps),
-              stop or "all levels visited", value, hi, oracle, capped)
+              "cap; at most %d walk steps in one level (cap %d)", len(found),
+              len({f[3] for f in found}), n - len(reps), stop or "all levels visited", value,
+              hi, oracle, capped, max(walked, default=0), ENUM_CAP)
     return EpsCapacityResult(value, p, None, below, at, max(hi, value),
                              tuple(f[2] for f in found if f[0][0] == value))
 

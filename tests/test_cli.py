@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixcap.first_order
 import mixcap.optimizer
 import mixcap.spectrum
 from mixcap.cli import _parser, load_spec, main, run_command
@@ -204,20 +205,45 @@ def test_twenty_four_equal_atoms_are_one_atom_of_the_search(tmp_path, capsys):
     assert row["achieving_component"] == "0"
 
 
-def test_sixty_atoms_refuse_a_level_past_the_cap(tmp_path, capsys):
-    """60 random 3-input atoms of weight 1/60 at eps 0.1: after the one set of its first
-    bound level, the next level may drop any of 55 atoms, and 2^55 drop masks exceed
-    ENUM_CAP; both commands exit 2 on one line that names both numbers."""
+def _sixty_atoms(tmp_path):
+    """60 random 3-input atoms of weight 1/60: at eps 0.1 the second bound level keeps
+    55 atoms, each droppable, and its 54 minimal sets take 3,081 walk steps."""
     rng = np.random.default_rng(1)
-    path = write_spec(tmp_path, {"atoms": [
+    return write_spec(tmp_path, {"atoms": [
         {"weight": 1 / 60, "rows": random_dmc(rng, 3, 3).rows.tolist()} for _ in range(60)]})
+
+
+def test_sixty_atoms_are_bracketed_past_a_level_of_55_droppable_atoms(tmp_path, capsys):
+    """The walk lists only the level's minimal sets, where a table would need 2^55 drop
+    masks: eps-capacity is bracketed within 2e-9 and second-order prints a finite
+    lower bound, with nothing on stderr."""
+    path = _sixty_atoms(tmp_path)
+    rows = {}
+    for command in ("eps-capacity", "second-order"):
+        assert main([command, path, "--eps", "0.1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        (rows[command],) = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    bracket = rows["eps-capacity"]
+    assert bracket["value"] == "0.059337367451"
+    assert float(bracket["upper_bound"]) - float(bracket["value"]) <= 2e-9
+    assert rows["second-order"]["method"] == "lower-bound"
+    assert math.isfinite(float(rows["second-order"]["value"]))
+
+
+def test_sixty_atoms_refuse_a_level_past_the_cap(tmp_path, capsys, monkeypatch):
+    """With the cap at 1,000 walk steps the 55-atom level of ``_sixty_atoms`` passes it:
+    both commands exit 2 on one line that names the level's bound and the cap."""
+    path = _sixty_atoms(tmp_path)
+    monkeypatch.setattr(mixcap.first_order, "ENUM_CAP", 1000)
     for command in ("eps-capacity", "second-order"):
         assert main([command, path, "--eps", "0.1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "numerical failure: 55 droppable atoms at one bound level: 2^55 = "
-            "36028797018963968 atom subsets exceed the cap 1000000"]
+            "numerical failure: the atom sets of bound level 0.0687547897799 take more than "
+            "1000 walk steps"]
 
 
 def test_fbl_deterministic_output(pair_spec, capsys):

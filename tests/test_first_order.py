@@ -30,6 +30,7 @@ from mixcap.first_order import (LP_TOL, VALUE_DECIMALS, _game, _levels, _polish,
                                 rate_spectrum)
 from mixcap.optimizer import DEFAULT_KT_TOL, DEFAULT_TOL, _basic_solutions, _dual_bound
 from mixcap.second_order import DEFAULT_TIE_TOL
+from mixcap.types_toolkit import EnumerationCapError
 from conftest import bsc, bsc_capacity, random_dmc, random_mixture
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -109,41 +110,67 @@ def test_eps_capacity_grid_confirms_pair(bsc_pair):
 
 def brute_minimal_sets(weights, eps):
     """Reference: every drop mask in turn, its mass summed in index order."""
-    n, sets = len(weights), []
+    n, w, sets = len(weights), weights.tolist(), []
     for mask in range(2 ** n):
         drop = [j for j in range(n) if mask >> j & 1]
-        keep = tuple(j for j in range(n) if j not in drop)
-        mass = sum(weights[drop])
-        if keep and mass <= eps + SUM_TOL and all(mass + weights[j] > eps + SUM_TOL
-                                                  for j in keep):
+        keep = tuple(j for j in range(n) if not mask >> j & 1)
+        mass = sum(w[j] for j in drop)
+        if keep and mass <= eps + SUM_TOL and all(mass + w[j] > eps + SUM_TOL for j in keep):
             sets.append(keep)
     return sets
 
 
 def test_minimal_sets_match_the_subset_loop():
     """Every bound level visited, the levels yield the subset loop's minimal sets sorted by
-    (-least bound, set), with random bounds and with bounds tied on three levels.  Weights
-    in tenths put partial sums such as 0.1 + 0.2 on eps's boundary.  Each level's union,
-    its atoms of bound >= u, holds each of its sets."""
+    (-least bound, set), for up to 12 atoms, with random bounds and with bounds tied on
+    three levels.  Weights in tenths put partial sums such as 0.1 + 0.2 on eps's boundary,
+    so do equal weights 1/k; a weight of 1e-300 is dropped by every minimal set.  Each
+    level's union, its atoms of bound >= u, holds each of its sets."""
     rng = np.random.default_rng(11)
     for trial in range(300):
-        k = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 13))
         weights = rng.dirichlet(np.ones(k))
-        if trial % 2:
+        if trial % 4 == 1:
             weights = rng.multinomial(10, np.full(k, 1.0 / k)) / 10.0
             weights = weights[weights > 0.0]
-        for ubs in (rng.uniform(0.0, 1.0, len(weights)), rng.integers(0, 3, len(weights)) / 2.0):
-            for eps in (0.0, 0.3, float(rng.uniform(0.0, 0.99)),
-                        min(float(sum(weights[:int(rng.integers(0, len(weights)))])), 0.99)):
-                expected = sorted(brute_minimal_sets(weights, eps),
-                                  key=lambda s: (-min(ubs[t] for t in s), s))
+        elif trial % 4 == 2:
+            weights = np.full(k, 1.0 / k)
+        elif trial % 4 == 3:
+            weights = np.insert(rng.dirichlet(np.ones(k)), int(rng.integers(0, k + 1)), 1e-300)
+        for eps in (0.0, 0.3, float(rng.uniform(0.0, 0.99)),
+                    min(float(sum(weights[:int(rng.integers(0, len(weights)))])), 0.99)):
+            brute = brute_minimal_sets(weights, eps)
+            for ubs in (rng.uniform(0.0, 1.0, len(weights)),
+                        rng.integers(0, 3, len(weights)) / 2.0):
+                expected = sorted(brute, key=lambda s: (-min(ubs[t] for t in s), s))
                 got = []
-                for u, union, sets in _levels(weights, ubs, eps):
+                for u, union, sets in _levels(weights, ubs, eps, []):
                     sets = list(sets)
                     assert union == tuple(np.flatnonzero(ubs >= u).tolist())
                     assert all(set(s) <= set(union) for s in sets)
                     got += sets
                 assert got == expected
+
+
+def test_a_level_lists_its_sets_lazily(monkeypatch):
+    """60 random atoms of weight 1/60 at eps 0.1: the level that keeps 55 atoms, all of them
+    droppable, walks 3,081 steps to list its 54 sets.  With the cap at 1,000 steps its
+    first set still comes, after 57 steps; listing them all raises."""
+    rng = np.random.default_rng(1)
+    mix = MixedChannel(tuple((1 / 60, random_dmc(rng, 3, 3)) for _ in range(60)))
+    cost = CostSpec.free(3)
+    ubs = []
+    for w in mix.components:
+        solve = constrained_capacity(w, cost)
+        ubs.append(_dual_bound(w, solve.optimal_input.probs, cost, solve.multiplier))
+    monkeypatch.setattr("mixcap.first_order.ENUM_CAP", 1000)
+    walked = []
+    levels = _levels(mix.weights, np.array(ubs), 0.1, walked)
+    next(levels)  # its sets are never asked for, so it takes no step
+    u, union, sets = next(levels)
+    assert len(union) == 55 and len(next(sets)) == 54 and walked == [57]
+    with pytest.raises(EnumerationCapError, match="take more than 1000 walk steps"):
+        list(sets)
 
 
 def _chain(w0, thetas) -> MixedChannel:
@@ -593,19 +620,21 @@ def test_a_non_symmetric_near_tie_is_bracketed_by_cutting_planes(caplog):
 
 def test_debug_log_marks_a_set_left_open_at_the_round_cap(monkeypatch, caplog):
     """With MAX_ROUNDS at 1, binding3.json's one set stops after one oracle solve with its
-    bracket open: its line says so, and the summary counts that solve and that set.  The
-    bracket still holds the value found without the cap, only wider."""
+    bracket open: its line says so, and the summary counts that solve and that set, then
+    the five walk steps that list the set, against the walk's cap.  The bracket still holds
+    the value found without the cap, only wider."""
     mixed, cost = load_spec(os.path.join(GOLDEN, "binding3.json"))
     caplog.set_level("DEBUG", logger="mixcap.first_order")
     full = eps_capacity(mixed, cost, eps=0.3)
+    walk = "; at most 5 walk steps in one level (cap 1000000)"
     assert caplog.records[-1].getMessage().endswith(" oracle solves, 0 sets left open at the "
-                                                    "round cap")
+                                                    "round cap" + walk)
     caplog.clear()
     monkeypatch.setattr("mixcap.first_order.MAX_ROUNDS", 1)
     res = eps_capacity(mixed, cost, eps=0.3)
     lines = [r.getMessage() for r in caplog.records]
     assert lines[0].startswith("eps-capacity set (0, 1) by cutting planes, 2 rounds, "
                                "1 oracle solves, left open at the round cap: [")
-    assert lines[-1].endswith("; 1 oracle solves, 1 sets left open at the round cap")
+    assert lines[-1].endswith("; 1 oracle solves, 1 sets left open at the round cap" + walk)
     assert res.capacity <= full.capacity + 2e-9
     assert full.upper_bound + DEFAULT_TOL < res.upper_bound
