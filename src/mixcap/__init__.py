@@ -55,11 +55,11 @@ from .spectrum import (
     AtomDist,
     BoundEstimate,
     CodeParams,
-    SpectrumCdf,
     aggregate_spectrum,
     convolve_n,
     feinstein_bound,
     hayashi_nagaoka_bound,
+    letter_parts,
     mc_tail,
     mixed_converse_bound,
     normal_approx,

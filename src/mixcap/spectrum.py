@@ -61,10 +61,6 @@ class AtomDist:
         p.setflags(write=False)
         self.values, self.probs = v, p
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
-
     def mean(self) -> float:
         return float(self.values @ self.probs)
 
@@ -72,21 +68,6 @@ class AtomDist:
         """P{value <= threshold + BOUNDARY_TOL}."""
         idx = np.searchsorted(self.values, threshold + BOUNDARY_TOL, side="right")
         return float(self.probs[:idx].sum())
-
-
-class SpectrumCdf:
-    """Exact law of the n-letter information density (sum of per-letter atoms)."""
-
-    __slots__ = ("n", "aggregate")
-
-    def __init__(self, n: int, aggregate: AtomDist):
-        if abs(aggregate.total_mass - 1.0) > 1e-9:
-            raise ValueError("aggregate mass drifted beyond 1e-9")
-        self.n, self.aggregate = n, aggregate
-
-    def tail_leq(self, z_per_letter: float) -> float:
-        """P{(1/n) sum <= z}, boundary handled at BOUNDARY_TOL on the total."""
-        return self.aggregate.cdf_at(z_per_letter * self.n)
 
 
 class CodeParams:
@@ -148,7 +129,7 @@ def convolve_n(atoms: AtomDist, n: int) -> AtomDist:
     return AtomDist(counts @ atoms.values[live], np.exp(log_probs))
 
 
-def _letter_parts(w: Dmc, input_spec, q, n: int, numer: np.ndarray | None = None):
+def letter_parts(w: Dmc, input_spec, q, n: int, numer: np.ndarray | None = None):
     """(per-letter atoms, letter count) pairs whose summed draws make the n-letter density."""
     if isinstance(input_spec, TypeClass):
         if input_spec.n != n:
@@ -163,15 +144,13 @@ def _type_count(parts) -> int:
     return math.prod(count_types(len(a.values), cnt) for a, cnt in parts)
 
 
-def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
-                       numer: np.ndarray | None = None) -> SpectrumCdf:
-    """Exact n-letter spectrum for an i.i.d. input or a fixed composition.
+def aggregate_spectrum(parts) -> AtomDist:
+    """Exact law of the n-letter density summed from its ``letter_parts``.
 
     Parts are joined by outer sums, so the law has one atom per combination of
     the parts' count vectors; past ``ENUM_CAP`` of them it raises
-    ``EnumerationCapError``.  ``numer`` is passed on to ``per_letter_spectrum``.
+    ``EnumerationCapError``.  P{(1/n) density <= z} is ``law.cdf_at(n * z)``.
     """
-    parts = _letter_parts(w, input_spec, q, n, numer)
     types = _type_count(parts)
     if types > ENUM_CAP:
         raise EnumerationCapError(f"the exact tail needs {types} types, past the cap {ENUM_CAP}")
@@ -180,7 +159,9 @@ def aggregate_spectrum(w: Dmc, input_spec, q, n: int,
         law = convolve_n(atoms_x, cnt)
         agg = law if agg is None else AtomDist((agg.values[:, None] + law.values).ravel(),
                                                (agg.probs[:, None] * law.probs).ravel())
-    return SpectrumCdf(n, agg)
+    if abs(agg.probs.sum() - 1.0) > 1e-9:
+        raise ValueError("aggregate mass drifted beyond 1e-9")
+    return agg
 
 
 def normal_approx(n: int, c_first: float, d_second: float) -> float:
@@ -216,11 +197,11 @@ def _bound(kind: str, mixed: MixedChannel, input_spec, refs, thresholds, code: C
         raise ValueError("need one reference output per component")
     n, total, var, trials = code.n, 0.0, 0.0, 0
     for k, ((w_k, comp), q, z) in enumerate(zip(mixed.atoms, refs, thresholds)):
-        if not force_mc and (mc_trials is None or _type_count(
-                _letter_parts(comp, input_spec, q, n, numer)) <= min(ENUM_CAP, mc_trials)):
-            total += w_k * aggregate_spectrum(comp, input_spec, q, n, numer).tail_leq(z)
+        parts = letter_parts(comp, input_spec, q, n, numer)
+        if not force_mc and (mc_trials is None or _type_count(parts) <= min(ENUM_CAP, mc_trials)):
+            total += w_k * aggregate_spectrum(parts).cdf_at(n * z)
             continue
-        est = mc_tail(comp, input_spec, q, n, z, mc_trials, seed + (k << 64), threads, numer)
+        est = mc_tail(parts, n, z, mc_trials, seed + (k << 64), threads)
         total += w_k * est.value
         var += (w_k * est.stderr) ** 2
         trials += est.trials
@@ -295,18 +276,9 @@ def exact_tail_bound(mixed: MixedChannel, code: CodeParams, q_list, input_spec) 
 # ---------------------------------------------------------------------------
 
 
-def mc_tail(
-    w: Dmc,
-    input_spec,
-    q,
-    n: int,
-    threshold: float,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-    numer: np.ndarray | None = None,
-) -> BoundEstimate:
-    """Unbiased MC estimate of P{(1/n) sum of density <= threshold}.
+def mc_tail(parts, n: int, threshold: float, trials: int, seed: int,
+            threads: int = 1) -> BoundEstimate:
+    """Unbiased MC estimate of P{(1/n) sum of density <= threshold} over ``letter_parts``.
 
     The n-letter density depends only on how many letters land on each
     per-letter atom, so each trial draws one multinomial count vector per
@@ -325,15 +297,14 @@ def mc_tail(
         return BoundEstimate(0.0, KIND_MC, 0.0, 0, seed)
     # normalized: rows may sum to 1 + SUM_TOL, past the 1 + 1e-12 that numpy
     # allows for all but the last atom
-    parts = [(cnt, a.probs / a.probs.sum(), a.values)
-             for a, cnt in _letter_parts(w, input_spec, q, n, numer)]
+    laws = [(cnt, a.probs / a.probs.sum(), a.values) for a, cnt in parts]
     cut = threshold * n + BOUNDARY_TOL
 
     def run_chunk(c: int) -> int:
         size = min(MC_CHUNK, trials - c * MC_CHUNK)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, c]))
         sums = np.zeros(size)
-        for cnt, probs, values in parts:
+        for cnt, probs, values in laws:
             sums += (rng.multinomial(cnt, probs, size=size) * values).sum(axis=1)
         return int(np.count_nonzero(sums <= cut))
 

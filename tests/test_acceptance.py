@@ -23,6 +23,7 @@ from mixcap import (
     expurgated_space,
     feinstein_bound,
     gaussian_inv,
+    letter_parts,
     mixture_converse_enumeration,
     mc_tail,
     mixed_converse_bound,
@@ -234,9 +235,10 @@ def test_acceptance_8_mc_exact_agreement():
         stats_mean = per_letter_spectrum(p, w, q).mean()
         sd = math.sqrt(max(channel_dispersion(p, w), 1e-8) / n)
         thresh = stats_mean + float(rng.uniform(-1.5, 1.5)) * sd
-        exact = aggregate_spectrum(w, p, q, n).tail_leq(thresh)
-        est = mc_tail(w, p, q, n, thresh, trials=100_000, seed=1000 + i)
-        est4 = mc_tail(w, p, q, n, thresh, trials=100_000, seed=1000 + i, threads=4)
+        parts = letter_parts(w, p, q, n)
+        exact = aggregate_spectrum(parts).cdf_at(n * thresh)
+        est = mc_tail(parts, n, thresh, trials=100_000, seed=1000 + i)
+        est4 = mc_tail(parts, n, thresh, trials=100_000, seed=1000 + i, threads=4)
         ok &= est.value == est4.value
         if est.stderr > 0:
             ok &= abs(est.value - exact) <= 4.0 * est.stderr

@@ -904,3 +904,14 @@ def test_blas_starts_on_one_thread_unless_the_user_set_a_count(preset, blas_vars
         assert threads == _threads_and_blas_vars("numpy", preset)[0]
     else:
         assert threads == "1"
+
+
+def test_a_capacity_solve_that_does_not_converge_exits_2(monkeypatch, capsys):
+    """With no iterations allowed the alternating maximization gives up: exit 2 and one
+    line naming the iteration cap."""
+    monkeypatch.setattr(mixcap.optimizer, "MAX_ITER", 0)
+    assert main(["capacity", os.path.join(GOLDEN, "cost3.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: alternating maximization did not converge "
+                            "within 0 iterations\n")

@@ -217,15 +217,15 @@ def test_cli_second_order_tie_tol_flag(tmp_path, capsys):
 
 
 def test_mc_tail_with_composition_input(uniform2):
-    from mixcap import TypeClass, aggregate_spectrum, mc_tail
+    from mixcap import TypeClass, aggregate_spectrum, letter_parts, mc_tail
 
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
-    comp = TypeClass(np.array([3, 5]), 8)
-    spec = aggregate_spectrum(w, comp, q, 8)
-    thresh = spec.aggregate.mean() / 8
-    exact = spec.tail_leq(thresh)
-    est = mc_tail(w, comp, q, 8, thresh, trials=100_000, seed=21)
+    parts = letter_parts(w, TypeClass(np.array([3, 5]), 8), q, 8)
+    law = aggregate_spectrum(parts)
+    thresh = law.mean() / 8
+    exact = law.cdf_at(8 * thresh)
+    est = mc_tail(parts, 8, thresh, trials=100_000, seed=21)
     assert abs(est.value - exact) <= 4 * est.stderr
 
 

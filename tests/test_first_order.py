@@ -638,3 +638,22 @@ def test_debug_log_marks_a_set_left_open_at_the_round_cap(monkeypatch, caplog):
     assert lines[-1].endswith("; 1 oracle solves, 1 sets left open at the round cap" + walk)
     assert res.capacity <= full.capacity + 2e-9
     assert full.upper_bound + DEFAULT_TOL < res.upper_bound
+
+
+def test_a_vertex_reading_above_its_bound_stops_the_level(caplog):
+    """On this seeded four-atom mixture the level's first set, (1, 2), is settled by a vertex
+    that reads its bound u in the last digit above it, so the lower bound passes u inside
+    the level: the next set's check stops the walk there, and the bracket closes."""
+    rng = np.random.default_rng(413)
+    k = int(rng.integers(3, 7))
+    atoms = [random_dmc(rng, 3, 3) for _ in range(k)]
+    weights = rng.dirichlet(np.ones(k))
+    eps = float(rng.uniform(0.05, 0.8))
+    assert (k, eps) == (4, 0.45579390569881273)
+    caplog.set_level("DEBUG", logger="mixcap.first_order")
+    res = eps_capacity(MixedChannel(tuple(zip(weights.tolist(), atoms))), eps=eps)
+    assert f"{res.capacity:.12g}" == "0.232801710738"
+    assert res.upper_bound == res.capacity
+    assert caplog.records[-1].getMessage().startswith(
+        "eps-capacity: 1 sets settled over 1 bound levels, 0 duplicate atoms merged, stopped "
+        "within bound 0.232801710738 below lower bound 0.232801710738")

@@ -3,8 +3,6 @@ with the reason it is public anyway: the library has no surface that only
 its tests reach."""
 
 import ast
-import importlib
-import inspect
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixcap"
@@ -46,14 +44,3 @@ def test_every_export_is_used_or_allowed():
 def test_allowlist_has_no_stale_entries():
     assert set(ALLOWED) <= _exports() - _references()
 
-
-def test_every_function_the_benchmark_tracer_wraps_exists():
-    """perfbench/tracer.py wraps the functions its LAYERS dict names and aborts a traced
-    run when one is missing; read that dict without importing the tracer."""
-    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
-    (layers,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-                 and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
-    missing = [f"mixcap.{layer}.{name}" for layer, names in layers.items() for name in names
-               if not inspect.isfunction(getattr(importlib.import_module(f"mixcap.{layer}"),
-                                                 name, None))]
-    assert layers and not missing, missing

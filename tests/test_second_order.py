@@ -25,6 +25,7 @@ from mixcap import (
     solve_s,
 )
 from mixcap.channel import informations
+from mixcap.second_order import _edge_sup
 from conftest import bsc, random_dmc, z_channel_matching
 
 
@@ -317,3 +318,10 @@ def test_wrong_size_input_names_both_sizes():
                  lambda: solve_s(mix, p, 0.3, 0.3)):
         with pytest.raises(ValueError, match="input size 3 does not match channel inputs 2"):
             call()
+
+
+def test_edge_sup_is_infinite_when_the_edge_never_brackets():
+    """Past an edge of 1e12 the supremum is +inf on the positive side (fn stays at or below
+    the target) and -inf on the negative side (fn stays above it)."""
+    assert _edge_sup(lambda s: 0.0, 1.0, 1.0) == math.inf
+    assert _edge_sup(lambda s: 1.0, 0.0, -1.0) == -math.inf

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,6 +22,7 @@ from mixcap import (
     feinstein_bound,
     gaussian_cdf,
     hayashi_nagaoka_bound,
+    letter_parts,
     mc_tail,
     mixed_converse_bound,
     mutual_information,
@@ -28,7 +30,8 @@ from mixcap import (
     output_distribution,
     per_letter_spectrum,
 )
-from mixcap.spectrum import MC_CHUNK, _letter_parts, exact_tail_bound
+from mixcap.cli import load_spec
+from mixcap.spectrum import MC_CHUNK, exact_tail_bound
 from mixcap.types_toolkit import ENUM_CAP, EnumerationCapError, TypeClass, count_types
 from conftest import bsc, random_dmc
 
@@ -115,7 +118,7 @@ def test_convolve_n_keeps_one_atom_per_count_vector(k, n, seed):
     for values in (rng.normal(size=k), 0.5 * np.arange(k)):
         law = convolve_n(AtomDist(values, probs), n)
         assert len(law.values) == count_types(k, n)
-        assert law.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_convolve_binomial():
@@ -166,18 +169,19 @@ def test_composition_spectrum_matches_outer_sums():
     w = random_dmc(np.random.default_rng(41), 2, 3)
     comp = TypeClass(np.array([7, 11]), 18)
     q = output_distribution(InputDist(comp.fractions), w)
-    parts = [(a.values, a.probs, cnt) for a, cnt in _letter_parts(w, comp, q, 18)]
-    _assert_tails_agree(aggregate_spectrum(w, comp, q, 18).aggregate, *_outer_sum_law(parts))
+    parts = letter_parts(w, comp, q, 18)
+    _assert_tails_agree(aggregate_spectrum(parts),
+                        *_outer_sum_law([(a.values, a.probs, cnt) for a, cnt in parts]))
 
 
 def test_convolution_matches_mc(uniform2):
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
     n = 20
-    spec = aggregate_spectrum(w, uniform2, q, n)
+    parts = letter_parts(w, uniform2, q, n)
     thresh = mutual_information(uniform2, w)
-    exact = spec.tail_leq(thresh)
-    est = mc_tail(w, uniform2, q, n, thresh, trials=200_000, seed=12)
+    exact = aggregate_spectrum(parts).cdf_at(n * thresh)
+    est = mc_tail(parts, n, thresh, trials=200_000, seed=12)
     assert abs(est.value - exact) <= 3 * est.stderr + 1e-12
 
 
@@ -300,16 +304,18 @@ def test_normal_approx():
 def test_mc_tail_trivial_thresholds(uniform2):
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
-    assert mc_tail(w, uniform2, q, 10, math.inf, 100, seed=1).value == 1.0
-    assert mc_tail(w, uniform2, q, 10, -math.inf, 100, seed=1).value == 0.0
+    parts = letter_parts(w, uniform2, q, 10)
+    assert mc_tail(parts, 10, math.inf, 100, seed=1).value == 1.0
+    assert mc_tail(parts, 10, -math.inf, 100, seed=1).value == 0.0
 
 
 def test_mc_tail_reproducible_across_threads(uniform2):
     w = bsc(0.2)
     q = output_distribution(uniform2, w)
     thresh = mutual_information(uniform2, w)
-    a = mc_tail(w, uniform2, q, 50, thresh, trials=20_000, seed=99, threads=1)
-    b = mc_tail(w, uniform2, q, 50, thresh, trials=20_000, seed=99, threads=4)
+    parts = letter_parts(w, uniform2, q, 50)
+    a = mc_tail(parts, 50, thresh, trials=20_000, seed=99, threads=1)
+    b = mc_tail(parts, 50, thresh, trials=20_000, seed=99, threads=4)
     assert a.value == b.value
     assert a.trials == 20_000 and a.seed == 99
 
@@ -382,14 +388,15 @@ def test_mc_tail_matches_exact_tail():
     trials = 20_000
     sums_below_one = one_atom_letters = p_above_one = head_above_one = inner = 0
     for w, spec, q, n, z, numer in cases:
-        for a, _ in _letter_parts(w, spec, q, n, numer):
+        parts = letter_parts(w, spec, q, n, numer)
+        for a, _ in parts:
             sums_below_one += np.cumsum(a.probs)[-1] < 1.0
             one_atom_letters += len(a.values) == 1
             # the sampler passes the law normalized to sum 1
             p_above_one += _binomial_p_exceeds_one(a.probs / a.probs.sum())
             head_above_one += a.probs[:-1].sum() > 1.0 + 1e-12
-        exact = aggregate_spectrum(w, spec, q, n, numer).tail_leq(z)
-        est = mc_tail(w, spec, q, n, z, trials, int(rng.integers(2**40)), numer=numer)
+        exact = aggregate_spectrum(parts).cdf_at(n * z)
+        est = mc_tail(parts, n, z, trials, int(rng.integers(2**40)))
         assert abs(est.value - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / trials) + 1e-12
         inner += 0.0 < est.value < 1.0
     # the laws reach every edge case, and most estimates are not a bare 0 or 1
@@ -402,8 +409,8 @@ def test_mc_tail_is_identical_across_threads():
     for w, spec, q, n, z, numer in _sampler_cases(rng, 2):
         for trials in (MC_CHUNK + 37, 2 * MC_CHUNK + 1, 5):
             seed = int(rng.integers(2**40))
-            one, three = (mc_tail(w, spec, q, n, z, trials, seed, threads=t, numer=numer)
-                          for t in (1, 3))
+            one, three = (mc_tail(letter_parts(w, spec, q, n, numer), n, z, trials, seed,
+                                  threads=t) for t in (1, 3))
             assert (one.value, one.stderr, one.trials) == (three.value, three.stderr, three.trials)
             assert one.trials == trials
 
@@ -421,19 +428,20 @@ def test_mc_tail_submits_one_task_per_worker(monkeypatch, uniform2):
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
-    one, two = (mc_tail(w, uniform2, q, 20, 0.3, trials=20 * MC_CHUNK, seed=5, threads=t)
+    parts = letter_parts(w, uniform2, q, 20)
+    one, two = (mc_tail(parts, 20, 0.3, trials=20 * MC_CHUNK, seed=5, threads=t)
                 for t in (1, 2))
     assert len(submitted) == 2
     assert (one.value, one.stderr) == (two.value, two.stderr)
     with pytest.raises(ValueError, match="thread"):
-        mc_tail(w, uniform2, q, 20, 0.3, trials=100, seed=5, threads=0)
+        mc_tail(parts, 20, 0.3, trials=100, seed=5, threads=0)
 
 
 def test_aggregate_spectrum_past_the_type_cap_raises_the_cap_error(uniform2):
     """A 2x2 channel at n = 400 has four letter atoms and C(403, 3) count vectors."""
     w = Dmc([[0.9, 0.1], [0.25, 0.75]])
     with pytest.raises(EnumerationCapError, match=f"10827401 types, past the cap {ENUM_CAP}"):
-        aggregate_spectrum(w, uniform2, output_distribution(uniform2, w), 400)
+        aggregate_spectrum(letter_parts(w, uniform2, output_distribution(uniform2, w), 400))
 
 
 def test_mc_tail_cost_does_not_grow_with_n(uniform2):
@@ -445,7 +453,8 @@ def test_mc_tail_cost_does_not_grow_with_n(uniform2):
     mean = a.mean()
     sd = math.sqrt(float(a.probs @ (a.values - mean) ** 2))
     n, trials, t = 10**9, 4000, 0.7
-    est = mc_tail(w, uniform2, q, n, mean + t * sd / math.sqrt(n), trials, seed=3)
+    est = mc_tail(letter_parts(w, uniform2, q, n), n, mean + t * sd / math.sqrt(n), trials,
+                  seed=3)
     phi = gaussian_cdf(t)
     assert est.trials == trials
     assert abs(est.value - phi) <= 4 * math.sqrt(phi * (1 - phi) / trials) + 1e-4
@@ -465,11 +474,11 @@ def test_berry_esseen_consistency(uniform2):
         if v < 1e-6:
             continue
         n = int(rng.integers(10, 60))
-        spec = aggregate_spectrum(w, uniform2, q, n)
+        law = aggregate_spectrum(letter_parts(w, uniform2, q, n))
         budget = 0.4748 * rho / (v**1.5 * math.sqrt(n))
         for t in (-1.5, -0.5, 0.0, 0.8, 2.0):
             thresh = mean + t * math.sqrt(v / n)
-            gap = abs(spec.tail_leq(thresh) - gaussian_cdf(t))
+            gap = abs(law.cdf_at(n * thresh) - gaussian_cdf(t))
             assert gap <= budget + 1e-9
 
 
@@ -503,13 +512,13 @@ def test_composition_input_spec(uniform2):
     w = bsc(0.11)
     q = output_distribution(uniform2, w)
     comp = TypeClass(np.array([3, 5]), 8)
-    spec = aggregate_spectrum(w, comp, q, 8)
+    law = aggregate_spectrum(letter_parts(w, comp, q, 8))
     # mean of the aggregate equals n times the composition-weighted density mean
     expected = sum(
         comp.counts[x] * sum(w.rows[x, y] * math.log(w.rows[x, y] / q[y])
                              for y in range(2) if w.rows[x, y] > 0)
         for x in range(2))
-    assert spec.aggregate.mean() == pytest.approx(expected, abs=1e-10)
+    assert law.mean() == pytest.approx(expected, abs=1e-10)
 
 
 def test_bound_values_stay_in_unit_interval(uniform2):
@@ -602,5 +611,26 @@ def test_bounds_refuse_forced_mc_without_trials(uniform2):
 
 def test_mc_tail_kind():
     w = bsc(0.11)
-    est = mc_tail(w, InputDist([0.5, 0.5]), [0.5, 0.5], 10, 0.3, 1000, 0)
+    est = mc_tail(letter_parts(w, InputDist([0.5, 0.5]), [0.5, 0.5], 10), 10, 0.3, 1000, 0)
     assert est.kind == "mc" and est.trials == 1000
+
+
+def test_a_bound_builds_each_components_letter_parts_once(monkeypatch, uniform2):
+    """mix2x2.json has two components: the bound reads two per-letter spectra on the
+    Monte-Carlo path (n = 100, 176,851 types past 40,000 trials) and on the exact path
+    (n = 24, 2,925 types within 10^6 trials), one per component, passed to the tail."""
+    mixed, _ = load_spec(os.path.join(os.path.dirname(__file__), "golden", "mix2x2.json"))
+    calls = []
+    real = per_letter_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("mixcap.spectrum.per_letter_spectrum", counting)
+    for n, trials, ran in ((100, 40_000, 80_000), (24, 10**6, 0)):
+        calls.clear()
+        est = feinstein_bound(mixed, uniform2, CodeParams(n, 0.02), SlackParams(eta=0.05),
+                              mc_trials=trials, seed=1)
+        assert len(calls) == mixed.num_atoms == 2
+        assert est.trials == ran

@@ -11,6 +11,7 @@ loads from ``np.unique`` when it is asked for the unique values alone; and
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -72,13 +73,15 @@ def test_thread_pool_stays_unloaded_off_the_monte_carlo_path(loaded):
 
 
 def test_every_traced_function_lives_in_its_layer():
-    """The tracer's other contract: each name its LAYERS table lists is an attribute of
-    ``mixcap.<layer>``, so moving a traced function fails here, not only under --trace."""
+    """The tracer's other contract: its LAYERS table names every layer module, and each
+    name it lists is a function of ``mixcap.<layer>``, so moving a traced function fails
+    here, not only under --trace.  The table is read without importing the tracer."""
     tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     (table,) = [node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
                 if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS"]
     layers = ast.literal_eval(table)
     assert {f"mixcap.{layer}" for layer in layers} == set(LAYERS) | {"mixcap.cli"}
     missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
-               if not hasattr(importlib.import_module(f"mixcap.{layer}"), name)]
+               if not inspect.isfunction(getattr(importlib.import_module(f"mixcap.{layer}"),
+                                                 name, None))]
     assert not missing
